@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -70,16 +69,6 @@ REPRODUCTION = {
 }
 
 SVG_W, SVG_H = 640, 400
-
-
-def _thread_budget() -> int:
-    raw = os.environ.get("RDLAB_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"RDLAB_THREADS must be an integer, got {raw!r}") from None
 
 
 def _load_config(path: str) -> dict:
@@ -549,8 +538,6 @@ def _run_pde(config: dict, out: Path):
     domain = _parse_domain(config["domain"])
     phi = _parse_phi(config["phi"], domain, model.n)
     t_end = _as_float(config["t_end"], "t_end")
-    if t_end <= 0.0:
-        raise ConfigError("t_end must be positive")
 
     kwargs: dict = {}
     if "dt" in config:
@@ -723,34 +710,19 @@ def _run_reproduce(config: dict, out: Path):
     model = load_model({"n": 3, "a": REFERENCE_MATRIX, "d": REFERENCE_DIFFUSION})
     P = REPRODUCTION
     U0 = np.array(P["ode_initial_point"])
-    budget = _thread_budget()
-
-    def ode_leg():
-        orbit = detect_limit_cycle(model, U0, max_time=P["max_time"], tol=P["tol"])
-        traj = integrate(model, U0, P["t_end"], tol=P["tol"])
-        return orbit, traj
-
-    def pde_leg():
-        domain = Domain1D(kind="interval", length=1.0, N=P["N"], bc="neumann")
-        phi = Field(domain, _reference_phi_values(domain.grid()))
-        return phi, evolve(
-            model,
-            domain,
-            phi,
-            P["t_end"],
-            dt=P["dt"],
-            probes=P["probes"],
-            probe_stride=P["probe_stride"],
-        )
-
-    if budget > 1:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            ode_future = pool.submit(ode_leg)
-            phi, traj_pde = pde_leg()
-            orbit, traj_ode = ode_future.result()
-    else:
-        orbit, traj_ode = ode_leg()
-        phi, traj_pde = pde_leg()
+    orbit = detect_limit_cycle(model, U0, max_time=P["max_time"], tol=P["tol"])
+    traj_ode = integrate(model, U0, P["t_end"], tol=P["tol"])
+    domain = Domain1D(kind="interval", length=1.0, N=P["N"], bc="neumann")
+    phi = Field(domain, _reference_phi_values(domain.grid()))
+    traj_pde = evolve(
+        model,
+        domain,
+        phi,
+        P["t_end"],
+        dt=P["dt"],
+        probes=P["probes"],
+        probe_stride=P["probe_stride"],
+    )
 
     files = []
 
@@ -874,10 +846,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     try:
-        budget = _thread_budget()
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(budget))
         if args.config is None:
             config: dict = {}
         else:

@@ -1,8 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the negativity tolerance.
 
 Plain ``ValueError`` is raised for ordinary bad arguments; the classes here
 mark conditions the CLI maps to dedicated exit codes.
 """
+
+# Densities below -NEGATIVITY_TOL break positivity and raise InvariantViolation,
+# in both the kinetic integrator and the reaction-diffusion stepper.
+NEGATIVITY_TOL = 1e-8
 
 
 class ConfigError(ValueError):

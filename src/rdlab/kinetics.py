@@ -14,12 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import InvariantViolation, NumericalFailure
+from .errors import NEGATIVITY_TOL, InvariantViolation, NumericalFailure
 from .model import CompetitionModel, equilibria, jacobian, reaction
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_TIME = 2000.0
-NEGATIVITY_TOL = 1e-8
 RETURN_STATE_TOL = 1e-6
 RETURN_TIME_RTOL = 1e-4
 SETTLE_TOL = 1e-8

@@ -333,10 +333,25 @@ class TestExitCodes:
         rc, _ = _run(tmp_path, "floquet", payload)
         assert rc == 5
 
-    def test_invalid_thread_budget_is_config_error(self, tmp_path, monkeypatch):
+    def test_retired_thread_budget_variable_is_ignored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RDLAB_THREADS", "many")
         rc, _ = _run(tmp_path, "equilibria", {"model": {"preset": "reference"}})
+        assert rc == 0
+
+    @pytest.mark.parametrize("key, value", [("probe_stride", 0), ("t_end", float("inf"))])
+    def test_bad_evolve_input_is_one_line_config_error(self, tmp_path, capsys, key, value):
+        payload = {
+            "model": {"preset": "reference"},
+            "domain": {"kind": "interval", "length": 1.0, "N": 32, "bc": "neumann"},
+            "phi": "paper-phi",
+            "t_end": 1.0,
+            key: value,
+        }
+        rc, _ = _run(tmp_path, "pde", payload)
         assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("rdlab: config error:")
+        assert key in err[0]
 
     def test_paper_phi_needs_unit_interval(self, tmp_path):
         payload = {

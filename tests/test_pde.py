@@ -110,10 +110,11 @@ class TestEvolveValidation:
 
     def test_negative_initial_field_rejected(self, reference_model):
         dom = _interval(32)
-        values = np.full((3, 34), 0.1)
-        values[1, 5] = -0.2
-        with pytest.raises(ValueError):
-            evolve(reference_model, dom, phi=Field(dom, values), t_end=1.0)
+        for bad in (-0.2, float("nan"), float("inf")):
+            values = np.full((3, 34), 0.1)
+            values[1, 5] = bad
+            with pytest.raises(ValueError):
+                evolve(reference_model, dom, phi=Field(dom, values), t_end=1.0)
 
     def test_nonzero_boundary_slope_warns(self, reference_model):
         dom = _interval(64)
@@ -136,6 +137,28 @@ class TestEvolveValidation:
         phi = Field(dom, np.full((3, 34), 0.1))
         with pytest.warns(UserWarning, match="pinned"):
             evolve(reference_model, dom, phi, 0.02, dt=0.01)
+
+    @pytest.mark.parametrize(
+        "t_end, kwargs",
+        [
+            (float("inf"), {}),
+            (float("nan"), {}),
+            (0.0, {}),
+            (1.0, {"dt": float("inf")}),
+            (1.0, {"dt": float("nan")}),
+            (1.0, {"dt": -0.01}),
+            (1.0, {"dt": 5e-324}),
+            (1.0, {"probe_stride": 0}),
+            (1.0, {"probe_stride": -1}),
+            (1.0, {"snapshots": 0}),
+            (1.0, {"probes": [float("nan")]}),
+        ],
+    )
+    def test_bad_run_parameters_rejected(self, reference_model, t_end, kwargs):
+        dom = _interval(32)
+        phi = Field(dom, reference_phi_values(dom.grid()))
+        with pytest.raises(ValueError):
+            evolve(reference_model, dom, phi, t_end, **kwargs)
 
     def test_default_dt_formula(self, reference_model):
         dom = _interval(99)  # h = 0.01
@@ -210,6 +233,49 @@ class TestEvolveAccuracy:
         phi = Field(dom, (0.5 * np.sin(np.pi * x / 2.0))[None, :])
         with pytest.raises(InvariantViolation):
             evolve(model, dom, phi, 200.0, dt=0.01)
+
+
+def _dense_cn_reference(domain, d, values, dt):
+    """One diffusion-only step by dense linear algebra: two CN half steps per species."""
+    G = domain.N + 2
+    lap = laplacian_apply(domain, np.eye(G)).T  # column k is L e_k
+    out = []
+    for di, u in zip(d, values):
+        c = di * dt / 4.0
+        lhs, rhs = np.eye(G) - c * lap, np.eye(G) + c * lap
+        for _ in range(2):
+            u = np.linalg.solve(lhs, rhs @ u)
+        out.append(u)
+    return np.array(out)
+
+
+class TestCrankNicolsonSolve:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+    @pytest.mark.parametrize("kind, m", [("interval", 1), ("radial", 2), ("radial", 3)])
+    def test_stacked_solve_matches_dense_per_species(self, kind, m, bc, n):
+        # distinct d per species: a coupling across species blocks would show
+        d = np.array([0.05, 0.4, 1.3])[:n]
+        model = CompetitionModel(a=np.eye(n) + 0.1, d=d)
+        dom = Domain1D(kind=kind, length=1.5, N=24, bc=bc, m=m)
+        x = dom.grid() / dom.length
+        k = np.arange(1, n + 1)[:, None]
+        if bc == "dirichlet":
+            values = np.sin(np.pi * x)[None, :] * (1.0 + 0.3 * np.cos(k * np.pi * x))
+        else:
+            values = 1.0 + 0.5 * np.cos(k * np.pi * x)
+        dt = 0.02
+        traj = evolve(model, dom, Field(dom, values), dt, dt=dt, include_reaction=False)
+        expected = _dense_cn_reference(dom, d, traj.fields[0], dt)
+        assert np.max(np.abs(traj.fields[-1] - expected)) < 1e-12
+
+    def test_diffusion_conserves_neumann_interval_average(self):
+        model = CompetitionModel(a=np.eye(3) * 2.0 + 0.1, d=np.array([0.3, 0.05, 1.0]))
+        dom = _interval(128)
+        phi = Field(dom, reference_phi_values(dom.grid()))
+        traj = evolve(model, dom, phi, 1.0, dt=0.01, include_reaction=False)
+        drift = np.abs(spatial_average(traj.final) - spatial_average(phi))
+        assert np.max(drift) < 1e-13
 
 
 class TestProbes:
