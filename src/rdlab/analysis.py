@@ -8,6 +8,7 @@ dynamics follows the spatially averaged kinetics.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,16 +18,10 @@ from .pde import PdeTrajectory, Field, flatness as field_flatness, grad_l2_norm,
 
 REGION_SIGMA_2SPECIES = "sigma-region-2species"
 REGION_A_3SPECIES = "region-A-3species"
-_CHUNK = 200_000
 
 
 def _region_box_and_mask(model: CompetitionModel, region):
-    """Bounding box, membership test, and radial projector of a named region.
-
-    The projector rescales an infeasible point toward or away from the
-    origin onto the region boundary; both named regions are star-shaped
-    with respect to the origin, so this keeps local search moves feasible.
-    """
+    """Bounding box and membership test of a named region or an explicit box."""
     a = model.a
     if isinstance(region, str):
         if region == REGION_SIGMA_2SPECIES:
@@ -39,12 +34,7 @@ def _region_box_and_mask(model: CompetitionModel, region):
                 return ((pts[:, 0] <= 1.0 - b * pts[:, 1] + 1e-12)
                         | (pts[:, 1] <= 1.0 - c * pts[:, 0] + 1e-12))
 
-            def project(pt):
-                u, v = pt
-                t = max(1.0 / (u + b * v), 1.0 / (v + c * u))
-                return pt * min(t, 1.0)
-
-            return box, member, project
+            return box, member
         if region == REGION_A_3SPECIES:
             if model.n != 3:
                 raise ValueError(f"{region} requires a three-species model")
@@ -55,29 +45,21 @@ def _region_box_and_mask(model: CompetitionModel, region):
                 r = pts @ a.T
                 return (r.min(axis=1) <= 1.0 + 1e-12) & (r.max(axis=1) >= 1.0 - 1e-12)
 
-            def project(pt):
-                r = a @ pt
-                if r.min() > 1.0:
-                    return pt / r.min()
-                if r.max() < 1.0:
-                    return pt / r.max()
-                return pt
-
-            return box, member, project
+            return box, member
         raise ValueError(f"unknown region {region!r}")
     box = np.asarray(region, dtype=float)
     if box.shape != (model.n, 2) or np.any(box[:, 1] <= box[:, 0]):
         raise ValueError("box region must be an (n, 2) array of increasing bounds")
-    return box, lambda pts: np.ones(pts.shape[0], dtype=bool), lambda pt: pt
+    return box, lambda pts: np.ones(pts.shape[0], dtype=bool)
 
 
 def _region_vertices(model: CompetitionModel, region, box: np.ndarray) -> np.ndarray:
-    """Corner points of the polytope pieces making up the region.
+    """Corner candidates of the polytope pieces making up the region.
 
-    Both supported norms are convex in the state (the Jacobian is affine in
-    U), so the supremum over each polytope piece is attained at one of its
-    corners; enumerating the n-fold intersections of the bounding planes
-    yields every corner candidate.
+    Every piece is cut out of the bounding box by the region's own planes,
+    so each of its corners is an n-fold intersection of box faces and region
+    planes; all such intersections inside the box are returned.  Some lie
+    outside the region and are left for the membership test to drop.
     """
     n = model.n
     a = model.a
@@ -119,73 +101,26 @@ def _norm_sq_batch(model: CompetitionModel, pts: np.ndarray, norm: str) -> np.nd
     raise ValueError(f"unknown norm {norm!r}")
 
 
-def sup_jacobian_norm(model: CompetitionModel, region, *, grid_points: int = 200,
-                      refine_iters: int = 20, norm: str = "frobenius") -> float:
+def sup_jacobian_norm(model: CompetitionModel, region, *, norm: str = "frobenius") -> float:
     """Supremum of the kinetic Jacobian norm over an invariant region.
 
     ``region`` is "sigma-region-2species" (union of the two triangles under
     u = 1 - b v and v = 1 - c u), "region-A-3species" (states with
     min_i (a U)_i <= 1 <= max_i (a U)_i, confined to the box that contains
-    it), or an explicit (n, 2) bounds array.  A dense grid scan
-    (``grid_points`` per axis, in chunks) seeds a multi-start pattern
-    search; infeasible moves are rescaled onto the region boundary so the
-    search can track it.  ``refine_iters`` scales the sweep budget.  The
-    region's polytope corners join the seed list and floor the result:
-    the norm is convex in the state, so the true supremum sits at one of
-    them and the search only has to confirm it.
+    it), or an explicit (n, 2) bounds array.  ``norm`` is "frobenius" or
+    "operator".
+
+    The value is exact.  The Jacobian is affine in U, so both norms are
+    convex in U, and a convex function on a polytope attains its maximum
+    at a corner (Rockafellar, Convex Analysis, Cor. 32.3.2).  Each region
+    is a finite union of polytopes, so the supremum is the largest norm
+    over the corners of its pieces: the plane intersections listed by
+    ``_region_vertices`` that pass the region's membership test.
     """
-    box, member, project = _region_box_and_mask(model, region)
-    axes = [np.linspace(lo, hi, grid_points) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts_all = np.stack([m.ravel() for m in mesh], axis=1)
-    cand_pts, cand_vals = [], []
-    for start in range(0, pts_all.shape[0], _CHUNK):
-        pts = pts_all[start:start + _CHUNK]
-        ok = member(pts)
-        if not ok.any():
-            continue
-        pts = pts[ok]
-        vals = _norm_sq_batch(model, pts, norm)
-        top = np.argsort(vals)[-8:]
-        cand_pts.append(pts[top])
-        cand_vals.append(vals[top])
-    if not cand_pts:
-        raise ValueError("region contains no grid point; enlarge grid_points")
-    cand_pts = np.concatenate(cand_pts)
-    cand_vals = np.concatenate(cand_vals)
-    order = np.argsort(cand_vals)[::-1][:32]
-    seeds = [(cand_pts[idx].copy(), float(cand_vals[idx])) for idx in order]
+    box, member = _region_box_and_mask(model, region)
     verts = _region_vertices(model, region, box)
-    if verts.size:
-        ok = member(verts)
-        verts = verts[ok]
-    if verts.size:
-        vvals = _norm_sq_batch(model, verts, norm)
-        seeds += [(verts[k].copy(), float(vvals[k])) for k in range(verts.shape[0])]
-    spacing = float(np.max(box[:, 1] - box[:, 0])) / (grid_points - 1)
-    best_val = -np.inf
-    for pt, val in seeds:
-        step = spacing
-        for _ in range(20 * refine_iters):
-            improved = False
-            for axis in range(model.n):
-                for sign in (1.0, -1.0):
-                    cand = pt.copy()
-                    cand[axis] += sign * step
-                    if not member(cand[None, :])[0]:
-                        cand = project(cand)
-                    cand = np.clip(cand, box[:, 0], box[:, 1])
-                    if not member(cand[None, :])[0]:
-                        continue
-                    v = float(_norm_sq_batch(model, cand[None, :], norm)[0])
-                    if v > val:
-                        val, pt, improved = v, cand, True
-            if not improved:
-                step *= 0.5
-                if step < 1e-10:
-                    break
-        best_val = max(best_val, val)
-    return float(np.sqrt(best_val))
+    verts = verts[member(verts)]
+    return float(np.sqrt(_norm_sq_batch(model, verts, norm).max()))
 
 
 @dataclass(frozen=True)
@@ -201,7 +136,7 @@ class ChsReport:
 
 
 def chs_report(model: CompetitionModel, L: float, *, region=None,
-               grid_points: int = 200, norm: str = "frobenius") -> ChsReport:
+               norm: str = "frobenius") -> ChsReport:
     """Certificate for diffusion-driven flattening on an interval of length L.
 
     The Jacobian norm is maximized over the named invariant region for
@@ -209,8 +144,8 @@ def chs_report(model: CompetitionModel, L: float, *, region=None,
     sigma > 0, and threshold_d = M_sup / lambda1 is the diffusion floor at
     which the guarantee kicks in.
     """
-    if L <= 0.0:
-        raise ValueError("interval length must be positive")
+    if not (math.isfinite(L) and L > 0.0):
+        raise ValueError(f"interval length L must be finite and positive, got {L}")
     if region is None:
         if model.n == 2:
             region = REGION_SIGMA_2SPECIES
@@ -219,7 +154,7 @@ def chs_report(model: CompetitionModel, L: float, *, region=None,
         else:
             raise ValueError("no named region for this species count; pass a box region")
     lambda1 = (np.pi / L) ** 2
-    M_sup = sup_jacobian_norm(model, region, grid_points=grid_points, norm=norm)
+    M_sup = sup_jacobian_norm(model, region, norm=norm)
     d_min = float(model.d.min())
     sigma = lambda1 * d_min - M_sup
     return ChsReport(float(lambda1), d_min, M_sup, float(sigma), bool(sigma > 0.0),

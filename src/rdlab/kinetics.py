@@ -9,6 +9,7 @@ commute with the time-dependent Jacobian, so no factorization shortcut
 is taken).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,20 +48,36 @@ def _solve(model, U0, t_span, tol, **kw):
     return sol
 
 
-def integrate(model: CompetitionModel, U0, t_end: float, tol: float = DEFAULT_TOL) -> Trajectory:
-    """Integrate the kinetics from U0 over [0, t_end].
+def _checked_start(model, U0, span: float, span_name: str, tol: float) -> np.ndarray:
+    """U0 as a float array, once it and the run parameters are finite.
 
-    Nonnegativity is enforced as an invariant check, not a projection: an
-    excursion below -1e-8 raises InvariantViolation; smaller round-off dips
-    are clamped to zero in the reported states only.
+    A NaN or infinite time span, tolerance or state would keep the adaptive
+    integrator stepping forever, so each raises ValueError up front.
     """
     U0 = np.asarray(U0, dtype=float)
     if U0.shape != (model.n,):
         raise ValueError(f"initial state must have shape ({model.n},)")
+    if not np.isfinite(U0).all():
+        raise ValueError("initial state must be finite")
+    if not (math.isfinite(span) and span > 0.0):
+        raise ValueError(f"{span_name} must be finite and positive, got {span}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    return U0
+
+
+def integrate(model: CompetitionModel, U0, t_end: float, tol: float = DEFAULT_TOL) -> Trajectory:
+    """Integrate the kinetics from U0 over [0, t_end].
+
+    U0 must be finite and nonnegative, ``t_end`` and ``tol`` finite and
+    positive; otherwise ValueError is raised.  Nonnegativity is enforced as
+    an invariant check, not a projection: an excursion below -1e-8 raises
+    InvariantViolation; smaller round-off dips are clamped to zero in the
+    reported states only.
+    """
+    U0 = _checked_start(model, U0, t_end, "t_end", tol)
     if np.any(U0 < 0.0):
         raise ValueError("initial state must be nonnegative")
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
     sol = _solve(model, U0, (0.0, t_end), tol)
     states = sol.y.T
     low = states.min()
@@ -126,9 +143,11 @@ def detect_limit_cycle(model: CompetitionModel, U0, max_time: float = DEFAULT_MA
     ||f(U)|| stays below 1e-8 for 10 consecutive unit-spaced samples and a
     sink is nearby, the orbit has converged to it; a settle next to a
     non-sink is left "undetermined", as are all remaining outcomes (this
-    routine reports rather than raises).
+    routine reports rather than raises).  A U0 that is not finite, or a
+    ``max_time`` or ``tol`` that is not finite and positive, raises
+    ValueError.
     """
-    U0 = np.asarray(U0, dtype=float)
+    U0 = _checked_start(model, U0, max_time, "max_time", tol)
     t_half = max_time / 2.0
     sol1 = _solve(model, U0, (0.0, t_half), tol)
     if sol1.y.min() < -NEGATIVITY_TOL:

@@ -48,8 +48,8 @@ class Domain1D:
             raise ValueError(f"unknown domain kind {self.kind!r}")
         if self.bc not in ("neumann", "dirichlet"):
             raise ValueError(f"unknown boundary condition {self.bc!r}")
-        if self.length <= 0.0:
-            raise ValueError("domain length must be positive")
+        if not (math.isfinite(self.length) and self.length > 0.0):
+            raise ValueError(f"domain length must be finite and positive, got {self.length}")
         if self.N < 8:
             raise ValueError("at least 8 interior nodes are required")
         if self.kind == "radial" and self.m < 2:

@@ -12,6 +12,7 @@ critical interval length below which only the trivial state survives).
 Radial profiles are computed by shooting from the regular center.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,12 +180,12 @@ def radial_shoot(c: float, D: float, R: float, m: int = 2, samples: int = 1000) 
     limit u''(0) = -c(1-c)/(m D).  Integration stops at the first zero of u
     (outcome 'hit-zero' with the event radius), when u reaches 1e6
     ('blow-up'), or at radius R ('stayed-positive').  Radii of interior
-    turning points (u' = 0) are recorded along the way.
+    turning points (u' = 0) are recorded along the way.  ``c``, ``D`` and
+    ``R`` must be finite and positive; otherwise ValueError is raised.
     """
-    if c <= 0.0:
-        raise ValueError("center amplitude must be positive")
-    if D <= 0.0 or R <= 0.0:
-        raise ValueError("D and R must be positive")
+    for name, value in (("center amplitude c", c), ("D", D), ("R", R)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     if m < 1:
         raise ValueError("space dimension m must be at least 1")
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.spatial import HalfspaceIntersection
 
 from rdlab import CompetitionModel
 from rdlab.analysis import (
@@ -13,12 +15,57 @@ from rdlab.analysis import (
     periodicity_score,
     sup_jacobian_norm,
 )
+from rdlab.model import jacobian
 from rdlab.pde import Domain1D, PdeTrajectory, evolve, Field
 from tests.conftest import reference_phi_values
 
 
 def _two_species(b, c):
     return CompetitionModel(a=np.array([[1.0, b], [c, 1.0]]), d=np.ones(2))
+
+
+def _region_pieces(a, region):
+    """Polytope pieces {U : A U <= b} of a region, written from its definition.
+
+    sigma-region-2species is the union of the triangles U >= 0, u + b v <= 1
+    and U >= 0, c u + v <= 1.  region-A-3species is the union over i != j
+    of U >= 0, (a U)_i <= 1 <= (a U)_j.  A box is one piece.
+    """
+    n = a.shape[0]
+    if isinstance(region, str):
+        orthant = (-np.eye(n), np.zeros(n))
+        if region == REGION_SIGMA_2SPECIES:
+            rows = [(a[0], 1.0), (a[1], 1.0)]
+            return [(np.vstack([orthant[0], r]), np.append(orthant[1], rhs)) for r, rhs in rows]
+        return [(np.vstack([orthant[0], a[i], -a[j]]), np.append(orthant[1], [1.0, -1.0]))
+                for i in range(n) for j in range(n) if i != j]
+    return [(np.vstack([-np.eye(n), np.eye(n)]), np.concatenate([-region[:, 0], region[:, 1]]))]
+
+
+def _piece_corners(A, b):
+    """Corners of {U : A U <= b} by Qhull, or None for a piece with no interior."""
+    # Chebyshev centre: the deepest interior point, needed to seed Qhull
+    norms = np.linalg.norm(A, axis=1)
+    n = A.shape[1]
+    lp = linprog(np.append(np.zeros(n), -1.0), A_ub=np.column_stack([A, norms]), b_ub=b,
+                 bounds=[(None, None)] * n + [(0.0, None)])
+    if lp.status != 0 or lp.x[-1] < 1e-9:
+        return None
+    return HalfspaceIntersection(np.column_stack([A, -b]), lp.x[:n]).intersections
+
+
+def _jacobians(model, pts):
+    # J_ij = delta_ij (1 - (a U)_i) - U_i a_ij, one matrix per row of pts
+    a = model.a
+    return np.eye(a.shape[0]) * (1.0 - pts @ a.T)[:, :, None] - pts[:, :, None] * a
+
+
+def _norms(mats, norm):
+    return np.linalg.norm(mats, ord="fro" if norm == "frobenius" else 2, axis=(1, 2))
+
+
+def _random_model(rng, n):
+    return CompetitionModel(a=rng.uniform(0.2, 3.0, size=(n, n)), d=np.ones(n))
 
 
 class TestSupJacobianNorm:
@@ -32,13 +79,7 @@ class TestSupJacobianNorm:
         op = sup_jacobian_norm(reference_kinetics, REGION_A_3SPECIES, norm="operator")
         fro = sup_jacobian_norm(reference_kinetics, REGION_A_3SPECIES)
         assert op <= fro + 1e-12
-        assert op == pytest.approx(4.871957129315187, abs=1e-6)
-
-    def test_result_stable_under_grid_resolution(self, reference_kinetics):
-        # the polytope corners seed the search, so the coarse grid cannot miss
-        coarse = sup_jacobian_norm(reference_kinetics, REGION_A_3SPECIES, grid_points=40)
-        fine = sup_jacobian_norm(reference_kinetics, REGION_A_3SPECIES, grid_points=250)
-        assert coarse == pytest.approx(fine, rel=1e-12)
+        assert op == pytest.approx(4.871957129315187, rel=1e-12)
 
     def test_two_species_unit_coupling_sup_at_origin(self):
         sup = sup_jacobian_norm(_two_species(1.0, 1.0), REGION_SIGMA_2SPECIES)
@@ -49,21 +90,36 @@ class TestSupJacobianNorm:
         sup = sup_jacobian_norm(_two_species(0.5, 0.5), REGION_SIGMA_2SPECIES)
         assert sup**2 == pytest.approx(10.0, rel=1e-12)
 
-    def test_origin_neighborhood_box(self):
-        # tiny box around the origin: the norm cannot exceed the origin value
-        model = _two_species(1.0, 1.0)
-        box = np.array([[0.0, 1e-6], [0.0, 1e-6]])
-        sup = sup_jacobian_norm(model, box, grid_points=20)
-        assert sup == pytest.approx(np.sqrt(2.0), abs=1e-5)
+    @pytest.mark.parametrize("norm", ["frobenius", "operator"])
+    @pytest.mark.parametrize("n, kind", [(2, "named"), (2, "box"), (3, "named"), (3, "box")])
+    def test_equals_brute_force_corner_maximum(self, n, kind, norm):
+        # The corners are recomputed by Qhull from the region's definition,
+        # and a dense sample checks that no member point beats them.
+        rng = np.random.default_rng(1978 + 10 * n + (kind == "box"))
+        for _ in range(4):
+            model = _random_model(rng, n)
+            if kind == "box":
+                lo = rng.uniform(0.0, 1.0, size=n)
+                region = np.column_stack([lo, lo + rng.uniform(0.1, 2.0, size=n)])
+            else:
+                region = REGION_SIGMA_2SPECIES if n == 2 else REGION_A_3SPECIES
+            sup = sup_jacobian_norm(model, region, norm=norm)
 
-    def test_box_monotonicity(self, reference_kinetics):
-        small = sup_jacobian_norm(
-            reference_kinetics, np.array([[0.0, 0.5]] * 3), grid_points=30
-        )
-        large = sup_jacobian_norm(
-            reference_kinetics, np.array([[0.0, 1.0]] * 3), grid_points=30
-        )
-        assert small <= large + 1e-12
+            pieces = _region_pieces(model.a, region)
+            corners = [c for c in (_piece_corners(A, b) for A, b in pieces) if c is not None]
+            assert corners
+            corners = np.concatenate(corners)
+            mats = _jacobians(model, corners)
+            assert np.allclose(mats, [jacobian(model, c) for c in corners], rtol=0.0, atol=1e-13)
+            assert sup == pytest.approx(_norms(mats, norm).max(), rel=1e-12)
+
+            hi = corners.max(axis=0)
+            pts = rng.uniform(0.0, 1.0, size=(60_000, n)) * hi
+            inside = np.zeros(len(pts), dtype=bool)
+            for A, b in pieces:
+                inside |= np.all(pts @ A.T <= b, axis=1)
+            assert inside.sum() > 1000
+            assert _norms(_jacobians(model, pts[inside]), norm).max() <= sup * (1.0 + 1e-12)
 
     def test_region_validation(self, reference_kinetics):
         with pytest.raises(ValueError):
@@ -99,9 +155,10 @@ class TestChsReport:
         # small diffusion on a long interval: no flattening guarantee
         assert not rep2.flat_guarantee
 
-    def test_length_validation(self, reference_kinetics):
+    @pytest.mark.parametrize("L", [0.0, -1.0, float("nan"), float("inf")])
+    def test_length_validation(self, reference_kinetics, L):
         with pytest.raises(ValueError):
-            chs_report(reference_kinetics, 0.0)
+            chs_report(reference_kinetics, L)
 
 
 def _synthetic_trajectory(u_of_tx, t_end=80.0, n_times=161, N=64, probe_count=3):

@@ -353,6 +353,33 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("rdlab: config error:")
         assert key in err[0]
 
+    @pytest.mark.parametrize(
+        "command, payload, key",
+        [
+            ("chs", {"model": {"preset": "reference"}, "L": 1.0, "grid_points": 200},
+             "grid_points"),
+            ("chs", {"model": {"preset": "reference"}, "L": float("nan")}, "L"),
+            ("pde", {"model": {"preset": "reference"},
+                     "domain": {"kind": "interval", "length": float("inf"), "N": 32,
+                                "bc": "neumann"},
+                     "phi": {"constant": [0.1, 0.1, 0.1]}, "t_end": 1.0}, "length"),
+            ("ode", {"model": {"preset": "reference"}, "U0": [0.1, 0.1, 0.1],
+                     "t_end": float("inf")}, "t_end"),
+            ("floquet", {"model": {"preset": "reference"}, "U0": [0.1, 0.1, 0.1],
+                         "max_time": float("inf")}, "max_time"),
+            ("shoot", {"D": float("nan"), "c": 0.5}, "D"),
+        ],
+    )
+    def test_rejected_input_writes_nothing(self, tmp_path, capsys, command, payload, key):
+        # grid_points is not a chs key; a non-finite time, tolerance or length
+        # would otherwise write NaN artifacts or keep an integrator running
+        rc, out = _run(tmp_path, command, payload)
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("rdlab: config error:")
+        assert key in err[0]
+        assert list(out.iterdir()) == []
+
     def test_paper_phi_needs_unit_interval(self, tmp_path):
         payload = {
             "model": {"preset": "reference"},

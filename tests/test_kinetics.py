@@ -51,8 +51,39 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(reference_kinetics, np.array([-0.1, 0.2, 0.3]), 1.0)
 
+    @pytest.mark.parametrize(
+        "U0, t_end, tol",
+        [
+            ([0.2, 0.1, 0.3], float("inf"), 1e-7),
+            ([0.2, 0.1, 0.3], float("nan"), 1e-7),
+            ([0.2, 0.1, 0.3], 0.0, 1e-7),
+            ([0.2, float("nan"), 0.3], 1.0, 1e-7),
+            ([0.2, float("inf"), 0.3], 1.0, 1e-7),
+            ([0.2, 0.1, 0.3], 1.0, float("nan")),
+            ([0.2, 0.1, 0.3], 1.0, 0.0),
+        ],
+    )
+    def test_non_finite_run_inputs_rejected(self, reference_kinetics, U0, t_end, tol):
+        # an infinite or NaN span or tolerance would keep solve_ivp stepping forever
+        with pytest.raises(ValueError):
+            integrate(reference_kinetics, np.array(U0), t_end, tol=tol)
+
 
 class TestLimitCycleDetection:
+    @pytest.mark.parametrize(
+        "U0, max_time, tol",
+        [
+            ([0.2, 0.1, 0.3], float("inf"), 1e-7),
+            ([0.2, 0.1, 0.3], float("nan"), 1e-7),
+            ([0.2, 0.1, 0.3], -1.0, 1e-7),
+            ([float("nan"), 0.1, 0.3], 100.0, 1e-7),
+            ([0.2, 0.1, 0.3], 100.0, float("nan")),
+        ],
+    )
+    def test_non_finite_run_inputs_rejected(self, reference_kinetics, U0, max_time, tol):
+        with pytest.raises(ValueError):
+            detect_limit_cycle(reference_kinetics, U0, max_time=max_time, tol=tol)
+
     def test_reference_orbit_is_periodic(self, reference_kinetics):
         orbit = detect_limit_cycle(
             reference_kinetics,

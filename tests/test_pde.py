@@ -95,6 +95,11 @@ class TestFieldDiagnostics:
         field = Field(dom, np.array([0.5 + 0.25 * np.cos(np.pi * x), np.ones_like(x)]))
         assert flatness(field) == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("length", [0.0, -1.0, float("nan"), float("inf")])
+    def test_domain_length_must_be_finite_and_positive(self, length):
+        with pytest.raises(ValueError):
+            Domain1D(kind="interval", length=length, N=32, bc="neumann")
+
     def test_field_shape_validation(self):
         dom = _interval(32)
         with pytest.raises(ValueError):

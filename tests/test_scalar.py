@@ -158,3 +158,18 @@ class TestRadialShoot:
             radial_shoot(0.5, 0.0, 6.0)
         with pytest.raises(ValueError):
             radial_shoot(0.5, 0.1, 6.0, m=0)
+
+    @pytest.mark.parametrize(
+        "c, D, R",
+        [
+            (float("nan"), 0.1, 6.0),
+            (0.5, float("nan"), 6.0),
+            (0.5, float("inf"), 6.0),
+            (0.5, 0.1, float("nan")),
+            (0.5, 0.1, float("inf")),
+        ],
+    )
+    def test_non_finite_inputs_rejected(self, c, D, R):
+        # a NaN D or an infinite R would keep the integrator stepping forever
+        with pytest.raises(ValueError):
+            radial_shoot(c, D, R)
