@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -259,8 +260,6 @@ def _run_equilibria(config: dict, out: Path):
 def _run_timemap(config: dict, out: Path):
     _check_keys(config, "config", required=("D",), optional=("mu", "L_target", "svg"))
     D = _as_float(config["D"], "D")
-    if D <= 0.0:
-        raise ConfigError("D must be positive")
     if "mu" not in config and "L_target" not in config:
         raise ConfigError("config needs \"mu\" (grid or list) and/or \"L_target\"")
 
@@ -268,6 +267,8 @@ def _run_timemap(config: dict, out: Path):
     report: dict = {"D": D, "kiss": kiss}
     files = []
 
+    # every computation precedes the first write, so a rejected input leaves
+    # the output directory empty
     mus: list[float] = []
     if "mu" in config:
         spec = config["mu"]
@@ -282,6 +283,11 @@ def _run_timemap(config: dict, out: Path):
         else:
             mus = _as_float_list(spec, "mu")
         lengths = [_cfg(time_map, mu, D) for mu in mus]
+    if "L_target" in config:
+        L_target = _as_float(config["L_target"], "L_target")
+        profile = _cfg(dirichlet_steady_profile, L_target, D)
+
+    if "mu" in config:
         csv_path = out / "timemap.csv"
         write_csv(csv_path, ["mu", "L"], list(zip(mus, lengths)))
         files.append(csv_path)
@@ -299,8 +305,6 @@ def _run_timemap(config: dict, out: Path):
             files.append(svg_path)
 
     if "L_target" in config:
-        L_target = _as_float(config["L_target"], "L_target")
-        profile = _cfg(dirichlet_steady_profile, L_target, D)
         if profile is None:
             report["profile"] = {"L": L_target, "exists": False}
         else:
@@ -355,6 +359,11 @@ def _run_shoot(config: dict, out: Path):
         )
         files.append(svg_path)
     return files, None
+
+
+def _solver_counters(orbit) -> dict:
+    """Each orbit integration's deterministic counters, keyed by leg."""
+    return {leg: asdict(stats) for leg, stats in orbit.solver.items()}
 
 
 def _run_ode(config: dict, out: Path):
@@ -413,6 +422,7 @@ def _run_ode(config: dict, out: Path):
             "period": orbit.period,
             "anchor": None if orbit.anchor is None else [float(v) for v in orbit.anchor],
             "converged_to": orbit.converged_to,
+            "solver": _solver_counters(orbit),
         }
 
     json_path = out / "report.json"
@@ -574,8 +584,9 @@ def _run_floquet(config: dict, out: Path):
     kwargs = {}
     if "max_time" in config:
         kwargs["max_time"] = _as_float(config["max_time"], "max_time")
+    stab_kwargs: dict = {}
     if "tol" in config:
-        kwargs["tol"] = _as_float(config["tol"], "tol")
+        kwargs["tol"] = stab_kwargs["tol"] = _as_float(config["tol"], "tol")
 
     orbit = _cfg(detect_limit_cycle, model, np.array(U0), **kwargs)
     if orbit.status != "periodic":
@@ -583,9 +594,6 @@ def _run_floquet(config: dict, out: Path):
             f"no periodic orbit from this initial point (detector status: {orbit.status})"
         )
 
-    stab_kwargs: dict = {}
-    if "tol" in config:
-        stab_kwargs["tol"] = _as_float(config["tol"], "tol")
     if "eigenvalues" in config:
         stab_kwargs["eigenvalues"] = _as_float_list(config["eigenvalues"], "eigenvalues")
     if "k_max" in config:
@@ -614,6 +622,7 @@ def _run_floquet(config: dict, out: Path):
         "verdict": verdict.verdict,
         "base_multiplier_moduli": [float(np.abs(m)) for m in verdict.base_multipliers],
         "modal_modes": [int(k) for k in sorted(verdict.modal_multipliers)],
+        "solver": _solver_counters(orbit),
     }
     json_path = out / "floquet.json"
     write_json(json_path, report)

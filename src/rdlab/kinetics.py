@@ -1,22 +1,33 @@
 """Pointwise kinetics: trajectories, limit-cycle detection and Floquet data.
 
-Trajectories are integrated with an adaptive embedded Runge-Kutta 5(4)
-scheme with dense output.  Periodic orbits are detected on a Poincare
-section anchored at a post-transient state with the local velocity as its
-normal; monodromy and diffusion-shifted modal systems are integrated
-directly alongside the orbit (the diagonal diffusion matrix does not
-commute with the time-dependent Jacobian, so no factorization shortcut
-is taken).
+Every trajectory is integrated by ``_dopri5``, a Dormand-Prince 5(4) loop
+with a quartic dense output.  It reproduces scipy's
+``solve_ivp(method="RK45")`` bit for bit: the tableau is read from
+``scipy.integrate.RK45`` and each floating-point operation (initial step,
+stage sums, RMS error norm, step control, section roots, interpolated
+samples) is the one scipy performs, so results do not depend on which of
+the two ran.  It drops scipy's per-step overhead: the wrapper layers around
+the right-hand side, an interpolant object per step where none is needed,
+and event bookkeeping on steps without a sign change.
+``tests/test_kinetics.py`` holds the loop to that contract.
+
+Periodic orbits are detected on a Poincare section anchored at a
+post-transient state with the local velocity as its normal; monodromy and
+diffusion-shifted modal systems are integrated directly alongside the orbit
+(the diagonal diffusion matrix does not commute with the time-dependent
+Jacobian, so no factorization shortcut is taken).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45
+from scipy.optimize import brentq
 
 from .errors import NEGATIVITY_TOL, InvariantViolation, NumericalFailure
-from .model import CompetitionModel, equilibria, jacobian, reaction
+from .model import CompetitionModel, equilibria, reaction
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_TIME = 2000.0
@@ -25,6 +36,248 @@ RETURN_TIME_RTOL = 1e-4
 SETTLE_TOL = 1e-8
 SETTLE_SAMPLES = 10
 TRIVIAL_MULTIPLIER_TOL = 1e-3
+
+# scipy's RK45 tableau and step control.  C is not needed: both right-hand
+# sides are autonomous.
+_STAGE_ROWS = [RK45.A[s, :s] for s in range(1, RK45.n_stages)]
+_ERROR_EXPONENT = -1 / (RK45.error_estimator_order + 1)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_EPS = np.finfo(float).eps
+
+
+@dataclass(frozen=True)
+class SolverStats:
+    """Deterministic counters of one adaptive run."""
+
+    accepted_steps: int
+    rejected_steps: int
+    nfev: int
+    min_state: float  # smallest density over the accepted states, the start included
+
+
+def _interpolate(t, t_old, h, Q, y_old):
+    """One step's quartic at t (scalar or 1-D), evaluated as scipy's RkDenseOutput does."""
+    t = np.asarray(t)
+    x = (t - t_old) / h
+    if t.ndim == 0:
+        p = np.cumprod(np.tile(x, Q.shape[1]))
+    else:
+        p = np.cumprod(np.tile(x, (Q.shape[1], 1)), axis=0)
+    y = h * np.dot(Q, p)
+    y += y_old[:, None] if y.ndim == 2 else y_old
+    return y
+
+
+class _Interpolant:
+    """Piecewise quartic dense output over consecutive accepted steps.
+
+    Segment lookup and evaluation follow scipy's OdeSolution; a step's
+    coefficient matrix Q = K^T P is formed only when the step is evaluated.
+    """
+
+    def __init__(self, ts, y_old, K):
+        self.ts = ts  # step boundaries, shape (m + 1,)
+        self._y_old = y_old  # shape (m, n)
+        self._K = K  # stage derivatives, shape (m, stages + 1, n)
+
+    def _segment(self, i, t):
+        Q = self._K[i].T.dot(RK45.P)
+        return _interpolate(t, self.ts[i], self.ts[i + 1] - self.ts[i], Q, self._y_old[i])
+
+    def __call__(self, t):
+        """State(s) at t: shape (n,) for a scalar, (n, len(t)) for a 1-D array."""
+        t = np.asarray(t)
+        last = len(self.ts) - 2
+        if t.ndim == 0:
+            ind = int(np.searchsorted(self.ts, t, side="left"))
+            return self._segment(min(max(ind - 1, 0), last), t)
+        order = np.argsort(t)
+        reverse = np.empty_like(order)
+        reverse[order] = np.arange(order.shape[0])
+        t_sorted = t[order]
+        segments = np.clip(np.searchsorted(self.ts, t_sorted, side="left") - 1, 0, last)
+        ys = []
+        start = 0
+        for segment, group in groupby(segments):
+            stop = start + len(list(group))
+            ys.append(self._segment(segment, t_sorted[start:stop]))
+            start = stop
+        return np.hstack(ys)[:, reverse]
+
+
+@dataclass(frozen=True)
+class _Run:
+    t: np.ndarray  # accepted times, from 0 to t_end
+    y: np.ndarray  # accepted states, shape (len(t), m)
+    stats: SolverStats
+    dense: _Interpolant | None  # over the steps ending at or after keep_from
+    t_events: np.ndarray | None  # upward section crossings
+    y_events: np.ndarray | None
+    y_eval: np.ndarray | None  # samples at t_eval, shape (m, len(t_eval))
+
+
+def _initial_step(rhs, y0, f0, t_end, rtol, atol):
+    """scipy's select_initial_step for a forward run from t = 0."""
+    scale = atol + np.abs(y0) * rtol
+    root_n = y0.size ** 0.5
+    d0 = np.linalg.norm(y0 / scale) / root_n
+    d1 = np.linalg.norm(f0 / scale) / root_n
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end)
+    f1 = rhs(y0 + h0 * f0, np.empty(y0.size))
+    d2 = np.linalg.norm((f1 - f0) / scale) / root_n / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (RK45.error_estimator_order + 1))
+    return min(100 * h0, h1, t_end)
+
+
+def _dopri5(rhs, y0, t_end, tol, *, densities=None, keep_from=math.inf, t_eval=None,
+            section=None) -> _Run:
+    """Integrate the autonomous system y' = f(y) from y0 over [0, t_end].
+
+    ``rhs(y, out)`` writes f(y) into ``out`` and returns it.  The run
+    matches ``solve_ivp(lambda t, y: f(y), (0, t_end), y0, method="RK45",
+    rtol=tol, atol=tol * 1e-2)`` operation for operation, so its times,
+    states, nfev, section roots and samples equal scipy's bit for bit.
+
+    - ``keep_from``: the dense output covers the steps ending at or after it
+      (0 keeps all of them; the default keeps none).
+    - ``t_eval``: sorted times in [0, t_end]; each step evaluates its quartic
+      on the ones it covers, as solve_ivp does.
+    - ``section``: y -> float; each upward zero crossing (``g <= 0`` at the
+      step start and ``>= 0`` at its end) is refined by brentq on the step's
+      quartic with xtol = rtol = 4 eps, and is recorded with its state.
+    - ``densities``: the number of leading components that ``min_state``
+      covers (all by default).
+
+    Raises NumericalFailure when the step size falls below 10 ulp(t).
+    """
+    rtol, atol = max(tol, 100 * _EPS), tol * 1e-2  # scipy raises rtol to 100 eps
+    rtol_v, atol_v = np.array(rtol), np.array(atol)
+    n = y0.size
+    root_n = n ** 0.5
+    K = np.empty((RK45.n_stages + 1, n))
+    stages = [(K[s], K[:s].T, a) for s, a in enumerate(_STAGE_ROWS, start=1)]
+    K_B, K_E = K[:-1].T, K.T
+    B, E, P = RK45.B, RK45.E, RK45.P
+
+    t, y = 0.0, y0
+    h_abs = _initial_step(rhs, y, rhs(y, K[0]), t_end, rtol, atol)
+    nfev, rejected_steps = 2, 0
+    abs_y = np.abs(y)
+    ts, ys, kept = [t], [y], []
+    if section is not None:
+        g = section(y)
+        t_events, y_events = [], []
+    if t_eval is not None:
+        i_eval, y_eval = 0, []
+
+    while t < t_end:
+        min_step = 10 * math.ulp(t)
+        if h_abs < min_step:
+            h_abs = min_step
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                raise NumericalFailure(
+                    f"integration failed at t = {t:.6g}: required step size is "
+                    "less than spacing between numbers")
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = abs(h)
+            hv = np.array(h)  # a 0-d array scales an array faster than a float does
+            for row, K_s, a in stages:
+                rhs(y + K_s.dot(a) * hv, row)
+            y_new = y + hv * K_B.dot(B)
+            rhs(y_new, K[-1])
+            nfev += RK45.n_stages
+            abs_new = np.abs(y_new)
+            scale = atol_v + np.maximum(abs_y, abs_new) * rtol_v
+            err = K_E.dot(E) * hv / scale
+            error_norm = math.sqrt(err.dot(err)) / root_n
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if step_rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            step_rejected = True
+            rejected_steps += 1
+
+        t_old, y_old = t, y
+        t, y, abs_y = t_new, y_new, abs_new
+        ts.append(t)
+        ys.append(y)
+        if t >= keep_from:
+            kept.append(K.copy())
+        if section is not None:
+            g_new = section(y)
+            if g <= 0 and g_new >= 0:
+                Q = K_E.dot(P)
+                root = brentq(lambda s: section(_interpolate(s, t_old, h, Q, y_old)),
+                              t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
+                t_events.append(root)
+                y_events.append(_interpolate(root, t_old, h, Q, y_old))
+            g = g_new
+        if t_eval is not None:
+            i_new = np.searchsorted(t_eval, t, side="right")
+            if i_new > i_eval:
+                y_eval.append(_interpolate(t_eval[i_eval:i_new], t_old, h, K_E.dot(P), y_old))
+                i_eval = i_new
+        K[0] = K[-1]  # the next step starts from this step's end derivative
+
+    Y = np.array(ys)
+    stats = SolverStats(len(ts) - 1, rejected_steps, nfev, float(Y[:, :densities].min()))
+    dense = None
+    if kept:
+        m = len(kept)
+        dense = _Interpolant(np.array(ts[-m - 1:]), Y[-m - 1:-1], np.array(kept))
+    return _Run(
+        np.array(ts), Y, stats, dense,
+        None if section is None else np.asarray(t_events),
+        None if section is None else np.asarray(y_events),
+        None if t_eval is None else np.hstack(y_eval),
+    )
+
+
+def _kinetic_rhs(model):
+    """f(U) = U (1 - a U) into ``out``, with the arithmetic of ``model.reaction``."""
+    a = model.a
+    one = np.array(1.0)
+
+    def rhs(U, out):
+        return np.multiply(U, one - a @ U, out=out)
+
+    return rhs
+
+
+def _variational_rhs(model, lam_d):
+    """(U, X) -> (f(U), (J(U) - diag(lam_d)) X) into ``out``.
+
+    The arithmetic is that of ``model.reaction`` and ``model.jacobian``.
+    """
+    n = model.n
+    a = model.a
+    minus_a = -a
+    diag = np.diag_indices(n)
+    shift = np.diag(lam_d)
+    one = np.array(1.0)
+
+    def rhs(y, out):
+        U = y[:n]
+        X = y[n:].reshape(n, n)
+        growth = one - a @ U
+        J = minus_a * U[:, None]
+        J[diag] += growth
+        return np.concatenate([U * growth, ((J - shift) @ X).ravel()], out=out)
+
+    return rhs
 
 
 @dataclass(frozen=True)
@@ -38,14 +291,6 @@ class Trajectory:
     def at(self, t) -> np.ndarray:
         """Evaluate the dense interpolant; returns shape (n,) or (n, len(t))."""
         return self.dense(t)
-
-
-def _solve(model, U0, t_span, tol, **kw):
-    sol = solve_ivp(lambda t, y: reaction(model, y), t_span, U0, method="RK45",
-                    rtol=tol, atol=tol * 1e-2, dense_output=True, **kw)
-    if not sol.success and sol.status == -1:
-        raise NumericalFailure(f"kinetic integration failed: {sol.message}")
-    return sol
 
 
 def _checked_start(model, U0, span: float, span_name: str, tol: float) -> np.ndarray:
@@ -78,12 +323,11 @@ def integrate(model: CompetitionModel, U0, t_end: float, tol: float = DEFAULT_TO
     U0 = _checked_start(model, U0, t_end, "t_end", tol)
     if np.any(U0 < 0.0):
         raise ValueError("initial state must be nonnegative")
-    sol = _solve(model, U0, (0.0, t_end), tol)
-    states = sol.y.T
-    low = states.min()
+    run = _dopri5(_kinetic_rhs(model), U0, t_end, tol, keep_from=0.0)
+    low = run.stats.min_state
     if low < -NEGATIVITY_TOL:
         raise InvariantViolation(f"state dipped to {low:.3e}, below -{NEGATIVITY_TOL:g}")
-    return Trajectory(sol.t, np.maximum(states, 0.0), sol.sol)
+    return Trajectory(run.t, np.maximum(run.y, 0.0), run.dense)
 
 
 @dataclass(frozen=True)
@@ -94,7 +338,9 @@ class OrbitAnalysis:
     orbits the anchor lies on the cycle, ``sample_times``/``sample_states``
     cover one full period, and the monodromy matrix with its multipliers is
     attached.  ``crossing_times`` keeps the raw section-return times for
-    spread diagnostics.
+    spread diagnostics.  ``solver`` maps each integration that ran
+    ("transient", "section", "closure", "monodromy", in that order) to its
+    counters.
     """
 
     status: str
@@ -107,6 +353,7 @@ class OrbitAnalysis:
     multipliers: np.ndarray | None
     converged_to: str | None
     crossing_times: np.ndarray | None
+    solver: dict[str, SolverStats] = field(default_factory=dict)
 
 
 def _is_settled(model, dense, t_lo, t_hi):
@@ -148,31 +395,35 @@ def detect_limit_cycle(model: CompetitionModel, U0, max_time: float = DEFAULT_MA
     ValueError.
     """
     U0 = _checked_start(model, U0, max_time, "max_time", tol)
+    rhs = _kinetic_rhs(model)
     t_half = max_time / 2.0
-    sol1 = _solve(model, U0, (0.0, t_half), tol)
-    if sol1.y.min() < -NEGATIVITY_TOL:
+    # _is_settled samples the last SETTLE_SAMPLES - 1 time units; one more
+    # unit keeps the step that contains the first sample
+    transient = _dopri5(rhs, U0, t_half, tol, keep_from=t_half - SETTLE_SAMPLES)
+    solver = {"transient": transient.stats}
+    if transient.stats.min_state < -NEGATIVITY_TOL:
         raise InvariantViolation("transient left the nonnegative cone")
-    anchor0 = sol1.y[:, -1]
-    if _is_settled(model, sol1.sol, 0.0, t_half):
+    anchor0 = transient.y[-1]
+
+    def outcome(status, converged_to=None, crossing_times=None):
+        return OrbitAnalysis(status, False, None, None, None, None, None, None,
+                             converged_to, crossing_times, solver)
+
+    if _is_settled(model, transient.dense, 0.0, t_half):
         label = _settled_equilibrium_label(model, anchor0)
-        if label is not None:
-            return OrbitAnalysis("converged", False, None, None, None, None, None, None,
-                                 label, None)
-        return OrbitAnalysis("undetermined", False, None, None, None, None, None, None,
-                             None, None)
+        return outcome("undetermined" if label is None else "converged", label)
 
     velocity = reaction(model, anchor0)
     normal = velocity / np.linalg.norm(velocity)
 
-    def crossing(t, y):
+    def crossing(y):
         return float(normal @ (y - anchor0))
 
-    crossing.terminal = False
-    crossing.direction = 1
-
-    sol2 = _solve(model, anchor0, (0.0, max_time - t_half), tol, events=[crossing])
-    t_cross = sol2.t_events[0]
-    x_cross = sol2.y_events[0]
+    span = max_time - t_half
+    run = _dopri5(rhs, anchor0, span, tol, keep_from=span - SETTLE_SAMPLES, section=crossing)
+    solver["section"] = run.stats
+    t_cross = run.t_events
+    x_cross = run.y_events
 
     hit = None
     if t_cross.size >= 4:
@@ -191,39 +442,33 @@ def detect_limit_cycle(model: CompetitionModel, U0, max_time: float = DEFAULT_MA
     if hit is not None:
         period, anchor, crossings = hit
         t_samp = np.linspace(0.0, period, 401)
-        sol3 = _solve(model, anchor, (0.0, period), tol, t_eval=t_samp)
-        closure = np.linalg.norm(sol3.y[:, -1] - anchor)
+        one_period = _dopri5(rhs, anchor, period, tol, t_eval=t_samp)
+        solver["closure"] = one_period.stats
+        closure = np.linalg.norm(one_period.y_eval[:, -1] - anchor)
         if closure < RETURN_STATE_TOL:
-            mono = _monodromy_matrix(model, anchor, period, np.zeros(model.n), tol)
+            mono, solver["monodromy"] = _monodromy_matrix(model, anchor, period,
+                                                          np.zeros(model.n), tol)
             mult = np.linalg.eigvals(mono)
             mult = mult[np.argsort(-np.abs(mult))]
-            return OrbitAnalysis("periodic", True, period, anchor, t_samp, sol3.y.T,
-                                 mono, mult, None, crossings)
+            return OrbitAnalysis("periodic", True, period, anchor, t_samp, one_period.y_eval.T,
+                                 mono, mult, None, crossings, solver)
 
-    if _is_settled(model, sol2.sol, 0.0, max_time - t_half):
-        label = _settled_equilibrium_label(model, sol2.y[:, -1])
+    if _is_settled(model, run.dense, 0.0, span):
+        label = _settled_equilibrium_label(model, run.y[-1])
         if label is not None:
-            return OrbitAnalysis("converged", False, None, None, None, None, None, None,
-                                 label, None)
-    return OrbitAnalysis("undetermined", False, None, None, None, None, None, None, None,
-                         t_cross if t_cross.size else None)
+            return outcome("converged", label)
+    return outcome("undetermined", crossing_times=t_cross if t_cross.size else None)
 
 
 def _monodromy_matrix(model, anchor, period, lam_d, tol):
-    """Fundamental solution over one period of X' = (-diag(lam_d) + J(U(t))) X."""
+    """Fundamental solution over one period of X' = (-diag(lam_d) + J(U(t))) X.
+
+    Returns the matrix and the run's counters.
+    """
     n = model.n
-    shift = np.diag(lam_d)
-
-    def rhs(t, y):
-        U = y[:n]
-        X = y[n:].reshape(n, n)
-        return np.concatenate([reaction(model, U), ((jacobian(model, U) - shift) @ X).ravel()])
-
     y0 = np.concatenate([anchor, np.eye(n).ravel()])
-    sol = solve_ivp(rhs, (0.0, period), y0, method="RK45", rtol=tol, atol=tol * 1e-2)
-    if not sol.success:
-        raise NumericalFailure(f"variational integration failed: {sol.message}")
-    return sol.y[n:, -1].reshape(n, n)
+    run = _dopri5(_variational_rhs(model, lam_d), y0, period, tol, densities=n)
+    return run.y[-1, n:].reshape(n, n), run.stats
 
 
 def _require_periodic(orbit):
@@ -234,7 +479,7 @@ def _require_periodic(orbit):
 def monodromy(model: CompetitionModel, orbit: OrbitAnalysis, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Monodromy matrix of the kinetics linearized along one period of the orbit."""
     _require_periodic(orbit)
-    return _monodromy_matrix(model, orbit.anchor, orbit.period, np.zeros(model.n), tol)
+    return _monodromy_matrix(model, orbit.anchor, orbit.period, np.zeros(model.n), tol)[0]
 
 
 def modal_multipliers(model: CompetitionModel, orbit: OrbitAnalysis, lam: float,
@@ -250,7 +495,7 @@ def modal_multipliers(model: CompetitionModel, orbit: OrbitAnalysis, lam: float,
     _require_periodic(orbit)
     if lam < 0.0:
         raise ValueError("Laplacian eigenvalue must be nonnegative")
-    mono = _monodromy_matrix(model, orbit.anchor, orbit.period, lam * model.d, tol)
+    mono, _ = _monodromy_matrix(model, orbit.anchor, orbit.period, lam * model.d, tol)
     mult = np.linalg.eigvals(mono)
     return mult[np.argsort(-np.abs(mult))]
 

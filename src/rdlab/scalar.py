@@ -40,10 +40,20 @@ def energy(u, uprime, D: float):
     return uprime * uprime / 2.0 + potential(u) / D
 
 
+def _require_finite_positive(name: str, value: float) -> None:
+    """Raise ValueError unless ``value`` is finite and positive.
+
+    A NaN passes every ``<= 0`` test, and a NaN or infinite length or
+    diffusion coefficient would send the bisection and the profile
+    integration below into NaN arithmetic that never terminates.
+    """
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def kiss_size(D: float) -> float:
-    """Critical Dirichlet interval length pi * sqrt(D)."""
-    if D <= 0.0:
-        raise ValueError("diffusion coefficient must be positive")
+    """Critical Dirichlet interval length pi * sqrt(D); D must be finite and positive."""
+    _require_finite_positive("D", D)
     return float(np.pi * np.sqrt(D))
 
 
@@ -79,7 +89,7 @@ def _adaptive_gl(f, a: float, b: float, rtol: float) -> float:
 def time_map(mu: float, D: float, rtol: float = 1e-8) -> float:
     """Length L(mu) of the positive Dirichlet hump with amplitude mu.
 
-    Valid for 1e-8 <= mu <= 1 - 1e-6 and D > 0.  The substitutions
+    Valid for 1e-8 <= mu <= 1 - 1e-6 and finite D > 0.  The substitutions
     u = mu * z and z = 1 - w^2 remove the inverse-square-root endpoint
     singularity exactly: with g(u) = (mu + u)/2 - (mu^2 + mu u + u^2)/3 the
     integrand becomes 2 sqrt(mu) / sqrt(g(mu (1 - w^2))), smooth on [0, 1],
@@ -88,8 +98,7 @@ def time_map(mu: float, D: float, rtol: float = 1e-8) -> float:
     """
     if not MU_MIN <= mu <= MU_MAX:
         raise ValueError(f"amplitude mu must lie in [{MU_MIN:g}, {MU_MAX:g}]")
-    if D <= 0.0:
-        raise ValueError("diffusion coefficient must be positive")
+    _require_finite_positive("D", D)
 
     def integrand(w):
         u = mu * (1.0 - w * w)
@@ -115,10 +124,11 @@ def dirichlet_steady_profile(L: float, D: float, n_points: int = 16385) -> Stead
     The amplitude mu* solving L(mu*) = L is found by bisection (time_map is
     increasing); the profile is then integrated outward from the midpoint
     (mu*, 0) and mirrored.  Lengths beyond time_map(1 - 1e-6) are out of
-    range and raise ValueError.
+    range and raise ValueError, as do an ``L`` or ``D`` that is not finite
+    and positive.
     """
-    if L <= 0.0:
-        raise ValueError("interval length must be positive")
+    _require_finite_positive("L", L)
+    _require_finite_positive("D", D)
     if n_points < 3:
         raise ValueError("n_points must be at least 3")
     if L <= kiss_size(D):
@@ -184,8 +194,7 @@ def radial_shoot(c: float, D: float, R: float, m: int = 2, samples: int = 1000) 
     ``R`` must be finite and positive; otherwise ValueError is raised.
     """
     for name, value in (("center amplitude c", c), ("D", D), ("R", R)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+        _require_finite_positive(name, value)
     if m < 1:
         raise ValueError("space dimension m must be at least 1")
 

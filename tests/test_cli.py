@@ -141,6 +141,11 @@ class TestOde:
         report = json.loads((out / "report.json").read_text())
         assert report["cycle"]["periodic"] is False
         assert report["cycle"]["status"] == "converged"
+        # the orbit settled after the transient leg, so only that leg ran
+        solver = report["cycle"]["solver"]
+        assert list(solver) == ["transient"]
+        leg = solver["transient"]
+        assert leg["nfev"] == 2 + 6 * (leg["accepted_steps"] + leg["rejected_steps"])
 
 
 class TestPde:
@@ -207,6 +212,13 @@ class TestFloquet:
         assert report["period"] == pytest.approx(55.543542261712105, rel=1e-5)
         assert report["verdict"] == "inconclusive"
         assert report["modal_modes"] == []
+        solver = report["solver"]
+        assert set(solver) == {"transient", "section", "closure", "monodromy"}
+        for leg in solver.values():
+            assert set(leg) == {"accepted_steps", "rejected_steps", "nfev", "min_state"}
+            assert leg["accepted_steps"] > 0
+            assert leg["nfev"] == 2 + 6 * (leg["accepted_steps"] + leg["rejected_steps"])
+            assert leg["min_state"] > 0.0
         header, rows = _csv_rows(out / "multipliers.csv")
         assert header == ["mode_k", "kind", "index", "re", "im", "modulus"]
         assert len(rows) == 3
@@ -368,11 +380,15 @@ class TestExitCodes:
             ("floquet", {"model": {"preset": "reference"}, "U0": [0.1, 0.1, 0.1],
                          "max_time": float("inf")}, "max_time"),
             ("shoot", {"D": float("nan"), "c": 0.5}, "D"),
+            ("timemap", {"D": 0.1, "mu": [0.5], "L_target": float("nan")}, "L"),
+            ("timemap", {"D": float("nan"), "mu": [0.5], "L_target": 2.0}, "D"),
+            ("timemap", {"D": float("inf"), "mu": [0.5], "L_target": 2.0}, "D"),
         ],
     )
     def test_rejected_input_writes_nothing(self, tmp_path, capsys, command, payload, key):
-        # grid_points is not a chs key; a non-finite time, tolerance or length
-        # would otherwise write NaN artifacts or keep an integrator running
+        # grid_points is not a chs key; a non-finite time, tolerance, length or
+        # diffusion coefficient would otherwise write NaN artifacts or keep an
+        # integrator running (timemap with L_target NaN never returned)
         rc, out = _run(tmp_path, command, payload)
         assert rc == 2
         err = capsys.readouterr().err.splitlines()

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import simpson, solve_ivp
 from scipy.linalg import expm
 
 from rdlab import CompetitionModel
 from rdlab.kinetics import (
     OrbitAnalysis,
+    _dopri5,
+    _kinetic_rhs,
+    _variational_rhs,
     detect_limit_cycle,
     integrate,
     modal_multipliers,
@@ -24,6 +27,102 @@ def _fake_periodic_orbit(anchor, period, multipliers=None):
         None if multipliers is None else np.asarray(multipliers, dtype=complex),
         None, None,
     )
+
+
+PINNED = np.array([0.1, 0.0095238, 0.0333333])
+
+
+def _scipy_rk45(fun, t_end, y0, tol, **kw):
+    """The reference: solve_ivp's RK45 with rdlab's tolerances."""
+    return solve_ivp(lambda t, y: fun(y), (0.0, t_end), y0, method="RK45",
+                     rtol=tol, atol=tol * 1e-2, **kw)
+
+
+class TestDopri5MatchesScipy:
+    """``_dopri5`` must reproduce solve_ivp's RK45 bit for bit (np.array_equal).
+
+    The references run on the model's own ``reaction`` and ``jacobian``, so
+    these cases also hold ``_kinetic_rhs`` and ``_variational_rhs`` to the
+    same arithmetic.  A scipy release that changes RK45 fails here first.
+    """
+
+    def test_plain_run(self, reference_kinetics):
+        ref = _scipy_rk45(lambda y: reaction(reference_kinetics, y), 300.0, PINNED, 1e-7,
+                          dense_output=True)
+        run = _dopri5(_kinetic_rhs(reference_kinetics), PINNED, 300.0, 1e-7, keep_from=0.0)
+        assert np.array_equal(run.t, ref.t)
+        assert np.array_equal(run.y, ref.y.T)
+        assert run.stats.nfev == ref.nfev
+        assert run.stats.accepted_steps == ref.t.size - 1
+        assert run.stats.rejected_steps > 0
+        assert run.stats.min_state == ref.y.min()
+        # the dense output, at step boundaries and in between
+        t = np.concatenate([np.linspace(0.0, 300.0, 2001), ref.t, [150.0]])
+        assert np.array_equal(run.dense(t), ref.sol(t))
+        assert np.array_equal(run.dense(150.0), ref.sol(150.0))
+
+    def test_section_events(self, reference_kinetics):
+        anchor = _scipy_rk45(lambda y: reaction(reference_kinetics, y), 600.0, PINNED,
+                             1e-7).y[:, -1]
+        normal = reaction(reference_kinetics, anchor)
+        normal = normal / np.linalg.norm(normal)
+
+        def crossing(y):
+            return float(normal @ (y - anchor))
+
+        def event(t, y):
+            return crossing(y)
+
+        event.direction = 1
+        ref = _scipy_rk45(lambda y: reaction(reference_kinetics, y), 1500.0, anchor, 1e-7,
+                          events=[event], dense_output=True)
+        run = _dopri5(_kinetic_rhs(reference_kinetics), anchor, 1500.0, 1e-7,
+                      keep_from=1490.0, section=crossing)
+        assert ref.t_events[0].size >= 5
+        assert np.array_equal(run.t_events, ref.t_events[0])
+        assert np.array_equal(run.y_events, ref.y_events[0])
+        assert np.array_equal(run.y, ref.y.T)
+        # the tail interpolant kept for the settle check
+        tail = np.linspace(1491.0, 1500.0, 10)
+        assert np.array_equal(run.dense(tail), ref.sol(tail))
+
+    def test_t_eval_samples(self, reference_kinetics):
+        t_eval = np.linspace(0.0, 207.7, 401)
+        ref = _scipy_rk45(lambda y: reaction(reference_kinetics, y), 207.7, PINNED, 1e-7,
+                          t_eval=t_eval, dense_output=True)
+        run = _dopri5(_kinetic_rhs(reference_kinetics), PINNED, 207.7, 1e-7, t_eval=t_eval)
+        assert np.array_equal(run.y_eval, ref.y)
+
+    def test_variational_system(self, reference_model):
+        model = reference_model
+        n = model.n
+        shift = np.diag(np.pi**2 * model.d)
+
+        def fun(y):
+            U, X = y[:n], y[n:].reshape(n, n)
+            return np.concatenate([reaction(model, U), ((jacobian(model, U) - shift) @ X).ravel()])
+
+        y0 = np.concatenate([PINNED, np.eye(n).ravel()])
+        ref = _scipy_rk45(fun, 100.0, y0, 1e-7)
+        run = _dopri5(_variational_rhs(model, np.pi**2 * model.d), y0, 100.0, 1e-7,
+                      densities=n)
+        assert np.array_equal(run.t, ref.t)
+        assert np.array_equal(run.y, ref.y.T)
+        assert run.stats.nfev == ref.nfev
+        assert run.stats.min_state == ref.y[:n].min()
+
+    def test_clipped_last_step(self, reference_kinetics):
+        rhs = _kinetic_rhs(reference_kinetics)
+        free = _dopri5(rhs, PINNED, 300.0, 1e-7)
+        k = free.t.size // 2
+        t_end = 0.5 * (free.t[k] + free.t[k + 1])  # inside a step the free run takes
+        ref = _scipy_rk45(lambda y: reaction(reference_kinetics, y), t_end, PINNED, 1e-7)
+        run = _dopri5(rhs, PINNED, t_end, 1e-7)
+        assert run.t[-1] == t_end
+        assert run.t[-1] - run.t[-2] < free.t[k + 1] - free.t[k]
+        assert np.array_equal(run.t, ref.t)
+        assert np.array_equal(run.y, ref.y.T)
+        assert run.stats.nfev == ref.nfev
 
 
 class TestIntegrate:
@@ -105,6 +204,16 @@ class TestLimitCycleDetection:
         )
         assert orbit.status == "periodic"
         assert orbit.period == pytest.approx(55.543542261712105, rel=1e-5)
+
+    def test_solver_counters_match_scipy(self, circulant_cycle_model):
+        U0 = np.array([0.45, 0.3, 0.25])
+        orbit = detect_limit_cycle(circulant_cycle_model, U0, max_time=2000.0)
+        assert list(orbit.solver) == ["transient", "section", "closure", "monodromy"]
+        ref = _scipy_rk45(lambda y: reaction(circulant_cycle_model, y), 1000.0, U0, 1e-7)
+        transient = orbit.solver["transient"]
+        assert transient.nfev == ref.nfev
+        assert transient.accepted_steps == ref.t.size - 1
+        assert transient.min_state == ref.y.min()
 
     def test_circulant_conserved_quantity(self, circulant_cycle_model):
         # V = uvw / (u+v+w)^3 is a first integral of this circulant system

@@ -116,6 +116,33 @@ class TestDirichletProfile:
         with pytest.raises(ValueError):
             dirichlet_steady_profile(10.0, 0.1)
 
+    @pytest.mark.parametrize(
+        "L, D",
+        [
+            (float("nan"), 0.1),
+            (float("inf"), 0.1),
+            (0.0, 0.1),
+            (2.0, float("nan")),
+            (2.0, float("inf")),
+            (2.0, 0.0),
+        ],
+    )
+    def test_non_finite_inputs_rejected(self, L, D):
+        # a NaN length used to pass the L <= 0 check, run the bisection on
+        # NaN comparisons and leave the profile integration running
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            dirichlet_steady_profile(L, D)
+
+
+class TestNonFiniteDiffusion:
+    @pytest.mark.parametrize("D", [float("nan"), float("inf"), float("-inf"), -0.1])
+    def test_kiss_size_and_time_map_reject(self, D):
+        # a NaN D passed the D <= 0 checks and wrote NaN lengths
+        with pytest.raises(ValueError, match="D must be finite and positive"):
+            kiss_size(D)
+        with pytest.raises(ValueError, match="D must be finite and positive"):
+            time_map(0.5, D)
+
 
 class TestRadialShoot:
     def test_frozen_first_zero_m2(self):
