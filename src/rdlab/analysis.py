@@ -165,13 +165,15 @@ def decay_fit(trajectory: PdeTrajectory, window: tuple[float, float] | None = No
     """Least-squares exponential decay rate of the gradient norm.
 
     Fits log ||grad u(t)|| ~ log A - rate * t over snapshot times in
-    ``window`` (default [t_end/10, t_end/2]).  Requires at least 10
-    snapshots in the window, all with gradient norm above 1e-14.
-    Returns (rate, amplitude).
+    ``window`` (default [t_end/10, t_end/2]), a pair [t_lo, t_hi] with
+    t_lo < t_hi.  Requires at least 10 snapshots in the window, all with
+    gradient norm above 1e-14.  Returns (rate, amplitude).
     """
     t_end = float(trajectory.times[-1])
     if window is None:
         window = (t_end / 10.0, t_end / 2.0)
+    if len(window) != 2 or not window[0] < window[1]:
+        raise ValueError(f"window must be [t_lo, t_hi] with t_lo < t_hi, got {list(window)}")
     t_lo, t_hi = window
     keep = (trajectory.times >= t_lo) & (trajectory.times <= t_hi)
     if int(keep.sum()) < 10:

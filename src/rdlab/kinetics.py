@@ -493,8 +493,8 @@ def modal_multipliers(model: CompetitionModel, orbit: OrbitAnalysis, lam: float,
     Multipliers are sorted by decreasing modulus.
     """
     _require_periodic(orbit)
-    if lam < 0.0:
-        raise ValueError("Laplacian eigenvalue must be nonnegative")
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise ValueError(f"Laplacian eigenvalue must be finite and nonnegative, got {lam}")
     mono, _ = _monodromy_matrix(model, orbit.anchor, orbit.period, lam * model.d, tol)
     mult = np.linalg.eigvals(mono)
     return mult[np.argsort(-np.abs(mult))]
@@ -522,9 +522,13 @@ def orbital_stability(model: CompetitionModel, orbit: OrbitAnalysis, k_max: int 
     verdict is "inconclusive" regardless of the other moduli.  Otherwise
     "stable" needs every remaining modulus below 1 - 1e-6 and "unstable"
     needs some modulus above 1 + 1e-6; borderline moduli are
-    "inconclusive".
+    "inconclusive".  ``L`` must be finite and positive and the eigenvalues
+    finite and nonnegative; otherwise ValueError is raised before any
+    integration.
     """
     _require_periodic(orbit)
+    if L is not None and not (math.isfinite(L) and L > 0.0):
+        raise ValueError(f"interval length L must be finite and positive, got {L}")
     if eigenvalues is None:
         if L is not None:
             if k_max is None or k_max < 0:
@@ -539,6 +543,8 @@ def orbital_stability(model: CompetitionModel, orbit: OrbitAnalysis, k_max: int 
         raise ValueError("k_max must be nonnegative")
     if eigenvalues.shape[0] < k_max:
         raise ValueError(f"need {k_max} Laplacian eigenvalues, got {eigenvalues.shape[0]}")
+    if not (np.isfinite(eigenvalues[:k_max]).all() and (eigenvalues[:k_max] >= 0.0).all()):
+        raise ValueError("Laplacian eigenvalues must be finite and nonnegative")
     base = orbit.multipliers
     if base is None:
         base = np.linalg.eigvals(monodromy(model, orbit, tol))

@@ -297,6 +297,11 @@ def region_membership(model: CompetitionModel, U: np.ndarray) -> str:
     return "A"
 
 
+def has_unit_diagonal(model: CompetitionModel) -> bool:
+    """True when every self-interaction a[i, i] is within 1e-12 of 1 (growth-normalized)."""
+    return bool(np.all(np.abs(np.diag(model.a) - 1.0) <= 1e-12))
+
+
 def two_species_case(model: CompetitionModel) -> str:
     """Outcome class of the normalized two-species model (a11 = a22 = 1).
 
@@ -306,7 +311,7 @@ def two_species_case(model: CompetitionModel) -> str:
     """
     if model.n != 2:
         raise ValueError("two_species_case requires a two-species model")
-    if abs(model.a[0, 0] - 1.0) > 1e-12 or abs(model.a[1, 1] - 1.0) > 1e-12:
+    if not has_unit_diagonal(model):
         raise ValueError("two_species_case requires unit self-interaction (a11 = a22 = 1)")
     b = float(model.a[0, 1])
     c = float(model.a[1, 0])
@@ -335,10 +340,10 @@ def load_model(source) -> CompetitionModel:
             data = json.loads(Path(source).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read model file {source}: {exc}") from exc
-    elif isinstance(source, dict):
-        data = source
     else:
-        raise ConfigError(f"model source must be a mapping or a path, got {type(source).__name__}")
+        data = source
+    if not isinstance(data, dict):
+        raise ConfigError(f"a model must be a JSON object with keys n, a, d, got {type(data).__name__}")
     extra = set(data) - {"n", "a", "d"}
     if extra:
         raise ConfigError(f"unknown model keys: {sorted(extra)}")
@@ -348,8 +353,13 @@ def load_model(source) -> CompetitionModel:
     n = data["n"]
     if not isinstance(n, int) or n < 1:
         raise ConfigError("model key 'n' must be a positive integer")
-    a = np.array(data["a"], dtype=float)
-    d = np.array(data["d"], dtype=float)
+    arrays = []
+    for key in ("a", "d"):
+        try:
+            arrays.append(np.array(data[key], dtype=float))
+        except (TypeError, ValueError, OverflowError) as exc:  # a dict, a string, a ragged list
+            raise ConfigError(f"model key {key!r} must be an array of numbers: {exc}") from exc
+    a, d = arrays
     if a.shape != (n, n):
         raise ConfigError(f"model matrix 'a' must be {n}x{n} row-major")
     if d.shape != (n,):

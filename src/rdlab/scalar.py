@@ -191,12 +191,15 @@ def radial_shoot(c: float, D: float, R: float, m: int = 2, samples: int = 1000) 
     (outcome 'hit-zero' with the event radius), when u reaches 1e6
     ('blow-up'), or at radius R ('stayed-positive').  Radii of interior
     turning points (u' = 0) are recorded along the way.  ``c``, ``D`` and
-    ``R`` must be finite and positive; otherwise ValueError is raised.
+    ``R`` must be finite and positive and ``samples`` at least 2; otherwise
+    ValueError is raised.
     """
     for name, value in (("center amplitude c", c), ("D", D), ("R", R)):
         _require_finite_positive(name, value)
     if m < 1:
         raise ValueError("space dimension m must be at least 1")
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2, got {samples}")
 
     def rhs(r, y):
         u, up = y

@@ -212,6 +212,15 @@ class TestDecayFit:
         with pytest.raises(ValueError):
             decay_fit(traj, window=(3.9, 4.0))
 
+    @pytest.mark.parametrize("window", [(3.5, 0.5), (2.0, 2.0), (0.5,), (0.5, 1.0, 3.5)])
+    def test_window_must_be_an_increasing_pair(self, window):
+        def u(t, x):
+            return (0.5 + 0.1 * np.exp(-t) * np.cos(np.pi * x))[None, :]
+
+        traj = _synthetic_trajectory(u, t_end=4.0, n_times=81)
+        with pytest.raises(ValueError, match="t_lo < t_hi"):
+            decay_fit(traj, window=window)
+
     def test_gradient_free_run_rejected(self):
         def u(t, x):
             return np.full((1, x.size), 0.5)

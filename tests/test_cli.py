@@ -405,3 +405,66 @@ class TestExitCodes:
         }
         rc, _ = _run(tmp_path, "pde", payload)
         assert rc == 2
+
+
+TWO_SPECIES_SINK = {"a": [[1.0, 0.3], [0.3, 1.0]], "d": [1.0, 1.0]}
+CIRCULANT = {"a": [[1.0, 1.2, 0.8], [0.8, 1.0, 1.2], [1.2, 0.8, 1.0]], "d": [0.01, 0.01, 0.01]}
+DIRICHLET_BUMP = {
+    "model": {"a": [[1.0]], "d": [0.1]},
+    "domain": {"kind": "interval", "length": 0.9, "N": 16, "bc": "dirichlet"},
+    "phi": {"poly": [[0.0, 0.45, -0.5]]},
+    "t_end": 1.0,
+    "dt": 0.05,
+}
+
+
+class TestConfigBoundary:
+    @pytest.mark.parametrize(
+        "command, payload, key",
+        [
+            ("shoot", {"D": 0.1, "c": 0.5, "svg": "yes"}, "svg"),
+            ("shoot", {"D": 0.1, "c": 0.5, "samples": 1, "svg": True}, "samples"),
+            ("timemap", {"D": 0.1, "mu": [0.25, 0.5], "svg": "yes"}, "svg"),
+            ("timemap", {"D": 0.1, "mu": [0.5], "svg": True}, "svg"),
+            ("ode", {"model": TWO_SPECIES_SINK, "U0": [0.4, 0.5], "t_end": 1.0, "svg": 0}, "svg"),
+            ("ode", {"model": TWO_SPECIES_SINK, "U0": [0.4, 0.5], "t_end": 1.0,
+                     "detect_cycle": {"max_time": -1}}, "max_time"),
+            ("ode", {"model": TWO_SPECIES_SINK, "U0": [0.4, 0.5], "t_end": 1.0,
+                     "detect_cycle": {"tol": float("nan")}}, "detect_cycle.tol"),
+            ("pde", {**DIRICHLET_BUMP, "decay_window": [0.9, 1.0]}, None),
+            ("floquet", {"model": CIRCULANT, "U0": [0.45, 0.3, 0.25], "max_time": 400.0,
+                         "k_max": 1, "L": 0}, "L"),
+            ("floquet", {"model": CIRCULANT, "U0": [0.45, 0.3, 0.25], "max_time": 400.0,
+                         "k_max": 1, "L": float("nan")}, "L"),
+            ("chs", {"model": TWO_SPECIES_SINK, "L": 1.0,
+                     "run": {"phi": {"constant": [0.5, 0.5]}, "t_end": float("inf")}},
+             "run.t_end"),
+            ("equilibria", {"model": {"a": [[1.0, 0.5], [0.5, 1.0]], "d": {}}}, "model.d"),
+            ("equilibria", {"model": {"a": [[1.0, 0.5], [0.5]], "d": [1.0, 1.0]}}, "'a'"),
+        ],
+    )
+    def test_rejected_config_leaves_output_empty(self, tmp_path, capsys, command, payload, key):
+        # every computation, library checks included, runs before the first write
+        rc, out = _run(tmp_path, command, payload)
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("rdlab: config error:")
+        if key is not None:
+            assert key in err[0]
+        assert list(out.iterdir()) == []
+
+    def test_empty_detect_cycle_object_runs_the_detector(self, tmp_path):
+        payload = {"model": TWO_SPECIES_SINK, "U0": [0.4, 0.5], "t_end": 1.0, "detect_cycle": {}}
+        rc, out = _run(tmp_path, "ode", payload)
+        assert rc == 0
+        cycle = json.loads((out / "report.json").read_text())["cycle"]
+        assert set(cycle) == {"status", "periodic", "period", "anchor", "converged_to", "solver"}
+        assert "transient" in cycle["solver"]
+
+    def test_two_species_case_is_null_without_unit_diagonal(self, tmp_path):
+        payload = {"model": {"a": [[2.0, 0.5], [0.5, 1.0]], "d": [1.0, 1.0]}}
+        rc, out = _run(tmp_path, "equilibria", payload)
+        assert rc == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["two_species_case"] is None
+        assert report["equilibrium_count"] == 4

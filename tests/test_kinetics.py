@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import simpson, solve_ivp
 from scipy.linalg import expm
 
-from rdlab import CompetitionModel
+from rdlab import CompetitionModel, kinetics
 from rdlab.kinetics import (
     OrbitAnalysis,
     _dopri5,
@@ -27,6 +27,10 @@ def _fake_periodic_orbit(anchor, period, multipliers=None):
         None if multipliers is None else np.asarray(multipliers, dtype=complex),
         None, None,
     )
+
+
+def _no_integration(*args, **kwargs):
+    raise AssertionError("an integration started")
 
 
 PINNED = np.array([0.1, 0.0095238, 0.0333333])
@@ -352,6 +356,26 @@ class TestOrbitalStability:
             orbital_stability(circulant_cycle_model, orbit, k_max=3, eigenvalues=[1.0])
         with pytest.raises(ValueError):
             orbital_stability(circulant_cycle_model, orbit, k_max=2)
+
+    @pytest.mark.parametrize("L", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_interval_length_rejected_before_integration(self, reference_kinetics,
+                                                            monkeypatch, L):
+        # L = 0 divided by zero, -1 acted as +1, and a NaN shift kept the
+        # integrator stepping forever
+        monkeypatch.setattr(kinetics, "_dopri5", _no_integration)
+        orbit = _fake_periodic_orbit(np.ones(3) * 0.2, 5.0)
+        with pytest.raises(ValueError, match="L must be finite and positive"):
+            orbital_stability(reference_kinetics, orbit, k_max=2, L=L)
+
+    @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
+    def test_bad_eigenvalue_rejected_before_integration(self, reference_kinetics,
+                                                        monkeypatch, lam):
+        monkeypatch.setattr(kinetics, "_dopri5", _no_integration)
+        orbit = _fake_periodic_orbit(np.ones(3) * 0.2, 5.0)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            modal_multipliers(reference_kinetics, orbit, lam)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            orbital_stability(reference_kinetics, orbit, eigenvalues=[1.0, lam])
 
 
 class TestReactionConsistency:

@@ -323,6 +323,21 @@ class TestLoadModel:
         with pytest.raises(ConfigError):
             load_model(str(tmp_path / "missing.json"))
 
+    @pytest.mark.parametrize("text", ["5", "null", "[1, 2]"])
+    def test_file_without_an_object_rejected(self, tmp_path, text):
+        # a number or null raised an uncaught TypeError from set(data)
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="JSON object"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("key, value", [("d", {}), ("d", ""), ("a", [[1.0, 0.5], [0.5]])])
+    def test_non_numeric_arrays_rejected(self, key, value):
+        # a dict raised an uncaught TypeError, a string or a ragged matrix a ValueError
+        data = {"n": 2, "a": [[1.0, 0.5], [0.5, 1.0]], "d": [1.0, 1.0], key: value}
+        with pytest.raises(ConfigError, match=f"model key '{key}'"):
+            load_model(data)
+
     def test_nonpositive_entries_rejected(self):
         with pytest.raises(ValueError):
             CompetitionModel(a=np.array([[1.0, 0.0], [0.5, 1.0]]), d=np.ones(2))

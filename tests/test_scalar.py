@@ -145,6 +145,11 @@ class TestNonFiniteDiffusion:
 
 
 class TestRadialShoot:
+    def test_fewer_than_two_samples_rejected(self):
+        # one sample wrote a one-row table and could not be charted
+        with pytest.raises(ValueError, match="samples must be at least 2"):
+            radial_shoot(0.5, 0.1, 2.0, samples=1)
+
     def test_frozen_first_zero_m2(self):
         result = radial_shoot(0.5, 0.1, 6.0, m=2)
         assert result.outcome == "hit-zero"
