@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .model import CompetitionModel
 from .pde import PdeTrajectory, Field, flatness as field_flatness, grad_l2_norm, spatial_average
@@ -197,6 +198,8 @@ def periodicity_score(times: np.ndarray, values: np.ndarray,
     the score is the height of the first peak after the correlation has
     decayed below 1/2, and the period is that lag.  Per-lag standardization
     keeps slowly drifting amplitudes from masking an otherwise clean cycle.
+    All lags cost O(n log n) together: the window means and second moments
+    come from cumulative sums, the lagged products from one zero-padded FFT.
     A (near) constant trace scores 0.  Returns (score, period | None).
     """
     times = np.asarray(times, dtype=float)
@@ -218,20 +221,29 @@ def periodicity_score(times: np.ndarray, values: np.ndarray,
     n = x.size
     max_lag = n // 2
     floor = 1e-12 * max(1.0, float(np.abs(values).max()))
-    corr = np.empty(max_lag + 1)
-    for lag in range(max_lag + 1):
-        a = x[: n - lag]
-        b = x[lag:]
-        da = a - a.mean()
-        db = b - b.mean()
-        denom = np.sqrt(float(np.mean(da * da)) * float(np.mean(db * db)))
-        corr[lag] = 0.0 if denom < floor * floor else float(np.mean(da * db)) / denom
+    # Pearson correlation of a = x[:n - lag] and b = x[lag:] for every lag:
+    # window sums from cumulative sums, lagged products from one zero-padded FFT
+    lags = np.arange(max_lag + 1)
+    count = (n - lags).astype(float)
+    s1 = np.concatenate(([0.0], np.cumsum(x)))
+    s2 = np.concatenate(([0.0], np.cumsum(x * x)))
+    mean_a = s1[n - lags] / count
+    mean_b = (s1[n] - s1[lags]) / count
+    var_a = np.maximum(s2[n - lags] / count - mean_a * mean_a, 0.0)
+    var_b = np.maximum((s2[n] - s2[lags]) / count - mean_b * mean_b, 0.0)
+    size = next_fast_len(2 * n - 1, real=True)
+    spectrum = rfft(x, size)
+    lagged = irfft(spectrum * spectrum.conj(), size)[: max_lag + 1]
+    cov = lagged / count - mean_a * mean_b
+    denom = np.sqrt(var_a * var_b)
+    corr = np.divide(cov, denom, out=np.zeros(max_lag + 1), where=denom >= floor * floor)
     below = np.nonzero(corr < 0.5)[0]
     if below.size == 0:
         return 0.0, None
     start = int(below[0])
-    peaks = [k for k in range(max(start, 1), max_lag)
-             if corr[k] >= corr[k - 1] and corr[k] >= corr[k + 1] and corr[k] > 0.0]
+    inner = lags[max(start, 1):max_lag]
+    peaks = inner[(corr[inner] >= corr[inner - 1]) & (corr[inner] >= corr[inner + 1])
+                  & (corr[inner] > 0.0)].tolist()
     if not peaks:
         return 0.0, None
     k0 = peaks[0]

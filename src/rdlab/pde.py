@@ -7,9 +7,12 @@ radial center node uses the regularized form m * u''(0).  Time stepping is
 Strang splitting: a Crank-Nicolson half step of diffusion, a full classical
 RK4 step of the pointwise kinetics, and a second diffusion half step; the
 scheme is second order in dt.  The species are stacked into one tridiagonal
-Crank-Nicolson system with no coupling between species blocks; it is
-factored once per run with LAPACK ``dgttrf``, and each half step is a single
-``dgttrs`` solve over all species.
+Crank-Nicolson system with no coupling between species blocks.  Since
+(I - cL)^-1 (I + cL) = 2 (I - cL)^-1 - I, each half step is a single solve
+over all species.  A diagonal similarity makes the matrix symmetric positive
+definite, so it is factored once per run with LAPACK ``dpttrf`` and solved
+with ``dpttrs``; radial domains with m >= 3, where no such similarity exists,
+keep the pivoted LU ``dgttrf``/``dgttrs``.
 """
 
 import math
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
 from .errors import NEGATIVITY_TOL, InvariantViolation
 from .model import CompetitionModel, reaction
@@ -115,8 +118,8 @@ def laplacian_apply(domain: Domain1D, values: np.ndarray) -> np.ndarray:
 
 def neumann_eigenvalue(L: float, k: int) -> float:
     """k-th Neumann Laplacian eigenvalue (k pi / L)^2 on an interval of length L."""
-    if L <= 0.0:
-        raise ValueError("interval length must be positive")
+    if not (math.isfinite(L) and L > 0.0):
+        raise ValueError(f"interval length must be finite and positive, got {L}")
     if k < 0:
         raise ValueError("mode index must be nonnegative")
     return float((k * np.pi / L) ** 2)
@@ -214,6 +217,65 @@ def default_dt(domain: Domain1D, model: CompetitionModel) -> float:
     return min(1e-2, h * h / (2.0 * float(model.d.max())) * 10.0)
 
 
+def _cn_half_step(domain: Domain1D, d: np.ndarray, dt: float):
+    """The Crank-Nicolson half step u -> (I - cL)^-1 (I + cL) u, c = d dt / 4.
+
+    All species are stacked into one tridiagonal matrix I - cL of size
+    n (N + 2) with no coupling between species blocks, factored here once.
+    The returned function maps an (n, N + 2) array to the next half step by
+    one solve, 2 (I - cL)^-1 u - u.  Couplings into a pinned Dirichlet node
+    (an identity row, whose value is 0) are dropped, which is exact.  If then
+    every remaining product lower_i upper_i is positive, the diagonal D with
+    (D_i+1 / D_i)^2 = lower_i / upper_i makes S = D^-1 (I - cL) D symmetric,
+    with off-diagonals -sqrt(lower_i upper_i).  S is positive definite since
+    L is self-adjoint in the quadrature-weighted inner product with spectrum
+    <= 0, so S is factored by ``dpttrf`` and (I - cL)^-1 u = D S^-1 D^-1 u.
+    The radial centre row has a zero (m = 3) or negative (m >= 4) product;
+    those domains use the pivoted LU ``dgttrf``/``dgttrs``.
+    """
+    sub, main, sup = _laplacian_diagonals(domain)
+    c = (np.asarray(d, dtype=float) * (dt / 4.0))[:, None]
+    G = domain.N + 2
+    shape = (c.shape[0], G)
+    diag = (1.0 - c * main).ravel()
+    lower = -(c * sub).ravel()[1:]  # lower[i] couples row i + 1 to column i
+    upper = -(c * sup).ravel()[:-1]  # upper[i] couples row i to column i + 1
+    lower[G - 1::G] = 0.0  # no coupling between species blocks
+    upper[G - 1::G] = 0.0
+    pinned = np.flatnonzero(np.tile((sub == 0.0) & (main == 0.0) & (sup == 0.0), shape[0]))
+    lower[pinned[pinned < lower.size]] = 0.0
+    upper[pinned[pinned > 0] - 1] = 0.0
+
+    product = lower * upper
+    if np.all((product > 0.0) | ((lower == 0.0) & (upper == 0.0))):
+        ratio = np.divide(lower, upper, out=np.ones_like(lower), where=product > 0.0)
+        scale = np.cumprod(np.concatenate(([1.0], np.sqrt(ratio)))).reshape(shape)
+        inv_scale, two_scale = 1.0 / scale, 2.0 * scale
+        factor_d, factor_e, info = dpttrf(diag, -np.sqrt(product))
+        if info != 0:
+            raise InvariantViolation(
+                f"Crank-Nicolson matrix is not positive definite (dpttrf info = {info})")
+
+        def half_step(values):
+            out = values * inv_scale
+            dpttrs(factor_d, factor_e, out.reshape(-1), overwrite_b=1)  # solves in place
+            out *= two_scale
+            out -= values
+            return out
+
+        return half_step
+
+    *factors, info = dgttrf(lower, diag, upper)
+    if info != 0:
+        raise InvariantViolation(f"Crank-Nicolson matrix is singular (dgttrf info = {info})")
+
+    def half_step(values):
+        solved, _ = dgttrs(*factors, values.ravel())
+        return 2.0 * solved.reshape(shape) - values
+
+    return half_step
+
+
 def evolve(model: CompetitionModel, domain: Domain1D, phi: Field, t_end: float,
            dt: float | None = None, *, snapshots: int = DEFAULT_SNAPSHOTS,
            probes=None, include_reaction: bool = True,
@@ -222,12 +284,16 @@ def evolve(model: CompetitionModel, domain: Domain1D, phi: Field, t_end: float,
 
     Strang splitting per step: Crank-Nicolson diffusion half steps around a
     full RK4 kinetics step (pointwise, species-coupled).  The Crank-Nicolson
-    matrix of all species is factored once per call, so each half step is
-    one LAPACK tridiagonal solve over every species at once.  ``dt``
+    matrix of all species is factored once per call (symmetric positive
+    definite ``dpttrf``, or pivoted LU on radial domains with m >= 3), so
+    each half step is one LAPACK tridiagonal solve over every species at
+    once.  ``dt``
     defaults to min(1e-2, h^2 / (2 max d) * 10); it is rounded so t_end is
     an integer number of steps.  About ``snapshots`` full-field snapshots
     are kept; probe traces at ``probes`` (fractions 0.1/0.5/0.9 of the
-    length by default) are recorded every ``probe_stride`` steps.
+    length by default) are recorded every ``probe_stride`` steps and at
+    t_end; the bracketing node values are stored during the run and
+    interpolated once at the end.
 
     ``t_end`` and ``dt`` must be finite and positive, ``snapshots`` and
     ``probe_stride`` at least 1, the probes inside the domain and phi finite
@@ -275,21 +341,7 @@ def evolve(model: CompetitionModel, domain: Domain1D, phi: Field, t_end: float,
     nsteps = max(1, round(t_end / dt))
     dt = t_end / nsteps
 
-    # Crank-Nicolson over a half step dt/2, (I - cL) u_new = (I + cL) u with
-    # c = d dt / 4, for all species stacked into one tridiagonal system of
-    # size n (N + 2).  The entries that would couple the last node of one
-    # species to the first node of the next are zeroed.
-    sub, main, sup = _laplacian_diagonals(domain)
-    c = (np.asarray(model.d, dtype=float) * (dt / 4.0))[:, None]
-    c_sub, c_main, c_sup = c * sub, c * main, c * sup
-    G = domain.N + 2
-    lower = -c_sub.ravel()[1:]
-    upper = -c_sup.ravel()[:-1]
-    lower[G - 1::G] = 0.0
-    upper[G - 1::G] = 0.0
-    *factors, info = dgttrf(lower, (1.0 - c_main).ravel(), upper)
-    if info != 0:
-        raise InvariantViolation(f"Crank-Nicolson matrix is singular (dgttrf info = {info})")
+    half_diffusion = _cn_half_step(domain, model.d, dt)
 
     if probes is None:
         probes = domain.length * np.asarray(DEFAULT_PROBE_FRACTIONS)
@@ -298,20 +350,18 @@ def evolve(model: CompetitionModel, domain: Domain1D, phi: Field, t_end: float,
         raise ValueError("probe points must lie inside the domain")
     idx = np.minimum(np.searchsorted(x, probes, side="right") - 1, x.size - 2)
     frac = (probes - x[idx]) / h
+    K = idx.size
+    columns = np.concatenate((idx, idx + 1))
 
-    def probe_sample(values):
-        return values[:, idx] * (1.0 - frac) + values[:, idx + 1] * frac
-
+    # the steps whose state is recorded: 0, every stride, and the last
     snap_every = max(1, nsteps // snapshots)
-    snap_t, snaps = [0.0], [U.copy()]
-    probe_t, probe_v = [0.0], [probe_sample(U)]
-
-    def half_diffusion(values):
-        rhs = values + c_main * values
-        rhs[:, 1:] += c_sub[:, 1:] * values[:, :-1]
-        rhs[:, :-1] += c_sup[:, :-1] * values[:, 1:]
-        solved, _ = dgttrs(*factors, rhs.reshape(-1), overwrite_b=1)
-        return solved.reshape(values.shape)
+    probe_steps = np.unique(np.append(np.arange(0, nsteps + 1, probe_stride), nsteps))
+    snap_steps = np.unique(np.append(np.arange(0, nsteps + 1, snap_every), nsteps))
+    brackets = np.empty((probe_steps.size, model.n, 2 * K))
+    snaps = np.empty((snap_steps.size,) + U.shape)
+    np.take(U, columns, axis=1, out=brackets[0], mode="clip")
+    snaps[0] = U
+    probe_row = snap_row = 1
 
     a = model.a
     for step in range(1, nsteps + 1):
@@ -327,16 +377,15 @@ def evolve(model: CompetitionModel, domain: Domain1D, phi: Field, t_end: float,
             U = U + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         U = half_diffusion(U)
         low = U.min()
-        if not low >= -NEGATIVITY_TOL:  # also true for NaN, which dgttrs passes through
+        if not low >= -NEGATIVITY_TOL:  # also true for NaN, which the solves pass through
             raise InvariantViolation(
                 f"field dipped to {low:.3e} at t = {step * dt:.6g}, below -{NEGATIVITY_TOL:g}")
-        t = step * dt
         if step % probe_stride == 0 or step == nsteps:
-            probe_t.append(t)
-            probe_v.append(probe_sample(U))
+            np.take(U, columns, axis=1, out=brackets[probe_row], mode="clip")
+            probe_row += 1
         if step % snap_every == 0 or step == nsteps:
-            snap_t.append(t)
-            snaps.append(U.copy())
+            snaps[snap_row] = U
+            snap_row += 1
 
-    return PdeTrajectory(domain, np.array(snap_t), np.array(snaps), probes,
-                         np.array(probe_t), np.array(probe_v))
+    probe_values = brackets[..., :K] * (1.0 - frac) + brackets[..., K:] * frac
+    return PdeTrajectory(domain, snap_steps * dt, snaps, probes, probe_steps * dt, probe_values)

@@ -230,7 +230,68 @@ class TestDecayFit:
             decay_fit(traj)
 
 
+def _periodicity_score_by_lag(times, values):
+    """Brute-force periodicity_score: one Pearson correlation per lag, O(n^2)."""
+    x = values - values.mean()
+    var = float(np.mean(x * x))
+    if var < 1e-24 or np.sqrt(var) < 1e-12 * max(1.0, np.abs(values).max()):
+        return 0.0, None
+    n = x.size
+    max_lag = n // 2
+    floor = 1e-12 * max(1.0, float(np.abs(values).max()))
+    corr = np.empty(max_lag + 1)
+    for lag in range(max_lag + 1):
+        a = x[: n - lag]
+        b = x[lag:]
+        da = a - a.mean()
+        db = b - b.mean()
+        denom = np.sqrt(float(np.mean(da * da)) * float(np.mean(db * db)))
+        corr[lag] = 0.0 if denom < floor * floor else float(np.mean(da * db)) / denom
+    below = np.nonzero(corr < 0.5)[0]
+    if below.size == 0:
+        return 0.0, None
+    start = int(below[0])
+    peaks = [k for k in range(max(start, 1), max_lag)
+             if corr[k] >= corr[k - 1] and corr[k] >= corr[k + 1] and corr[k] > 0.0]
+    if not peaks:
+        return 0.0, None
+    best = k0 = peaks[0]
+    for k in peaks:
+        if k > 1.5 * k0:
+            break
+        if corr[k] > corr[best]:
+            best = k
+    return float(corr[best]), float(best * float(times[1] - times[0]))
+
+
+def _drifting_noisy_sines(count):
+    rng = np.random.default_rng(2011)
+    for _ in range(count):
+        n = int(rng.integers(200, 3000))
+        t = np.linspace(0.0, rng.uniform(20.0, 200.0), n)
+        drift = rng.uniform(-0.5, 0.5) * t / t[-1]
+        values = ((1.0 + drift) * np.sin(2.0 * np.pi * t / rng.uniform(2.0, 30.0) + rng.uniform(0.0, 6.0))
+                  + rng.uniform(0.0, 2.0) * t / t[-1] + rng.uniform(-5.0, 5.0)
+                  + rng.uniform(0.0, 0.5) * rng.standard_normal(n))
+        yield t, values
+
+
 class TestPeriodicityScore:
+    def test_matches_brute_force_per_lag_correlation(self):
+        t = np.linspace(0.0, 70.0, 1401)
+        cases = list(_drifting_noisy_sines(40)) + [
+            (t, np.full_like(t, 0.3)),
+            # amplitude just above the variance floor of a unit-offset trace
+            (t, 1.0 + 3e-12 * np.sin(2.0 * np.pi * t / 7.0)),
+            # a constant stretch: windows with zero variance score 0 at their lags
+            (t, 0.1234 + np.where(t > 50.0, np.sin(2.0 * np.pi * t / 3.0), 0.0)),
+        ]
+        for times, values in cases:
+            score, period = periodicity_score(times, values)
+            expected_score, expected_period = _periodicity_score_by_lag(times, values)
+            assert abs(score - expected_score) <= 1e-12
+            assert period == expected_period
+
     def test_clean_sine(self):
         t = np.linspace(0.0, 70.0, 1401)
         score, period = periodicity_score(t, np.sin(2.0 * np.pi * t / 7.0))

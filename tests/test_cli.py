@@ -325,7 +325,23 @@ class TestExitCodes:
         rc, _ = _run(tmp_path, "equilibria", payload)
         assert rc == 3
 
-    def test_negativity_violation_is_numerical_failure(self, tmp_path):
+    def test_negativity_violation_is_numerical_failure(self, tmp_path, capsys):
+        # constant data pinned to 0 at the ends: the Crank-Nicolson step at
+        # diffusion number ~420 undershoots next to the boundary
+        payload = {
+            "model": {"a": [[1.0]], "d": [1.0]},
+            "domain": {"kind": "interval", "length": 1.0, "N": 64, "bc": "dirichlet"},
+            "phi": {"constant": [1.0]},
+            "t_end": 1.0,
+            "dt": 0.1,
+        }
+        with pytest.warns(UserWarning, match="pinned to 0"):
+            rc, _ = _run(tmp_path, "pde", payload)
+        assert rc == 4
+        assert "field dipped to" in capsys.readouterr().err
+
+    def test_dirichlet_logistic_run_exits_zero(self, tmp_path):
+        # c / h^2 > 1: the pinned boundary must stay exactly 0 over t = 200
         payload = {
             "model": {"a": [[1.0]], "d": [0.1]},
             "domain": {"kind": "interval", "length": 2.0, "N": 128, "bc": "dirichlet"},
@@ -333,8 +349,10 @@ class TestExitCodes:
             "t_end": 200.0,
             "dt": 0.01,
         }
-        rc, _ = _run(tmp_path, "pde", payload)
-        assert rc == 4
+        rc, out = _run(tmp_path, "pde", payload)
+        assert rc == 0
+        _, rows = _csv_rows(out / "final_field.csv")
+        assert float(rows[0][1]) == 0.0 and float(rows[-1][1]) == 0.0
 
     def test_no_cycle_exit(self, tmp_path):
         payload = {

@@ -71,6 +71,11 @@ class TestLaplacian:
         assert neumann_eigenvalue(1.0, 1) == pytest.approx(np.pi**2, rel=1e-15)
         assert neumann_eigenvalue(2.0, 3) == pytest.approx((1.5 * np.pi) ** 2, rel=1e-15)
 
+    @pytest.mark.parametrize("L", [0.0, -1.0, float("nan"), float("inf")])
+    def test_neumann_eigenvalue_rejects_bad_length(self, L):
+        with pytest.raises(ValueError, match="finite and positive"):
+            neumann_eigenvalue(L, 1)
+
 
 class TestFieldDiagnostics:
     def test_reference_phi_averages_are_exact_rationals(self):
@@ -230,14 +235,28 @@ class TestEvolveAccuracy:
         assert float(traj.fields[-1].min()) >= -1e-8
 
     def test_negativity_guard_raises_without_clamping(self):
-        # Crank-Nicolson at large diffusion number undershoots a Dirichlet
-        # bump below -1e-8; the guard must raise instead of clamping
+        # Crank-Nicolson at diffusion number d dt / h^2 ~ 420 undershoots the
+        # edges of a box to about -0.3 in the first step; the guard must raise
+        # instead of clamping
+        model = CompetitionModel(a=np.array([[1.0]]), d=np.array([1.0]))
+        for bc in ("neumann", "dirichlet"):
+            dom = _interval(64, bc=bc)
+            box = (np.abs(dom.grid() - 0.5) < 0.1).astype(float)
+            with pytest.raises(InvariantViolation, match="at t = 0.1,"):
+                evolve(model, dom, Field(dom, box[None, :]), 1.0, dt=0.1,
+                       include_reaction=False)
+
+    def test_dirichlet_boundary_stays_pinned_at_large_diffusion_number(self):
+        # c / h^2 > 1 here; the pinned boundary nodes must stay exactly 0, or
+        # the logistic growth amplifies their rounding error like e^t
         model = CompetitionModel(a=np.array([[1.0]]), d=np.array([0.1]))
         dom = Domain1D(kind="interval", length=2.0, N=128, bc="dirichlet")
         x = dom.grid()
         phi = Field(dom, (0.5 * np.sin(np.pi * x / 2.0))[None, :])
-        with pytest.raises(InvariantViolation):
-            evolve(model, dom, phi, 200.0, dt=0.01)
+        traj = evolve(model, dom, phi, 200.0, dt=0.01)
+        assert np.all(traj.fields[..., 0] == 0.0)
+        assert np.all(traj.fields[..., -1] == 0.0)
+        assert float(traj.fields[-1, 0, 1:-1].min()) > 0.0
 
 
 def _dense_cn_reference(domain, d, values, dt):
@@ -257,9 +276,12 @@ def _dense_cn_reference(domain, d, values, dt):
 class TestCrankNicolsonSolve:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
-    @pytest.mark.parametrize("kind, m", [("interval", 1), ("radial", 2), ("radial", 3)])
+    @pytest.mark.parametrize("kind, m", [("interval", 1), ("radial", 2), ("radial", 3),
+                                         ("radial", 4)])
     def test_stacked_solve_matches_dense_per_species(self, kind, m, bc, n):
-        # distinct d per species: a coupling across species blocks would show
+        # distinct d per species: a coupling across species blocks would show.
+        # Radial m = 3 and 4 have a zero and a negative centre off-diagonal
+        # product, so they run the pivoted LU path; the others the symmetric one
         d = np.array([0.05, 0.4, 1.3])[:n]
         model = CompetitionModel(a=np.eye(n) + 0.1, d=d)
         dom = Domain1D(kind=kind, length=1.5, N=24, bc=bc, m=m)
@@ -303,6 +325,30 @@ class TestProbes:
         assert t1.probe_times.size == 51
         assert t5.probe_times.size == 11
         assert np.allclose(t5.probe_times, t1.probe_times[::5])
+
+    def test_probe_traces_interpolate_every_stored_field(self, reference_model):
+        dom = _interval(32)
+        x = dom.grid()
+        phi = Field(dom, reference_phi_values(x))
+        probe_x = np.array([0.0, 0.13, 0.5, 0.871, 1.0])
+        # 50 steps, every one stored as a snapshot and sampled by the probes
+        traj = evolve(reference_model, dom, phi, 0.5, dt=0.01, snapshots=50, probes=probe_x,
+                      probe_stride=1)
+        assert np.array_equal(traj.times, traj.probe_times)
+        idx = np.minimum(np.searchsorted(x, probe_x, side="right") - 1, x.size - 2)
+        frac = (probe_x - x[idx]) / dom.h
+        expected = traj.fields[:, :, idx] * (1.0 - frac) + traj.fields[:, :, idx + 1] * frac
+        assert np.array_equal(traj.probe_values, expected)
+
+    def test_probe_stride_ends_at_t_end(self, reference_model):
+        dom = _interval(32)
+        phi = Field(dom, reference_phi_values(dom.grid()))
+        traj = evolve(reference_model, dom, phi, 0.5, dt=0.01, probe_stride=7)
+        # 50 steps: samples at steps 0, 7, ..., 49 and the last step 50
+        assert traj.probe_times.size == 9
+        assert traj.probe_values.shape == (9, 3, 3)
+        assert traj.probe_times[-1] == 0.5
+        assert np.array_equal(traj.probe_times[:-1], np.arange(0, 50, 7) * 0.01)
 
     def test_probe_outside_domain_rejected(self, reference_model):
         dom = _interval(32)
