@@ -15,7 +15,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .model import CompetitionModel
-from .pde import PdeTrajectory, Field, flatness as field_flatness, grad_l2_norm, spatial_average
+from .pde import PdeTrajectory, Field, grad_l2_norm, spatial_average
 
 REGION_SIGMA_2SPECIES = "sigma-region-2species"
 REGION_A_3SPECIES = "region-A-3species"
@@ -288,7 +288,7 @@ def classify_omega(trajectory: PdeTrajectory, model: CompetitionModel,
         raise ValueError("classification needs a run of at least 50 time units")
     t_lo = 0.75 * t_end
     keep = trajectory.times >= t_lo
-    flat = max(field_flatness(Field(trajectory.domain, f)) for f in trajectory.fields[keep])
+    flat = float(trajectory.flatness()[keep].max())
 
     scores = []
     pkeep = trajectory.probe_times >= t_lo

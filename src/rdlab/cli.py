@@ -48,7 +48,7 @@ from .model import (
     support_solutions,
     two_species_case,
 )
-from .pde import Domain1D, Field, evolve, flatness, grad_l2_norm, spatial_average
+from .pde import Domain1D, Field, evolve, grad_l2_norm, spatial_average
 from .scalar import dirichlet_steady_profile, kiss_size, radial_shoot, time_map
 
 # Built-in three-species benchmark: a competition matrix known to sustain
@@ -480,8 +480,7 @@ def _pde_outputs(model, traj, out: Path, *, svg: bool, decay_window=None):
     """Shared emission for the pde and reproduce-paper runs; computes all, then writes."""
     x = traj.domain.grid()
     n = model.n
-    avgs = np.array([spatial_average(traj.snapshot(i)) for i in range(len(traj.times))])
-    flat = [flatness(traj.snapshot(i)) for i in range(len(traj.times))]
+    avgs = traj.spatial_averages()
 
     classification = None
     if float(traj.times[-1]) >= 50.0:
@@ -501,7 +500,8 @@ def _pde_outputs(model, traj, out: Path, *, svg: bool, decay_window=None):
     files = [
         write_csv(out / "averages.csv", ["t"] + [f"avg_u{i + 1}" for i in range(n)],
                   np.column_stack([traj.times, avgs])),
-        write_csv(out / "flatness.csv", ["t", "flatness"], list(zip(traj.times, flat))),
+        write_csv(out / "flatness.csv", ["t", "flatness"],
+                  np.column_stack([traj.times, traj.flatness()])),
         write_csv(out / "final_field.csv", ["x"] + [f"u{i + 1}" for i in range(n)],
                   np.column_stack([x, traj.fields[-1].T])),
     ]
@@ -631,7 +631,7 @@ def _run_reproduce(cfg: dict, out: Path):
     t = np.linspace(0.0, P["t_end"], 2001)
     states = traj_ode.at(t)
     # side-by-side comparison on the snapshot grid
-    avgs = np.array([spatial_average(traj_pde.snapshot(i)) for i in range(len(traj_pde.times))])
+    avgs = traj_pde.spatial_averages()
     ode_at_snaps = traj_ode.at(traj_pde.times).T
     diff = np.abs(avgs - ode_at_snaps).max(axis=1)
 

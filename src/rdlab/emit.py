@@ -2,20 +2,30 @@
 
 Every writer produces byte-identical output for identical inputs: floats
 are formatted at 15 significant digits, JSON keys are sorted, SVG text is
-fully determined by the data.  The manifest records a sha256 checksum per
-emitted file so a rerun can be diffed at a glance.
+fully determined by the data.  CSV rows are formatted one at a time (an
+ndarray row is converted by ``tolist`` first) and SVG points with one
+``%`` over the whole polyline.  No artifact may hold a NaN or an Infinity:
+each writer raises NumericalFailure, naming the file, instead of writing one.
+The manifest records a sha256 checksum per emitted file so a rerun can be
+diffed at a glance.
 """
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
+from .errors import NumericalFailure
+
 _SVG_COLORS = ("#1b6ca8", "#c23b22", "#3e8e41", "#8e5ba6", "#b8860b", "#555555")
+_NON_FINITE_CELLS = {"nan", "inf", "-inf"}  # how ".15g" writes a non-finite float
 
 
 def _fmt(value) -> str:
+    if isinstance(value, float):  # np.float64 too
+        return format(value, ".15g")
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -26,12 +36,27 @@ def _fmt(value) -> str:
 
 
 def write_csv(path, header, rows) -> Path:
-    """Comma-separated table with a header row; floats keep 15 significant digits."""
+    """Comma-separated table with a header row; floats keep 15 significant digits.
+
+    ``rows`` is a 2-D ndarray or a sequence of rows; an ndarray row is
+    converted with ``tolist`` before it is formatted.  A cell that reads
+    nan, inf or -inf raises NumericalFailure naming the file and the row,
+    and nothing is written.
+    """
     path = Path(path)
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+        if isinstance(row, np.ndarray):
+            row = row.tolist()
+        lines.append(",".join(map(_fmt, row)))
+    text = "\n".join(lines) + "\n"
+    # no finite ".15g" float holds an "n"; this one-character scan skips the
+    # exact cell test on purely numeric rows
+    if text.find("n", len(lines[0])) >= 0:
+        for number, line in enumerate(lines[1:], 1):
+            if _NON_FINITE_CELLS.intersection(line.split(",")):
+                raise NumericalFailure(f"{path}: row {number} holds a non-finite value")
+    path.write_text(text)
     return path
 
 
@@ -52,9 +77,14 @@ def _json_default(obj):
 
 
 def write_json(path, payload) -> Path:
+    """Sorted-key JSON; a NaN or an Infinity raises NumericalFailure naming the file."""
     path = Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
-                               default=_json_default) + "\n")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
+                          default=_json_default)
+    except ValueError as exc:  # the only ValueError json raises on acyclic data
+        raise NumericalFailure(f"{path}: {exc}") from None
+    path.write_text(text + "\n")
     return path
 
 
@@ -67,7 +97,8 @@ def svg_line_chart(path, series, *, title="", x_label="", y_label="",
     """Minimal static line chart: axes, ticks, and one polyline per series.
 
     ``series`` is a sequence of (label, x, y) with 1-D arrays.  The chart
-    exists for eyeballing only; the CSVs carry the data.
+    exists for eyeballing only; the CSVs carry the data.  Non-finite data
+    (or a range that overflows) raises NumericalFailure naming the file.
     """
     series = [(str(label), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
               for label, x, y in series]
@@ -86,6 +117,10 @@ def svg_line_chart(path, series, *, title="", x_label="", y_label="",
     else:
         pad = 0.05 * (y_hi - y_lo)
         y_lo, y_hi = y_lo - pad, y_hi + pad
+    # finite data in finite ranges keep every coordinate and tick finite
+    if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)
+            and all(np.isfinite(x).all() and np.isfinite(y).all() for _, x, y in series)):
+        raise NumericalFailure(f"{path}: non-finite chart data")
     pw, ph = width - ml - mr, height - mt - mb
 
     def sx(v):
@@ -121,7 +156,10 @@ def svg_line_chart(path, series, *, title="", x_label="", y_label="",
                    f'transform="rotate(-90 14 {mt + ph / 2:.1f})">{y_label}</text>')
     for j, (label, x, y) in enumerate(series):
         color = _SVG_COLORS[j % len(_SVG_COLORS)]
-        pts = " ".join(f"{sx(xi):.2f},{sy(yi):.2f}" for xi, yi in zip(x, y))
+        coords = np.empty(2 * x.size)
+        coords[0::2] = sx(x)
+        coords[1::2] = sy(y)
+        pts = " ".join(["%.2f,%.2f"] * x.size) % tuple(coords.tolist())
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.3"/>')
         if label:

@@ -18,7 +18,8 @@ class DegenerateModelError(ValueError):
 
 
 class NumericalFailure(RuntimeError):
-    """An iteration or integrator failed to converge within its budget."""
+    """An iteration or integrator failed to converge within its budget, or an
+    artifact would have held a NaN or an Infinity."""
 
 
 class InvariantViolation(RuntimeError):

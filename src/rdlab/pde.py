@@ -12,7 +12,10 @@ Crank-Nicolson system with no coupling between species blocks.  Since
 over all species.  A diagonal similarity makes the matrix symmetric positive
 definite, so it is factored once per run with LAPACK ``dpttrf`` and solved
 with ``dpttrs``; radial domains with m >= 3, where no such similarity exists,
-keep the pivoted LU ``dgttrf``/``dgttrs``.
+keep the pivoted LU ``dgttrf``/``dgttrs``.  The RK4 step works on buffers
+allocated once per run: each stage's growth factor 1 - a y comes from one
+BLAS product of the augmented matrix [-a | 1] with the stage state stacked
+on a row of ones, and the four stage rates are combined by one dot.
 """
 
 import math
@@ -167,15 +170,25 @@ def _quadrature_weights(domain: Domain1D) -> np.ndarray:
     return w
 
 
+def _average(domain: Domain1D, values: np.ndarray) -> np.ndarray:
+    # over the last axis, so one field (n, G) or a stack of them (S, n, G)
+    w = _quadrature_weights(domain)
+    return values @ w / w.sum()
+
+
+def _oscillation(values: np.ndarray) -> np.ndarray:
+    # max - min over the grid, largest across species; one field or a stack
+    return (values.max(axis=-1) - values.min(axis=-1)).max(axis=-1)
+
+
 def spatial_average(field: Field) -> np.ndarray:
     """Measure-normalized spatial average of each species (exact on constants)."""
-    w = _quadrature_weights(field.domain)
-    return field.values @ w / w.sum()
+    return _average(field.domain, field.values)
 
 
 def flatness(field: Field) -> float:
     """Largest spatial oscillation max - min over the grid, across species."""
-    return float(np.max(field.values.max(axis=1) - field.values.min(axis=1)))
+    return float(_oscillation(field.values))
 
 
 def grad_l2_norm(field: Field) -> float:
@@ -210,6 +223,14 @@ class PdeTrajectory:
     @property
     def final(self) -> Field:
         return Field(self.domain, self.fields[-1])
+
+    def spatial_averages(self) -> np.ndarray:
+        """spatial_average of every snapshot, shape (S, n_species)."""
+        return _average(self.domain, self.fields)
+
+    def flatness(self) -> np.ndarray:
+        """flatness of every snapshot, shape (S,)."""
+        return _oscillation(self.fields)
 
 
 def default_dt(domain: Domain1D, model: CompetitionModel) -> float:
@@ -276,6 +297,44 @@ def _cn_half_step(domain: Domain1D, d: np.ndarray, dt: float):
     return half_step
 
 
+def _rk4_reaction_step(a: np.ndarray, dt: float, shape):
+    """The classical RK4 step of the pointwise kinetics u' = u (1 - a u), in place.
+
+    Its buffers are allocated here, once per evolve call.  Each stage state
+    y sits in the first n rows of Y, whose last row is all ones, so one
+    BLAS call A Y with A = [-a | 1] gives the growth factor 1 - a y, and the
+    stage rate y (1 - a y) goes into one row of a (4, n, G) array.  The
+    returned function adds the rates to its (n, G) argument in one dot with
+    dt (1, 2, 2, 1) / 6.  The argument must be a fresh array: it is updated
+    in place.
+    """
+    n = shape[0]
+    A = np.hstack((-a, np.ones((n, 1))))
+    Y = np.ones((n + 1, shape[1]))
+    y = Y[:n]
+    growth = np.empty(shape)
+    rates = np.empty((4,) + shape)
+    stage_rates = list(rates)
+    flat_rates = rates.reshape(4, -1)
+    weights = dt * np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
+    increment = np.empty(flat_rates.shape[1])
+    stage_steps = (0.5 * dt, 0.5 * dt, dt)
+
+    def step(U):
+        np.copyto(y, U)
+        for k, c in zip(stage_rates, stage_steps):
+            np.dot(A, Y, out=growth)
+            np.multiply(y, growth, out=k)
+            np.multiply(k, c, out=y)  # the next stage state U + c k
+            np.add(y, U, out=y)
+        np.dot(A, Y, out=growth)
+        np.multiply(y, growth, out=stage_rates[3])
+        np.dot(weights, flat_rates, out=increment)
+        U += increment.reshape(shape)
+
+    return step
+
+
 def evolve(model: CompetitionModel, domain: Domain1D, phi: Field, t_end: float,
            dt: float | None = None, *, snapshots: int = DEFAULT_SNAPSHOTS,
            probes=None, include_reaction: bool = True,
@@ -287,7 +346,10 @@ def evolve(model: CompetitionModel, domain: Domain1D, phi: Field, t_end: float,
     matrix of all species is factored once per call (symmetric positive
     definite ``dpttrf``, or pivoted LU on radial domains with m >= 3), so
     each half step is one LAPACK tridiagonal solve over every species at
-    once.  ``dt``
+    once.  The RK4 step runs in place on buffers allocated once per call:
+    per stage, one product [-a | 1] [y; 1] gives 1 - a y and one multiply
+    the stage rate; the four rates are combined by one dot with
+    dt (1, 2, 2, 1) / 6.  ``dt``
     defaults to min(1e-2, h^2 / (2 max d) * 10); it is rounded so t_end is
     an integer number of steps.  About ``snapshots`` full-field snapshots
     are kept; probe traces at ``probes`` (fractions 0.1/0.5/0.9 of the
@@ -363,18 +425,11 @@ def evolve(model: CompetitionModel, domain: Domain1D, phi: Field, t_end: float,
     snaps[0] = U
     probe_row = snap_row = 1
 
-    a = model.a
+    reaction_step = _rk4_reaction_step(model.a, dt, U.shape)
     for step in range(1, nsteps + 1):
         U = half_diffusion(U)
         if include_reaction:
-            k1 = U * (1.0 - a @ U)
-            y2 = U + 0.5 * dt * k1
-            k2 = y2 * (1.0 - a @ y2)
-            y3 = U + 0.5 * dt * k2
-            k3 = y3 * (1.0 - a @ y3)
-            y4 = U + dt * k3
-            k4 = y4 * (1.0 - a @ y4)
-            U = U + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            reaction_step(U)
         U = half_diffusion(U)
         low = U.min()
         if not low >= -NEGATIVITY_TOL:  # also true for NaN, which the solves pass through

@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from rdlab import cli
 from rdlab.cli import main
 
 
@@ -339,6 +340,19 @@ class TestExitCodes:
             rc, _ = _run(tmp_path, "pde", payload)
         assert rc == 4
         assert "field dipped to" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source, artifact", [("time_map", "timemap.csv"),
+                                                  ("kiss_size", "report.json")])
+    def test_non_finite_artifact_is_numerical_failure(self, tmp_path, capsys, monkeypatch,
+                                                      source, artifact):
+        # a writer fed a NaN refuses its file instead of writing "nan" or NaN
+        monkeypatch.setattr(cli, source, lambda *args: float("nan"))
+        rc, out = _run(tmp_path, "timemap", {"D": 0.1, "mu": [0.3, 0.5], "svg": True})
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("rdlab: numerical failure: ") and artifact in err
+        assert not (out / artifact).exists()
+        assert not (out / "manifest.json").exists()
 
     def test_dirichlet_logistic_run_exits_zero(self, tmp_path):
         # c / h^2 > 1: the pinned boundary must stay exactly 0 over t = 200

@@ -2,12 +2,64 @@
 
 import hashlib
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from rdlab import NumericalFailure
 from rdlab.emit import sha256_file, svg_line_chart, write_csv, write_json, write_manifest
+
+
+def _fmt_reference(value) -> str:
+    """The per-value formatter that write_csv replaced; the byte reference."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, str):
+        return value
+    return format(float(value), ".15g")
+
+
+def _csv_reference(header, rows) -> str:
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_fmt_reference(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _svg_points_reference(series, width=640, height=400):
+    """Each polyline's points by the per-point f-string loop svg_line_chart replaced."""
+    series = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float)) for x, y in series]
+    ml, mr, mt, mb = 62, 16, 34, 46
+    x_lo = min(float(x.min()) for x, _ in series)
+    x_hi = max(float(x.max()) for x, _ in series)
+    y_lo = min(float(y.min()) for _, y in series)
+    y_hi = max(float(y.max()) for _, y in series)
+    if x_hi - x_lo <= 0.0:
+        x_hi = x_lo + 1.0
+    if y_hi - y_lo <= 0.0:
+        pad = max(1e-12, abs(y_lo)) * 0.5 + 0.5
+    else:
+        pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    pw, ph = width - ml - mr, height - mt - mb
+
+    def sx(v):
+        return ml + (v - x_lo) / (x_hi - x_lo) * pw
+
+    def sy(v):
+        return mt + (y_hi - v) / (y_hi - y_lo) * ph
+
+    return [" ".join(f"{sx(xi):.2f},{sy(yi):.2f}" for xi, yi in zip(x, y)) for x, y in series]
+
+
+# every scalar kind a row may carry, with signed zero, the smallest
+# subnormal, a value past 2^53 and a repeating binary fraction
+_MIXED_ROW = (0.1, np.float64(-2.5e-7), np.float32(0.1), 7, np.int64(-3), True, np.bool_(False),
+              "P_1", -0.0, 5e-324, 1e16, 1.0 / 3.0)
 
 
 class TestCsv:
@@ -29,6 +81,40 @@ class TestCsv:
         write_csv(path, ["x"], [[1.0], [2.0]])
         assert path.read_text().endswith("2\n")
 
+    @pytest.mark.parametrize("form", ["tuples", "object-array", "float-array", "int-array",
+                                      "bool-array", "float32-array", "empty"])
+    def test_bytes_match_the_per_value_formatter(self, tmp_path, form):
+        rng = np.random.default_rng(7)
+        numbers = rng.standard_normal((6, len(_MIXED_ROW))) * 10.0 ** rng.integers(-9, 17, (6, 1))
+        rows = {
+            "tuples": [_MIXED_ROW, _MIXED_ROW[::-1]] + [tuple(r) for r in numbers],
+            "object-array": np.array([_MIXED_ROW, _MIXED_ROW[::-1]], dtype=object),
+            "float-array": np.vstack([[-0.0, 5e-324, 1e16, 1.0 / 3.0] * 3, numbers]),
+            "int-array": rng.integers(-10**12, 10**12, (5, 4)),
+            "bool-array": rng.random((5, 4)) < 0.5,
+            "float32-array": numbers.astype(np.float32),
+            "empty": np.empty((0, 3)),
+        }[form]
+        header = [f"c{i}" for i in range(len(rows[0]) if len(rows) else 3)]
+        path = tmp_path / "t.csv"
+        write_csv(path, header, rows)
+        assert path.read_text() == _csv_reference(header, rows)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                     np.float32("nan"), np.float64("-inf")])
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_non_finite_value_raises_naming_the_file(self, tmp_path, bad, as_array):
+        rows = [(0.5, 1.0), (2.0, bad), (3.0, 4.0)]
+        path = tmp_path / "bad.csv"
+        with pytest.raises(NumericalFailure, match=r"bad\.csv: row 2 "):
+            write_csv(path, ["x", "y"], np.array(rows) if as_array else rows)
+        assert not path.exists()
+
+    def test_text_cells_that_merely_contain_nan_or_inf_are_kept(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["info", "nanny"], [("infected", "banana")])
+        assert path.read_text() == "info,nanny\ninfected,banana\n"
+
 
 class TestJson:
     def test_sorted_keys_and_numpy_scalars(self, tmp_path):
@@ -44,6 +130,19 @@ class TestJson:
         obj = json.loads(path.read_text())
         assert obj["z"] == {"im": -2.0, "re": 1.0}
         assert obj["v"] == [1.0, 2.0]
+
+    @pytest.mark.parametrize("payload", [
+        {"x": float("nan")},
+        {"x": [1.0, float("inf")]},
+        {"x": np.float64("-inf")},
+        {"x": np.array([0.0, np.nan])},
+        {"z": complex(1.0, float("nan"))},
+    ])
+    def test_non_finite_value_raises_naming_the_file(self, tmp_path, payload):
+        path = tmp_path / "bad.json"
+        with pytest.raises(NumericalFailure, match=r"bad\.json"):
+            write_json(path, payload)
+        assert not path.exists()
 
     def test_deterministic_bytes(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -77,6 +176,35 @@ class TestSvg:
             svg_line_chart(
                 tmp_path / "c.svg", [("bad", np.arange(5.0), np.arange(4.0))]
             )
+
+
+    @pytest.mark.parametrize("shape", ["random", "constant"])
+    def test_points_match_the_per_point_formatter(self, tmp_path, shape):
+        rng = np.random.default_rng(3)
+        if shape == "random":
+            # unsorted x, several series of unequal length, values across scales
+            series = [(rng.uniform(-5.0, 5.0, k), rng.standard_normal(k) * 10.0 ** e)
+                      for k, e in ((2, 0), (57, -3), (400, 2))]
+        else:
+            # one constant series: the y range is empty and gets padded
+            series = [(np.linspace(0.0, 1.0, 30), np.full(30, -0.3))]
+        path = tmp_path / "c.svg"
+        svg_line_chart(path, [(f"s{j}", x, y) for j, (x, y) in enumerate(series)])
+        points = re.findall(r'<polyline points="([^"]*)"', path.read_text())
+        assert points == _svg_points_reference(series)
+
+    @pytest.mark.parametrize("x, y", [
+        ([0.0, 1.0, 2.0], [0.5, float("nan"), 0.2]),
+        ([0.0, float("inf"), 2.0], [0.5, 0.1, 0.2]),
+        ([0.0, 1.0, 2.0], [-float("inf"), 0.1, 0.2]),
+        ([-1e308, 0.0, 1e308], [0.5, 0.1, 0.2]),  # finite data, overflowing range
+    ])
+    def test_non_finite_data_raises_naming_the_file(self, tmp_path, x, y):
+        path = tmp_path / "bad.svg"
+        good = ("ok", np.arange(3.0), np.ones(3))
+        with pytest.raises(NumericalFailure, match=r"bad\.svg"):
+            svg_line_chart(path, [good, ("bad", np.array(x), np.array(y))])
+        assert not path.exists()
 
 
 class TestManifest:

@@ -9,6 +9,7 @@ from rdlab import CompetitionModel, InvariantViolation
 from rdlab.pde import (
     Domain1D,
     Field,
+    _cn_half_step,
     default_dt,
     evolve,
     flatness,
@@ -99,6 +100,15 @@ class TestFieldDiagnostics:
         x = dom.grid()
         field = Field(dom, np.array([0.5 + 0.25 * np.cos(np.pi * x), np.ones_like(x)]))
         assert flatness(field) == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("kind, m", [("interval", 1), ("radial", 2)])
+    def test_trajectory_diagnostics_equal_per_snapshot_ones(self, reference_model, kind, m):
+        dom = Domain1D(kind=kind, length=1.0, N=300, bc="neumann", m=m)
+        phi = Field(dom, reference_phi_values(dom.grid()))
+        traj = evolve(reference_model, dom, phi, 0.5, dt=0.01, snapshots=20)
+        snaps = [traj.snapshot(i) for i in range(len(traj.times))]
+        assert np.array_equal(traj.spatial_averages(), [spatial_average(f) for f in snaps])
+        assert np.array_equal(traj.flatness(), [flatness(f) for f in snaps])
 
     @pytest.mark.parametrize("length", [0.0, -1.0, float("nan"), float("inf")])
     def test_domain_length_must_be_finite_and_positive(self, length):
@@ -303,6 +313,66 @@ class TestCrankNicolsonSolve:
         traj = evolve(model, dom, phi, 1.0, dt=0.01, include_reaction=False)
         drift = np.abs(spatial_average(traj.final) - spatial_average(phi))
         assert np.max(drift) < 1e-13
+
+
+def _rk4_reference(a, dt, U):
+    """The classical RK4 step of u' = u (1 - a u) as evolve wrote it before its buffers."""
+    k1 = U * (1.0 - a @ U)
+    y2 = U + 0.5 * dt * k1
+    k2 = y2 * (1.0 - a @ y2)
+    y3 = U + 0.5 * dt * k2
+    k3 = y3 * (1.0 - a @ y3)
+    y4 = U + dt * k3
+    k4 = y4 * (1.0 - a @ y4)
+    return U + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _random_model(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.2, 1.5, (n, n))
+    np.fill_diagonal(a, 1.0)
+    return CompetitionModel(a=a, d=rng.uniform(0.01, 0.5, n))
+
+
+def _vanishing_field(domain, n, seed):
+    # positive inside; on a Dirichlet domain zero at both ends, since evolve
+    # also pins the radial centre at t = 0 (ROADMAP item 1)
+    x = domain.grid() / domain.length
+    bumps = np.random.default_rng(seed).uniform(0.2, 1.2, (n, 1))
+    values = bumps * (1.0 + 0.5 * np.cos(np.pi * x * (np.arange(n)[:, None] + 2.0)))
+    if domain.bc == "dirichlet":
+        values = values * x * (1.0 - x)
+    return Field(domain, values)
+
+
+class TestReactionStep:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("kind, bc, m", [("interval", "neumann", 1),
+                                             ("interval", "dirichlet", 1),
+                                             ("radial", "dirichlet", 2)])
+    def test_one_step_is_half_rk4_half(self, kind, bc, m, n):
+        model = _random_model(n, seed=n)
+        dom = Domain1D(kind=kind, length=1.3, N=40, bc=bc, m=m)
+        phi = _vanishing_field(dom, n, seed=10 + n)
+        dt = 0.01
+        traj = evolve(model, dom, phi, dt, dt=dt, snapshots=1, probe_stride=1)
+        half = _cn_half_step(dom, model.d, dt)
+        expected = half(_rk4_reference(model.a, dt, half(phi.values)))
+        assert traj.times.tolist() == [0.0, dt]
+        assert np.max(np.abs(traj.fields[-1] - expected)) <= 1e-14
+        pinned = {"neumann": [], "dirichlet": [0, -1] if kind == "interval" else [-1]}[bc]
+        assert np.all(traj.fields[:, :, pinned] == 0.0)
+
+    def test_no_state_leaks_between_calls(self):
+        dom_a = Domain1D(kind="interval", length=1.0, N=48, bc="dirichlet")
+        dom_b = Domain1D(kind="radial", length=2.0, N=30, bc="neumann", m=2)
+        model_a, model_b = _random_model(3, seed=1), _random_model(2, seed=2)
+        phi_a, phi_b = _vanishing_field(dom_a, 3, seed=3), _vanishing_field(dom_b, 2, seed=4)
+        first = evolve(model_a, dom_a, phi_a, 0.4, dt=0.02)
+        evolve(model_b, dom_b, phi_b, 0.3, dt=0.01)
+        again = evolve(model_a, dom_a, phi_a, 0.4, dt=0.02)
+        assert np.array_equal(first.fields, again.fields)
+        assert np.array_equal(first.probe_values, again.probe_values)
 
 
 class TestProbes:
