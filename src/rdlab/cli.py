@@ -7,8 +7,10 @@ so rerunning a command with the same config reproduces the same bytes.
 
 Each command declares its config keys once, in a schema table that
 ``_parse`` checks before the command's handler runs.  A handler runs every
-computation before it writes its first file, so a rejected config leaves
-the output directory empty.
+computation before it writes its first file, and it writes into a staging
+directory beside the output directory; the files move into the output
+directory only after the manifest is written.  So a run that fails leaves
+no file of its own there and overwrites none from an earlier run.
 
 Exit codes: 0 success, 2 config error, 3 degenerate model, 4 numerical
 failure, 5 no periodic orbit where one was required.
@@ -20,7 +22,9 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -48,7 +52,7 @@ from .model import (
     support_solutions,
     two_species_case,
 )
-from .pde import Domain1D, Field, evolve, grad_l2_norm, spatial_average
+from .pde import Domain1D, Field, evolve, spatial_average
 from .scalar import dirichlet_steady_profile, kiss_size, radial_shoot, time_map
 
 # Built-in three-species benchmark: a competition matrix known to sustain
@@ -322,11 +326,11 @@ def _decay(traj, window, clip: bool):
     The rows (t, gradient norm, fitted curve) cover the fit window when
     ``clip`` is set and every snapshot otherwise.
     """
-    rate, amplitude = decay_fit(traj, window)
+    grads = traj.grad_l2_norms()
+    rate, amplitude = decay_fit(traj, window, grad_norms=grads)
     keep = (traj.times >= window[0]) & (traj.times <= window[1]) if clip else slice(None)
     times = traj.times[keep]
-    grads = [grad_l2_norm(Field(traj.domain, f)) for f in traj.fields[keep]]
-    return rate, amplitude, np.column_stack([times, grads, amplitude * np.exp(-rate * times)])
+    return rate, amplitude, np.column_stack([times, grads[keep], amplitude * np.exp(-rate * times)])
 
 
 # ---------------------------------------------------------------------------
@@ -747,15 +751,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, "1")
     _, handler, schema = _COMMANDS[args.command]
     try:
         config = {} if args.config is None else _load_config(args.config)
         out = Path(args.out) if args.out else Path(f"rdlab-{args.command}")
         out.mkdir(parents=True, exist_ok=True)
-        files, extras = handler(_parse(config, schema), out)
-        write_manifest(out, args.command, config, files, extra=extras)
+        # the run writes into a sibling staging directory, and its files move
+        # into out only once all of them, the manifest last, are written
+        staging = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=out.parent))
+        try:
+            files, extras = handler(_parse(config, schema), staging)
+            files.append(write_manifest(staging, args.command, config, files, extra=extras))
+            for f in files:
+                os.replace(f, out / f.name)
+        except BaseException:
+            shutil.rmtree(staging)
+            raise
+        staging.rmdir()
     except DegenerateModelError as exc:
         print(f"rdlab: degenerate model: {exc}", file=sys.stderr)
         return 3
@@ -768,7 +780,7 @@ def main(argv=None) -> int:
     except NoCycleError as exc:
         print(f"rdlab: no cycle: {exc}", file=sys.stderr)
         return 5
-    print(f"rdlab {args.command}: wrote {len(files) + 1} files to {out}", file=sys.stderr)
+    print(f"rdlab {args.command}: wrote {len(files)} files to {out}", file=sys.stderr)
     return 0
 
 

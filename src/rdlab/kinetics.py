@@ -3,12 +3,14 @@
 Every trajectory is integrated by ``_dopri5``, a Dormand-Prince 5(4) loop
 with a quartic dense output.  It reproduces scipy's
 ``solve_ivp(method="RK45")`` bit for bit: the tableau is read from
-``scipy.integrate.RK45`` and each floating-point operation (initial step,
-stage sums, RMS error norm, step control, section roots, interpolated
-samples) is the one scipy performs, so results do not depend on which of
-the two ran.  It drops scipy's per-step overhead: the wrapper layers around
-the right-hand side, an interpolant object per step where none is needed,
-and event bookkeeping on steps without a sign change.
+``scipy.integrate.RK45`` on first use, and each floating-point operation
+(initial step, stage sums, RMS error norm, step control, section roots,
+interpolated samples) is the one scipy performs, so results do not depend
+on which of the two ran.  It drops scipy's per-step overhead: the wrapper
+layers around the right-hand side, an interpolant object per step where
+none is needed, and event bookkeeping on steps without a sign change.
+scipy is imported only by the integrations themselves (``scipy.optimize``
+only for a section), so importing this module loads numpy alone.
 ``tests/test_kinetics.py`` holds the loop to that contract.
 
 Periodic orbits are detected on a Poincare section anchored at a
@@ -20,11 +22,10 @@ Jacobian, so no factorization shortcut is taken).
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import groupby
 
 import numpy as np
-from scipy.integrate import RK45
-from scipy.optimize import brentq
 
 from .errors import NEGATIVITY_TOL, InvariantViolation, NumericalFailure
 from .model import CompetitionModel, equilibria, reaction
@@ -37,12 +38,22 @@ SETTLE_TOL = 1e-8
 SETTLE_SAMPLES = 10
 TRIVIAL_MULTIPLIER_TOL = 1e-3
 
-# scipy's RK45 tableau and step control.  C is not needed: both right-hand
-# sides are autonomous.
-_STAGE_ROWS = [RK45.A[s, :s] for s in range(1, RK45.n_stages)]
-_ERROR_EXPONENT = -1 / (RK45.error_estimator_order + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _EPS = np.finfo(float).eps
+
+
+@cache
+def _rk45_tableau():
+    """scipy's RK45 tableau and step-control exponent, read on first use.
+
+    Returns (stage rows A[s, :s] for s = 1 .. n_stages - 1, B, E, P, error
+    exponent -1 / (error estimator order + 1)).  C is not needed: both
+    right-hand sides are autonomous.
+    """
+    from scipy.integrate import RK45
+
+    stage_rows = tuple(RK45.A[s, :s] for s in range(1, RK45.n_stages))
+    return stage_rows, RK45.B, RK45.E, RK45.P, -1 / (RK45.error_estimator_order + 1)
 
 
 @dataclass(frozen=True)
@@ -75,13 +86,14 @@ class _Interpolant:
     coefficient matrix Q = K^T P is formed only when the step is evaluated.
     """
 
-    def __init__(self, ts, y_old, K):
+    def __init__(self, ts, y_old, K, P):
         self.ts = ts  # step boundaries, shape (m + 1,)
         self._y_old = y_old  # shape (m, n)
         self._K = K  # stage derivatives, shape (m, stages + 1, n)
+        self._P = P  # the tableau's dense-output matrix
 
     def _segment(self, i, t):
-        Q = self._K[i].T.dot(RK45.P)
+        Q = self._K[i].T.dot(self._P)
         return _interpolate(t, self.ts[i], self.ts[i + 1] - self.ts[i], Q, self._y_old[i])
 
     def __call__(self, t):
@@ -116,7 +128,7 @@ class _Run:
     y_eval: np.ndarray | None  # samples at t_eval, shape (m, len(t_eval))
 
 
-def _initial_step(rhs, y0, f0, t_end, rtol, atol):
+def _initial_step(rhs, y0, f0, t_end, rtol, atol, error_exponent):
     """scipy's select_initial_step for a forward run from t = 0."""
     scale = atol + np.abs(y0) * rtol
     root_n = y0.size ** 0.5
@@ -129,7 +141,7 @@ def _initial_step(rhs, y0, f0, t_end, rtol, atol):
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / (RK45.error_estimator_order + 1))
+        h1 = (0.01 / max(d1, d2)) ** -error_exponent
     return min(100 * h0, h1, t_end)
 
 
@@ -154,21 +166,24 @@ def _dopri5(rhs, y0, t_end, tol, *, densities=None, keep_from=math.inf, t_eval=N
 
     Raises NumericalFailure when the step size falls below 10 ulp(t).
     """
+    stage_rows, B, E, P, error_exponent = _rk45_tableau()
+    n_stages = len(stage_rows) + 1
     rtol, atol = max(tol, 100 * _EPS), tol * 1e-2  # scipy raises rtol to 100 eps
     rtol_v, atol_v = np.array(rtol), np.array(atol)
     n = y0.size
     root_n = n ** 0.5
-    K = np.empty((RK45.n_stages + 1, n))
-    stages = [(K[s], K[:s].T, a) for s, a in enumerate(_STAGE_ROWS, start=1)]
+    K = np.empty((n_stages + 1, n))
+    stages = [(K[s], K[:s].T, a) for s, a in enumerate(stage_rows, start=1)]
     K_B, K_E = K[:-1].T, K.T
-    B, E, P = RK45.B, RK45.E, RK45.P
 
     t, y = 0.0, y0
-    h_abs = _initial_step(rhs, y, rhs(y, K[0]), t_end, rtol, atol)
+    h_abs = _initial_step(rhs, y, rhs(y, K[0]), t_end, rtol, atol, error_exponent)
     nfev, rejected_steps = 2, 0
     abs_y = np.abs(y)
     ts, ys, kept = [t], [y], []
     if section is not None:
+        from scipy.optimize import brentq
+
         g = section(y)
         t_events, y_events = [], []
     if t_eval is not None:
@@ -192,7 +207,7 @@ def _dopri5(rhs, y0, t_end, tol, *, densities=None, keep_from=math.inf, t_eval=N
                 rhs(y + K_s.dot(a) * hv, row)
             y_new = y + hv * K_B.dot(B)
             rhs(y_new, K[-1])
-            nfev += RK45.n_stages
+            nfev += n_stages
             abs_new = np.abs(y_new)
             scale = atol_v + np.maximum(abs_y, abs_new) * rtol_v
             err = K_E.dot(E) * hv / scale
@@ -201,12 +216,12 @@ def _dopri5(rhs, y0, t_end, tol, *, densities=None, keep_from=math.inf, t_eval=N
                 if error_norm == 0:
                     factor = _MAX_FACTOR
                 else:
-                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** error_exponent)
                 if step_rejected:
                     factor = min(1, factor)
                 h_abs *= factor
                 break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** error_exponent)
             step_rejected = True
             rejected_steps += 1
 
@@ -237,7 +252,7 @@ def _dopri5(rhs, y0, t_end, tol, *, densities=None, keep_from=math.inf, t_eval=N
     dense = None
     if kept:
         m = len(kept)
-        dense = _Interpolant(np.array(ts[-m - 1:]), Y[-m - 1:-1], np.array(kept))
+        dense = _Interpolant(np.array(ts[-m - 1:]), Y[-m - 1:-1], np.array(kept), P)
     return _Run(
         np.array(ts), Y, stats, dense,
         None if section is None else np.asarray(t_events),
@@ -252,7 +267,7 @@ def _kinetic_rhs(model):
     one = np.array(1.0)
 
     def rhs(U, out):
-        return np.multiply(U, one - a @ U, out=out)
+        return np.multiply(U, one - a.dot(U), out=out)
 
     return rhs
 
@@ -272,10 +287,10 @@ def _variational_rhs(model, lam_d):
     def rhs(y, out):
         U = y[:n]
         X = y[n:].reshape(n, n)
-        growth = one - a @ U
+        growth = one - a.dot(U)
         J = minus_a * U[:, None]
         J[diag] += growth
-        return np.concatenate([U * growth, ((J - shift) @ X).ravel()], out=out)
+        return np.concatenate([U * growth, (J - shift).dot(X).ravel()], out=out)
 
     return rhs
 
@@ -417,7 +432,7 @@ def detect_limit_cycle(model: CompetitionModel, U0, max_time: float = DEFAULT_MA
     normal = velocity / np.linalg.norm(velocity)
 
     def crossing(y):
-        return float(normal @ (y - anchor0))
+        return float(normal.dot(y - anchor0))
 
     span = max_time - t_half
     run = _dopri5(rhs, anchor0, span, tol, keep_from=span - SETTLE_SAMPLES, section=crossing)

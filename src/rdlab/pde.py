@@ -12,7 +12,9 @@ Crank-Nicolson system with no coupling between species blocks.  Since
 over all species.  A diagonal similarity makes the matrix symmetric positive
 definite, so it is factored once per run with LAPACK ``dpttrf`` and solved
 with ``dpttrs``; radial domains with m >= 3, where no such similarity exists,
-keep the pivoted LU ``dgttrf``/``dgttrs``.  The RK4 step works on buffers
+keep the pivoted LU ``dgttrf``/``dgttrs``.  These four routines are imported
+from ``scipy.linalg.lapack`` by ``_cn_half_step``, once per run, so importing
+this module loads numpy alone.  The RK4 step works on buffers
 allocated once per run: each stage's growth factor 1 - a y comes from one
 BLAS product of the augmented matrix [-a | 1] with the stage state stacked
 on a row of ones, and the four stage rates are combined by one dot.
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
 from .errors import NEGATIVITY_TOL, InvariantViolation
 from .model import CompetitionModel, reaction
@@ -191,19 +192,25 @@ def flatness(field: Field) -> float:
     return float(_oscillation(field.values))
 
 
+def _grad_sq_sum(domain: Domain1D, values: np.ndarray) -> np.ndarray:
+    # over the last two axes, so one field (n, G) or a stack of them (S, n, G)
+    h = domain.h
+    g = np.diff(values, axis=-1) / h
+    w = np.full(g.shape[-1], h)
+    if domain.kind == "radial":
+        mid = 0.5 * (domain.grid()[1:] + domain.grid()[:-1])
+        w = w * mid ** (domain.m - 1)
+    # each field is summed as one contiguous row, whatever the stack's shape
+    return (g * g * w).reshape(values.shape[:-2] + (-1,)).sum(axis=-1)
+
+
 def grad_l2_norm(field: Field) -> float:
     """Discrete L2 norm of the spatial gradient over all species.
 
     Forward differences live on cell midpoints; radial cells carry the
     midpoint volume factor r^(m-1).
     """
-    h = field.domain.h
-    g = np.diff(field.values, axis=1) / h
-    w = np.full(g.shape[1], h)
-    if field.domain.kind == "radial":
-        mid = 0.5 * (field.domain.grid()[1:] + field.domain.grid()[:-1])
-        w = w * mid ** (field.domain.m - 1)
-    return float(np.sqrt(np.sum(g * g * w)))
+    return float(np.sqrt(_grad_sq_sum(field.domain, field.values)))
 
 
 @dataclass(frozen=True)
@@ -232,6 +239,10 @@ class PdeTrajectory:
         """flatness of every snapshot, shape (S,)."""
         return _oscillation(self.fields)
 
+    def grad_l2_norms(self) -> np.ndarray:
+        """grad_l2_norm of every snapshot, shape (S,)."""
+        return np.sqrt(_grad_sq_sum(self.domain, self.fields))
+
 
 def default_dt(domain: Domain1D, model: CompetitionModel) -> float:
     h = domain.h
@@ -254,6 +265,8 @@ def _cn_half_step(domain: Domain1D, d: np.ndarray, dt: float):
     The radial centre row has a zero (m = 3) or negative (m >= 4) product;
     those domains use the pivoted LU ``dgttrf``/``dgttrs``.
     """
+    from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
+
     sub, main, sup = _laplacian_diagonals(domain)
     c = (np.asarray(d, dtype=float) * (dt / 4.0))[:, None]
     G = domain.N + 2

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import NumericalFailure
 
@@ -151,6 +150,8 @@ def dirichlet_steady_profile(L: float, D: float, n_points: int = 16385) -> Stead
         raise NumericalFailure("amplitude bisection did not converge in 200 iterations")
     mu_star = 0.5 * (lo + hi)
 
+    from scipy.integrate import solve_ivp
+
     def rhs(_, y):
         return [y[1], -y[0] * (1.0 - y[0]) / D]
 
@@ -200,6 +201,8 @@ def radial_shoot(c: float, D: float, R: float, m: int = 2, samples: int = 1000) 
         raise ValueError("space dimension m must be at least 1")
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
+
+    from scipy.integrate import solve_ivp
 
     def rhs(r, y):
         u, up = y

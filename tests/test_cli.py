@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -353,6 +354,20 @@ class TestExitCodes:
         assert err.startswith("rdlab: numerical failure: ") and artifact in err
         assert not (out / artifact).exists()
         assert not (out / "manifest.json").exists()
+        # the files written before the failure (timemap.csv and timemap.svg
+        # when report.json fails) stay out of the output directory too
+        assert list(out.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
+
+    def test_failed_run_leaves_an_earlier_run_untouched(self, tmp_path, monkeypatch):
+        payload = {"D": 0.1, "mu": [0.3, 0.5], "svg": True}
+        rc, out = _run(tmp_path, "timemap", payload)
+        assert rc == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        monkeypatch.setattr(cli, "kiss_size", lambda *args: float("nan"))
+        rc, _ = _run(tmp_path, "timemap", {**payload, "mu": [0.4, 0.6]})
+        assert rc == 4
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_dirichlet_logistic_run_exits_zero(self, tmp_path):
         # c / h^2 > 1: the pinned boundary must stay exactly 0 over t = 200
@@ -381,6 +396,14 @@ class TestExitCodes:
         monkeypatch.setenv("RDLAB_THREADS", "many")
         rc, _ = _run(tmp_path, "equilibria", {"model": {"preset": "reference"}})
         assert rc == 0
+
+    def test_thread_counts_are_left_to_the_caller(self, tmp_path, monkeypatch):
+        names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        for name in names:
+            monkeypatch.delenv(name, raising=False)
+        rc, _ = _run(tmp_path, "equilibria", {"model": {"preset": "reference"}})
+        assert rc == 0
+        assert not set(names) & set(os.environ)
 
     @pytest.mark.parametrize("key, value", [("probe_stride", 0), ("t_end", float("inf"))])
     def test_bad_evolve_input_is_one_line_config_error(self, tmp_path, capsys, key, value):

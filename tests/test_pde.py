@@ -26,6 +26,17 @@ def _interval(N, L=1.0, bc="neumann"):
     return Domain1D(kind="interval", length=L, N=N, bc=bc)
 
 
+def _grad_l2_norm_reference(field):
+    """The per-field gradient norm as first written: one np.sum over the 2-D array."""
+    h = field.domain.h
+    g = np.diff(field.values, axis=1) / h
+    w = np.full(g.shape[1], h)
+    if field.domain.kind == "radial":
+        mid = 0.5 * (field.domain.grid()[1:] + field.domain.grid()[:-1])
+        w = w * mid ** (field.domain.m - 1)
+    return float(np.sqrt(np.sum(g * g * w)))
+
+
 def _eigenfunction_defect(domain, u, lam):
     """Sup norm of (Laplacian u + lam u) over interior nodes."""
     applied = laplacian_apply(domain, u)
@@ -109,6 +120,9 @@ class TestFieldDiagnostics:
         snaps = [traj.snapshot(i) for i in range(len(traj.times))]
         assert np.array_equal(traj.spatial_averages(), [spatial_average(f) for f in snaps])
         assert np.array_equal(traj.flatness(), [flatness(f) for f in snaps])
+        reference = [_grad_l2_norm_reference(f) for f in snaps]
+        assert np.array_equal([grad_l2_norm(f) for f in snaps], reference)
+        assert np.array_equal(traj.grad_l2_norms(), reference)
 
     @pytest.mark.parametrize("length", [0.0, -1.0, float("nan"), float("inf")])
     def test_domain_length_must_be_finite_and_positive(self, length):

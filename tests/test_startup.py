@@ -1,0 +1,60 @@
+"""Start-up cost: importing rdlab loads numpy alone, and each command only the scipy it uses.
+
+The checks run in a fresh interpreter, since this test process has scipy
+loaded already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import rdlab
+
+_SCRIPT = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = {}
+import rdlab
+loaded["import rdlab"] = scipy_modules()
+import rdlab.cli
+loaded["import rdlab.cli"] = scipy_modules()
+for command, config, out in json.loads(sys.argv[1]):
+    rc = rdlab.cli.main([command, "--config", config, "--out", out])
+    loaded[command] = scipy_modules() if rc == 0 else f"exit {rc}"
+print(json.dumps(loaded))
+"""
+
+_CONFIGS = {
+    "equilibria": {"model": {"preset": "reference"}},
+    "chs": {"model": {"preset": "reference"}, "L": 1.0},
+    "pde": {
+        "model": {"preset": "reference"},
+        "domain": {"kind": "interval", "length": 1.0, "N": 16, "bc": "neumann"},
+        "phi": "paper-phi",
+        "t_end": 0.5,
+    },
+}
+
+
+def test_commands_load_only_the_scipy_modules_they_use(tmp_path):
+    runs = []
+    for command, config in _CONFIGS.items():
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(config))
+        runs.append([command, str(path), str(tmp_path / command)])
+    env = dict(os.environ, PYTHONPATH=str(Path(rdlab.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", _SCRIPT, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    # the theory commands and the import itself stay on numpy alone
+    for step in ("import rdlab", "import rdlab.cli", "equilibria", "chs"):
+        assert loaded[step] == [], step
+    # a pde run needs LAPACK's tridiagonal solvers, not the ODE integrators
+    assert isinstance(loaded["pde"], list), loaded["pde"]
+    assert "scipy.linalg.lapack" in loaded["pde"]
+    assert not {"scipy.integrate", "scipy.optimize"} & set(loaded["pde"])
