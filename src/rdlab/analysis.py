@@ -161,16 +161,13 @@ def chs_report(model: CompetitionModel, L: float, *, region=None,
                      float(M_sup / lambda1))
 
 
-def decay_fit(trajectory: PdeTrajectory, window: tuple[float, float] | None = None, *,
-              grad_norms: np.ndarray | None = None):
+def decay_fit(trajectory: PdeTrajectory, window: tuple[float, float] | None = None):
     """Least-squares exponential decay rate of the gradient norm.
 
     Fits log ||grad u(t)|| ~ log A - rate * t over snapshot times in
     ``window`` (default [t_end/10, t_end/2]), a pair [t_lo, t_hi] with
     t_lo < t_hi.  Requires at least 10 snapshots in the window, all with
-    gradient norm above 1e-14.  ``grad_norms`` is the trajectory's
-    ``grad_l2_norms()``, for a caller that already has it.  Returns
-    (rate, amplitude).
+    gradient norm above 1e-14.  Returns (rate, amplitude).
     """
     t_end = float(trajectory.times[-1])
     if window is None:
@@ -182,9 +179,7 @@ def decay_fit(trajectory: PdeTrajectory, window: tuple[float, float] | None = No
     if int(keep.sum()) < 10:
         raise ValueError(f"need at least 10 snapshots in window [{t_lo:g}, {t_hi:g}]")
     times = trajectory.times[keep]
-    if grad_norms is None:
-        grad_norms = trajectory.grad_l2_norms()
-    norms = grad_norms[keep]
+    norms = trajectory.grad_l2_norms()[keep]
     if norms.min() <= 1e-14:
         raise ValueError("gradient norm at or below 1e-14 in window; nothing left to fit")
     slope, intercept = np.polyfit(times, np.log(norms), 1)

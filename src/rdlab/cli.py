@@ -7,10 +7,11 @@ so rerunning a command with the same config reproduces the same bytes.
 
 Each command declares its config keys once, in a schema table that
 ``_parse`` checks before the command's handler runs.  A handler runs every
-computation before it writes its first file, and it writes into a staging
-directory beside the output directory; the files move into the output
-directory only after the manifest is written.  So a run that fails leaves
-no file of its own there and overwrites none from an earlier run.
+computation before it writes its first file, and it writes into a hidden
+staging directory inside the output directory; the files move up into the
+output directory, by renames on the same filesystem, only after the
+manifest is written.  So a run that fails leaves no file of its own there
+and overwrites none from an earlier run.
 
 Exit codes: 0 success, 2 config error, 3 degenerate model, 4 numerical
 failure, 5 no periodic orbit where one was required.
@@ -326,8 +327,8 @@ def _decay(traj, window, clip: bool):
     The rows (t, gradient norm, fitted curve) cover the fit window when
     ``clip`` is set and every snapshot otherwise.
     """
+    rate, amplitude = decay_fit(traj, window)
     grads = traj.grad_l2_norms()
-    rate, amplitude = decay_fit(traj, window, grad_norms=grads)
     keep = (traj.times >= window[0]) & (traj.times <= window[1]) if clip else slice(None)
     times = traj.times[keep]
     return rate, amplitude, np.column_stack([times, grads[keep], amplitude * np.exp(-rate * times)])
@@ -756,9 +757,10 @@ def main(argv=None) -> int:
         config = {} if args.config is None else _load_config(args.config)
         out = Path(args.out) if args.out else Path(f"rdlab-{args.command}")
         out.mkdir(parents=True, exist_ok=True)
-        # the run writes into a sibling staging directory, and its files move
-        # into out only once all of them, the manifest last, are written
-        staging = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=out.parent))
+        # the run writes into a staging directory inside out (same filesystem,
+        # writable whenever out is), and its files move up into out only once
+        # all of them, the manifest last, are written
+        staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
         try:
             files, extras = handler(_parse(config, schema), staging)
             files.append(write_manifest(staging, args.command, config, files, extra=extras))

@@ -369,6 +369,42 @@ class TestExitCodes:
         assert rc == 4
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_files_move_up_from_a_staging_directory_inside_out(self, tmp_path, monkeypatch):
+        # staging inside --out keeps every move a rename on out's own
+        # filesystem (out may be a mount point or a symlink elsewhere) and
+        # needs no write access to out's parent
+        moves = []
+        replace = os.replace
+
+        def spy(src, dst):
+            moves.append((src, dst))
+            replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", spy)
+        rc, out = _run(tmp_path, "timemap", {"D": 0.1, "mu": [0.3, 0.5], "svg": True})
+        assert rc == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(d.name for _, d in moves)
+        for src, dst in moves:
+            assert src.parent.parent == out and src.parent.name.startswith(".staging-")
+            assert dst == out / src.name
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                        reason="directory permissions do not bind root")
+    def test_out_under_a_read_only_parent(self, tmp_path):
+        out = tmp_path / "locked" / "out"
+        out.mkdir(parents=True)
+        (tmp_path / "locked").chmod(0o555)
+        try:
+            rc = main(["timemap", "--config",
+                       _write_config(tmp_path, {"D": 0.1, "mu": [0.3, 0.5], "svg": True}),
+                       "--out", str(out)])
+        finally:
+            (tmp_path / "locked").chmod(0o755)
+        assert rc == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "report.json", "timemap.csv", "timemap.svg"]
+
     def test_dirichlet_logistic_run_exits_zero(self, tmp_path):
         # c / h^2 > 1: the pinned boundary must stay exactly 0 over t = 200
         payload = {
