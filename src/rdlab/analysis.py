@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CompetitionModel
+from .model import CompetitionModel, equilibria
 from .pde import PdeTrajectory, spatial_average
 
 REGION_SIGMA_2SPECIES = "sigma-region-2species"
 REGION_A_3SPECIES = "region-A-3species"
+PERIODIC_SCORE = 0.9  # periodicity scores above it are periodic
 
 
 def _region_box_and_mask(model: CompetitionModel, region):
@@ -84,21 +85,15 @@ def _region_vertices(model: CompetitionModel, region, box: np.ndarray) -> np.nda
     return np.array(pts) if pts else np.empty((0, n))
 
 
-def _norm_sq_batch(model: CompetitionModel, pts: np.ndarray, norm: str) -> np.ndarray:
+def _norm_batch(model: CompetitionModel, pts: np.ndarray, norm: str) -> np.ndarray:
+    """Norm of the kinetic Jacobian at each row of ``pts``."""
+    if norm not in ("frobenius", "operator"):
+        raise ValueError(f"unknown norm {norm!r}")
     a = model.a
-    if norm == "frobenius":
-        r = pts @ a.T
-        diag = 1.0 - r - pts * np.diag(a)
-        out = np.sum(diag * diag, axis=1)
-        off = np.sum(a * a, axis=1) - np.diag(a) ** 2
-        out += pts * pts @ off
-        return out
-    if norm == "operator":
-        J = -a[None, :, :] * pts[:, :, None]
-        idx = np.arange(model.n)
-        J[:, idx, idx] += 1.0 - pts @ a.T
-        return np.linalg.norm(J, ord=2, axis=(1, 2)) ** 2
-    raise ValueError(f"unknown norm {norm!r}")
+    J = -a[None, :, :] * pts[:, :, None]
+    idx = np.arange(model.n)
+    J[:, idx, idx] += 1.0 - pts @ a.T
+    return np.linalg.norm(J, ord="fro" if norm == "frobenius" else 2, axis=(1, 2))
 
 
 def sup_jacobian_norm(model: CompetitionModel, region, *, norm: str = "frobenius") -> float:
@@ -120,7 +115,7 @@ def sup_jacobian_norm(model: CompetitionModel, region, *, norm: str = "frobenius
     box, member = _region_box_and_mask(model, region)
     verts = _region_vertices(model, region, box)
     verts = verts[member(verts)]
-    return float(np.sqrt(_norm_sq_batch(model, verts, norm).max()))
+    return float(_norm_batch(model, verts, norm).max())
 
 
 @dataclass(frozen=True)
@@ -135,24 +130,20 @@ class ChsReport:
     threshold_d: float
 
 
-def chs_report(model: CompetitionModel, L: float, *, region=None,
-               norm: str = "frobenius") -> ChsReport:
+def chs_report(model: CompetitionModel, L: float, *, norm: str = "frobenius") -> ChsReport:
     """Certificate for diffusion-driven flattening on an interval of length L.
 
-    The Jacobian norm is maximized over the named invariant region for
-    n = 2 or 3; other sizes need an explicit box region.  flat_guarantee is
-    sigma > 0, and threshold_d = M_sup / lambda1 is the diffusion floor at
+    The Jacobian norm is maximized over the named invariant region, which
+    exists for n = 2 or 3 only; other sizes raise ValueError.  flat_guarantee
+    is sigma > 0, and threshold_d = M_sup / lambda1 is the diffusion floor at
     which the guarantee kicks in.
     """
     if not (math.isfinite(L) and L > 0.0):
         raise ValueError(f"interval length L must be finite and positive, got {L}")
-    if region is None:
-        if model.n == 2:
-            region = REGION_SIGMA_2SPECIES
-        elif model.n == 3:
-            region = REGION_A_3SPECIES
-        else:
-            raise ValueError("no named region for this species count; pass a box region")
+    regions = {2: REGION_SIGMA_2SPECIES, 3: REGION_A_3SPECIES}
+    if model.n not in regions:
+        raise ValueError(f"no named invariant region for {model.n} species (2 or 3 needed)")
+    region = regions[model.n]
     lambda1 = (np.pi / L) ** 2
     M_sup = sup_jacobian_norm(model, region, norm=norm)
     d_min = float(model.d.min())
@@ -271,8 +262,7 @@ class OmegaClassification:
     equilibrium_distance: float | None
 
 
-def classify_omega(trajectory: PdeTrajectory, model: CompetitionModel,
-                   equilibria_list=None) -> OmegaClassification:
+def classify_omega(trajectory: PdeTrajectory, model: CompetitionModel) -> OmegaClassification:
     """Classify the late-time regime of a PDE run (final quarter of the run).
 
     Flat runs (spatial oscillation < 1e-4) are matched against equilibria
@@ -281,8 +271,6 @@ def classify_omega(trajectory: PdeTrajectory, model: CompetitionModel,
     (>= 1e-2) split into steady (temporal variation < 1e-6) and periodic
     (score > 0.9 at every probe).  Everything else is undetermined.
     """
-    from .model import equilibria as _equilibria
-
     t_end = float(trajectory.times[-1])
     if t_end < 50.0:
         raise ValueError("classification needs a run of at least 50 time units")
@@ -310,24 +298,23 @@ def classify_omega(trajectory: PdeTrajectory, model: CompetitionModel,
 
     eq_dist = None
     label = None
-    if equilibria_list is None:
-        equilibria_list = _equilibria(model)
+    eqs = equilibria(model)
     final_avg = spatial_average(trajectory.final)
-    if equilibria_list:
-        dists = [float(np.linalg.norm(eq.point - final_avg)) for eq in equilibria_list]
+    if eqs:
+        dists = [float(np.linalg.norm(eq.point - final_avg)) for eq in eqs]
         k = int(np.argmin(dists))
-        eq_dist, label = dists[k], equilibria_list[k].label
+        eq_dist, label = dists[k], eqs[k].label
 
     if flat < 1e-4:
         if eq_dist is not None and eq_dist < 1e-6:
             return OmegaClassification("constant-equilibrium", label, flat, min_score, eq_dist)
-        if min_score is not None and min_score > 0.9:
+        if min_score is not None and min_score > PERIODIC_SCORE:
             return OmegaClassification("flat-periodic", None, flat, min_score, eq_dist)
         return OmegaClassification("undetermined", None, flat, min_score, eq_dist)
     if flat >= 1e-2:
         drift = float(np.max(np.abs(trajectory.fields[keep] - trajectory.fields[-1])))
         if drift < 1e-6:
             return OmegaClassification("heterogeneous-steady", None, flat, min_score, eq_dist)
-        if min_score is not None and min_score > 0.9:
+        if min_score is not None and min_score > PERIODIC_SCORE:
             return OmegaClassification("heterogeneous-periodic", None, flat, min_score, eq_dist)
     return OmegaClassification("undetermined", None, flat, min_score, eq_dist)

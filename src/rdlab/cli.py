@@ -756,11 +756,14 @@ def main(argv=None) -> int:
     try:
         config = {} if args.config is None else _load_config(args.config)
         out = Path(args.out) if args.out else Path(f"rdlab-{args.command}")
-        out.mkdir(parents=True, exist_ok=True)
         # the run writes into a staging directory inside out (same filesystem,
         # writable whenever out is), and its files move up into out only once
         # all of them, the manifest last, are written
-        staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+        except OSError as exc:  # out, or a parent of it, is a file or not writable
+            raise ConfigError(f"cannot write into output directory {out}: {exc}") from exc
         try:
             files, extras = handler(_parse(config, schema), staging)
             files.append(write_manifest(staging, args.command, config, files, extra=extras))

@@ -92,8 +92,7 @@ def sha256_file(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def svg_line_chart(path, series, *, title="", x_label="", y_label="",
-                   width=640, height=400) -> Path:
+def svg_line_chart(path, series, *, title="", x_label="", y_label="") -> Path:
     """Minimal static line chart: axes, ticks, and one polyline per series.
 
     ``series`` is a sequence of (label, x, y) with 1-D arrays.  The chart
@@ -104,6 +103,7 @@ def svg_line_chart(path, series, *, title="", x_label="", y_label="",
               for label, x, y in series]
     if not series or any(x.size < 2 or x.size != y.size for _, x, y in series):
         raise ValueError("each series needs matching x/y arrays with at least 2 points")
+    width, height = 640, 400
     ml, mr, mt, mb = 62, 16, 34, 46
     x_lo = min(float(x.min()) for _, x, _ in series)
     x_hi = max(float(x.max()) for _, x, _ in series)
@@ -113,10 +113,9 @@ def svg_line_chart(path, series, *, title="", x_label="", y_label="",
         x_hi = x_lo + 1.0
     if y_hi - y_lo <= 0.0:
         pad = max(1e-12, abs(y_lo)) * 0.5 + 0.5
-        y_lo, y_hi = y_lo - pad, y_hi + pad
     else:
         pad = 0.05 * (y_hi - y_lo)
-        y_lo, y_hi = y_lo - pad, y_hi + pad
+    y_lo, y_hi = y_lo - pad, y_hi + pad
     # finite data in finite ranges keep every coordinate and tick finite
     if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)
             and all(np.isfinite(x).all() and np.isfinite(y).all() for _, x, y in series)):

@@ -37,6 +37,7 @@ RETURN_TIME_RTOL = 1e-4
 SETTLE_TOL = 1e-8
 SETTLE_SAMPLES = 10
 TRIVIAL_MULTIPLIER_TOL = 1e-3
+MODULUS_MARGIN = 1e-6  # a multiplier modulus within it of 1 is borderline
 
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _EPS = np.finfo(float).eps
@@ -125,7 +126,6 @@ class _Run:
     dense: _Interpolant | None  # over the steps ending at or after keep_from
     t_events: np.ndarray | None  # upward section crossings
     y_events: np.ndarray | None
-    y_eval: np.ndarray | None  # samples at t_eval, shape (m, len(t_eval))
 
 
 def _initial_step(rhs, y0, f0, t_end, rtol, atol, error_exponent):
@@ -145,19 +145,16 @@ def _initial_step(rhs, y0, f0, t_end, rtol, atol, error_exponent):
     return min(100 * h0, h1, t_end)
 
 
-def _dopri5(rhs, y0, t_end, tol, *, densities=None, keep_from=math.inf, t_eval=None,
-            section=None) -> _Run:
+def _dopri5(rhs, y0, t_end, tol, *, densities=None, keep_from=math.inf, section=None) -> _Run:
     """Integrate the autonomous system y' = f(y) from y0 over [0, t_end].
 
     ``rhs(y, out)`` writes f(y) into ``out`` and returns it.  The run
     matches ``solve_ivp(lambda t, y: f(y), (0, t_end), y0, method="RK45",
     rtol=tol, atol=tol * 1e-2)`` operation for operation, so its times,
-    states, nfev, section roots and samples equal scipy's bit for bit.
+    states, nfev, section roots and dense output equal scipy's bit for bit.
 
     - ``keep_from``: the dense output covers the steps ending at or after it
       (0 keeps all of them; the default keeps none).
-    - ``t_eval``: sorted times in [0, t_end]; each step evaluates its quartic
-      on the ones it covers, as solve_ivp does.
     - ``section``: y -> float; each upward zero crossing (``g <= 0`` at the
       step start and ``>= 0`` at its end) is refined by brentq on the step's
       quartic with xtol = rtol = 4 eps, and is recorded with its state.
@@ -186,8 +183,6 @@ def _dopri5(rhs, y0, t_end, tol, *, densities=None, keep_from=math.inf, t_eval=N
 
         g = section(y)
         t_events, y_events = [], []
-    if t_eval is not None:
-        i_eval, y_eval = 0, []
 
     while t < t_end:
         min_step = 10 * math.ulp(t)
@@ -240,11 +235,6 @@ def _dopri5(rhs, y0, t_end, tol, *, densities=None, keep_from=math.inf, t_eval=N
                 t_events.append(root)
                 y_events.append(_interpolate(root, t_old, h, Q, y_old))
             g = g_new
-        if t_eval is not None:
-            i_new = np.searchsorted(t_eval, t, side="right")
-            if i_new > i_eval:
-                y_eval.append(_interpolate(t_eval[i_eval:i_new], t_old, h, K_E.dot(P), y_old))
-                i_eval = i_new
         K[0] = K[-1]  # the next step starts from this step's end derivative
 
     Y = np.array(ys)
@@ -257,7 +247,6 @@ def _dopri5(rhs, y0, t_end, tol, *, densities=None, keep_from=math.inf, t_eval=N
         np.array(ts), Y, stats, dense,
         None if section is None else np.asarray(t_events),
         None if section is None else np.asarray(y_events),
-        None if t_eval is None else np.hstack(y_eval),
     )
 
 
@@ -457,15 +446,15 @@ def detect_limit_cycle(model: CompetitionModel, U0, max_time: float = DEFAULT_MA
     if hit is not None:
         period, anchor, crossings = hit
         t_samp = np.linspace(0.0, period, 401)
-        one_period = _dopri5(rhs, anchor, period, tol, t_eval=t_samp)
+        one_period = _dopri5(rhs, anchor, period, tol, keep_from=0.0)
         solver["closure"] = one_period.stats
-        closure = np.linalg.norm(one_period.y_eval[:, -1] - anchor)
-        if closure < RETURN_STATE_TOL:
+        samples = one_period.dense(t_samp)
+        if np.linalg.norm(samples[:, -1] - anchor) < RETURN_STATE_TOL:
             mono, solver["monodromy"] = _monodromy_matrix(model, anchor, period,
                                                           np.zeros(model.n), tol)
             mult = np.linalg.eigvals(mono)
             mult = mult[np.argsort(-np.abs(mult))]
-            return OrbitAnalysis("periodic", True, period, anchor, t_samp, one_period.y_eval.T,
+            return OrbitAnalysis("periodic", True, period, anchor, t_samp, samples.T,
                                  mono, mult, None, crossings, solver)
 
     if _is_settled(model, run.dense, 0.0, span):
@@ -571,9 +560,9 @@ def orbital_stability(model: CompetitionModel, orbit: OrbitAnalysis, k_max: int 
     if not unit_simple:
         return StabilityVerdict("inconclusive", base, modal)
     moduli = list(np.abs(base[~near_one])) + [abs(m) for ms in modal.values() for m in ms]
-    if any(m > 1.0 + 1e-6 for m in moduli):
+    if any(m > 1.0 + MODULUS_MARGIN for m in moduli):
         verdict = "unstable"
-    elif all(m < 1.0 - 1e-6 for m in moduli):
+    elif all(m < 1.0 - MODULUS_MARGIN for m in moduli):
         verdict = "stable"
     else:
         verdict = "inconclusive"

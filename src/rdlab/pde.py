@@ -154,11 +154,6 @@ class Field:
     def n_species(self) -> int:
         return self.values.shape[0]
 
-    @classmethod
-    def from_functions(cls, domain: Domain1D, funcs) -> "Field":
-        x = domain.grid()
-        return cls(domain, np.array([np.asarray(f(x), dtype=float) for f in funcs]))
-
 
 def _quadrature_weights(domain: Domain1D) -> np.ndarray:
     # trapezoid weights; radial domains carry the r^(m-1) volume factor

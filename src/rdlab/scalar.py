@@ -9,7 +9,9 @@ The length of the positive hump through amplitude ``mu`` is the time map
 
 an increasing function with limit ``pi * sqrt(D)`` as mu -> 0+ (the
 critical interval length below which only the trivial state survives).
-Radial profiles are computed by shooting from the regular center.
+The Dirichlet profile runs on the kinetics module's DOPRI5 loop.  Radial
+profiles are shot from the regular center by scipy's ``solve_ivp``, which
+stops at their events.
 """
 
 import math
@@ -18,10 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
+from .kinetics import _dopri5
 
 MU_MIN = 1e-8
 MU_MAX = 1.0 - 1e-6
 BLOWUP_THRESHOLD = 1e6
+PROFILE_POINTS = 16385  # odd, so the midpoint is a grid node
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -85,7 +89,7 @@ def _adaptive_gl(f, a: float, b: float, rtol: float) -> float:
     return total
 
 
-def time_map(mu: float, D: float, rtol: float = 1e-8) -> float:
+def time_map(mu: float, D: float) -> float:
     """Length L(mu) of the positive Dirichlet hump with amplitude mu.
 
     Valid for 1e-8 <= mu <= 1 - 1e-6 and finite D > 0.  The substitutions
@@ -93,7 +97,7 @@ def time_map(mu: float, D: float, rtol: float = 1e-8) -> float:
     singularity exactly: with g(u) = (mu + u)/2 - (mu^2 + mu u + u^2)/3 the
     integrand becomes 2 sqrt(mu) / sqrt(g(mu (1 - w^2))), smooth on [0, 1],
     and is integrated by adaptive Gauss-Legendre panels to relative
-    tolerance ``rtol``.
+    tolerance 1e-8.
     """
     if not MU_MIN <= mu <= MU_MAX:
         raise ValueError(f"amplitude mu must lie in [{MU_MIN:g}, {MU_MAX:g}]")
@@ -104,7 +108,7 @@ def time_map(mu: float, D: float, rtol: float = 1e-8) -> float:
         g = (mu + u) / 2.0 - (mu * mu + mu * u + u * u) / 3.0
         return 2.0 * np.sqrt(mu) / np.sqrt(g)
 
-    return float(np.sqrt(2.0 * D) * _adaptive_gl(integrand, 0.0, 1.0, rtol))
+    return float(np.sqrt(2.0 * D) * _adaptive_gl(integrand, 0.0, 1.0, 1e-8))
 
 
 @dataclass(frozen=True)
@@ -117,19 +121,17 @@ class SteadyProfile:
     mu_star: float
 
 
-def dirichlet_steady_profile(L: float, D: float, n_points: int = 16385) -> SteadyProfile | None:
+def dirichlet_steady_profile(L: float, D: float) -> SteadyProfile | None:
     """Positive Dirichlet steady state on (0, L), or None when L <= pi sqrt(D).
 
     The amplitude mu* solving L(mu*) = L is found by bisection (time_map is
     increasing); the profile is then integrated outward from the midpoint
-    (mu*, 0) and mirrored.  Lengths beyond time_map(1 - 1e-6) are out of
-    range and raise ValueError, as do an ``L`` or ``D`` that is not finite
-    and positive.
+    (mu*, 0) by ``_dopri5`` at tol 1e-10, sampled on 16385 nodes and mirrored.
+    Lengths beyond time_map(1 - 1e-6) are out of range and raise ValueError,
+    as do an ``L`` or ``D`` that is not finite and positive.
     """
     _require_finite_positive("L", L)
     _require_finite_positive("D", D)
-    if n_points < 3:
-        raise ValueError("n_points must be at least 3")
     if L <= kiss_size(D):
         return None
     lo, hi = MU_MIN, MU_MAX
@@ -150,25 +152,21 @@ def dirichlet_steady_profile(L: float, D: float, n_points: int = 16385) -> Stead
         raise NumericalFailure("amplitude bisection did not converge in 200 iterations")
     mu_star = 0.5 * (lo + hi)
 
-    from scipy.integrate import solve_ivp
+    def rhs(y, out):
+        out[0] = y[1]
+        out[1] = -y[0] * (1.0 - y[0]) / D
+        return out
 
-    def rhs(_, y):
-        return [y[1], -y[0] * (1.0 - y[0]) / D]
-
-    if n_points % 2 == 0:
-        n_points += 1  # keep the midpoint on the grid
-    half = np.linspace(0.0, L / 2.0, (n_points + 1) // 2)
-    sol = solve_ivp(rhs, (0.0, L / 2.0), [mu_star, 0.0], method="RK45",
-                    rtol=1e-10, atol=1e-12, dense_output=True)
-    if not sol.success:
-        raise NumericalFailure(f"profile integration failed: {sol.message}")
-    right, right_slope = sol.sol(half)
+    half = np.linspace(0.0, L / 2.0, (PROFILE_POINTS + 1) // 2)
+    # tol 1e-10 runs at rtol 1e-10 and atol 1e-12
+    run = _dopri5(rhs, np.array([mu_star, 0.0]), L / 2.0, 1e-10, keep_from=0.0)
+    right, right_slope = run.dense(half)
     u = np.concatenate([right[:0:-1], right])
     u[0] = 0.0
     u[-1] = 0.0
     # the left half is the mirror image, so its slope flips sign
     up = np.concatenate([-right_slope[:0:-1], right_slope])
-    x = np.linspace(0.0, L, n_points)
+    x = np.linspace(0.0, L, PROFILE_POINTS)
     return SteadyProfile(x, u, up, mu_star)
 
 

@@ -389,6 +389,15 @@ class TestExitCodes:
             assert src.parent.parent == out and src.parent.name.startswith(".staging-")
             assert dst == out / src.name
 
+    @pytest.mark.parametrize("out_name", ["afile", "afile/sub"])
+    def test_out_on_an_existing_file_is_config_error(self, tmp_path, capsys, out_name):
+        # --out naming a file, or a path under one, cannot hold the run
+        (tmp_path / "afile").write_text("keep me\n")
+        rc, _ = _run(tmp_path, "equilibria", {"model": {"preset": "reference"}}, out_name)
+        assert rc == 2
+        assert "config error: cannot write into output directory" in capsys.readouterr().err
+        assert (tmp_path / "afile").read_text() == "keep me\n"
+
     @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
                         reason="directory permissions do not bind root")
     def test_out_under_a_read_only_parent(self, tmp_path):

@@ -91,11 +91,13 @@ class TestDopri5MatchesScipy:
         assert np.array_equal(run.dense(tail), ref.sol(tail))
 
     def test_t_eval_samples(self, reference_kinetics):
+        # the closure run of detect_limit_cycle samples its dense output where
+        # solve_ivp would evaluate t_eval step by step; both give the same bits
         t_eval = np.linspace(0.0, 207.7, 401)
         ref = _scipy_rk45(lambda y: reaction(reference_kinetics, y), 207.7, PINNED, 1e-7,
-                          t_eval=t_eval, dense_output=True)
-        run = _dopri5(_kinetic_rhs(reference_kinetics), PINNED, 207.7, 1e-7, t_eval=t_eval)
-        assert np.array_equal(run.y_eval, ref.y)
+                          t_eval=t_eval)
+        run = _dopri5(_kinetic_rhs(reference_kinetics), PINNED, 207.7, 1e-7, keep_from=0.0)
+        assert np.array_equal(run.dense(t_eval), ref.y)
 
     def test_variational_system(self, reference_model):
         model = reference_model

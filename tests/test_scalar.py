@@ -112,6 +112,23 @@ class TestDirichletProfile:
         residual = D * upp + u[1:-1] * (1.0 - u[1:-1])
         assert np.max(np.abs(residual)) < 1e-6
 
+    @pytest.mark.parametrize("L, D", [(2.0, 0.1), (1.05 * np.pi * np.sqrt(0.1), 0.1),
+                                      (5.0, 0.3), (30.0, 2.0)])
+    def test_matches_solve_ivp_bit_for_bit(self, L, D):
+        # the reference is the phase-plane run on scipy's RK45 at the same
+        # tolerances, sampled on the same half grid and mirrored
+        from scipy.integrate import solve_ivp
+
+        profile = dirichlet_steady_profile(L, D)
+        sol = solve_ivp(lambda _, y: [y[1], -y[0] * (1.0 - y[0]) / D], (0.0, L / 2.0),
+                        [profile.mu_star, 0.0], method="RK45", rtol=1e-10, atol=1e-12,
+                        dense_output=True)
+        right, right_slope = sol.sol(np.linspace(0.0, L / 2.0, profile.x.size // 2 + 1))
+        u = np.concatenate([right[:0:-1], right])
+        u[0] = u[-1] = 0.0
+        assert np.array_equal(profile.u, u)
+        assert np.array_equal(profile.uprime, np.concatenate([-right_slope[:0:-1], right_slope]))
+
     def test_length_beyond_map_range_raises(self):
         with pytest.raises(ValueError):
             dirichlet_steady_profile(10.0, 0.1)
