@@ -37,8 +37,6 @@ from .model import (
     condition_report,
     equilibria,
     jacobian,
-    jacobian_frobenius_sq,
-    jacobian_norm,
     load_model,
     model_to_dict,
     reaction,
@@ -53,9 +51,7 @@ from .pde import (
     evolve,
     flatness,
     grad_l2_norm,
-    laplacian_apply,
     neumann_eigenvalue,
-    neumann_mode,
     spatial_average,
 )
 from .scalar import (

@@ -585,14 +585,6 @@ def _run_chs(cfg: dict, out: Path):
         "model": model_to_dict(model),
         "norm": norm,
         **_sigma_dict(model, L, rep),
-        # The classical length floor 2^(-1/4) pi min(d) compares a length to a
-        # diffusion rate; it is dimensionally inconsistent, so the sigma sign
-        # above is the operative criterion and the floor is reported untouched.
-        "length_threshold_note": (
-            "classical floor L < 2^(-1/4)*pi*min(d) compares a length to a "
-            "diffusion coefficient; sigma > 0 is the operative test"
-        ),
-        "classical_length_floor": float(2.0 ** -0.25 * np.pi * rep.d_min),
     }
     files = []
     run = cfg.get("run")

@@ -1,16 +1,16 @@
 """Pointwise kinetics: trajectories, limit-cycle detection and Floquet data.
 
-Every trajectory is integrated by ``_dopri5``, a Dormand-Prince 5(4) loop
-with a quartic dense output.  It reproduces scipy's
-``solve_ivp(method="RK45")`` bit for bit: the tableau is read from
-``scipy.integrate.RK45`` on first use, and each floating-point operation
-(initial step, stage sums, RMS error norm, step control, section roots,
-interpolated samples) is the one scipy performs, so results do not depend
-on which of the two ran.  It drops scipy's per-step overhead: the wrapper
-layers around the right-hand side, an interpolant object per step where
-none is needed, and event bookkeeping on steps without a sign change.
-scipy is imported only by the integrations themselves (``scipy.optimize``
-only for a section), so importing this module loads numpy alone.
+Every adaptive integration in rdlab runs on ``_dopri5``, a Dormand-Prince
+5(4) loop with a quartic dense output and event location.  It reproduces
+scipy's RK45 integrator and its event handling bit for bit: the tableau is
+written with scipy's float-literal quotients, and each floating-point operation
+(initial step, stage times and sums, RMS error norm, step control, event
+roots, interpolated samples) is the one scipy performs, so results do not
+depend on which of the two ran.  It drops scipy's per-step overhead: the
+wrapper layers around the right-hand side, an interpolant object per step
+where none is needed, and event bookkeeping on steps without a sign
+change.  Only an event root imports scipy (``scipy.optimize.brentq``), so
+importing this module, or integrating without events, loads numpy alone.
 ``tests/test_kinetics.py`` holds the loop to that contract.
 
 Periodic orbits are detected on a Poincare section anchored at a
@@ -22,7 +22,6 @@ Jacobian, so no factorization shortcut is taken).
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import groupby
 
 import numpy as np
@@ -42,19 +41,30 @@ MODULUS_MARGIN = 1e-6  # a multiplier modulus within it of 1 is borderline
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _EPS = np.finfo(float).eps
 
-
-@cache
-def _rk45_tableau():
-    """scipy's RK45 tableau and step-control exponent, read on first use.
-
-    Returns (stage rows A[s, :s] for s = 1 .. n_stages - 1, B, E, P, error
-    exponent -1 / (error estimator order + 1)).  C is not needed: both
-    right-hand sides are autonomous.
-    """
-    from scipy.integrate import RK45
-
-    stage_rows = tuple(RK45.A[s, :s] for s in range(1, RK45.n_stages))
-    return stage_rows, RK45.B, RK45.E, RK45.P, -1 / (RK45.error_estimator_order + 1)
+# The Dormand-Prince 5(4) tableau (J. Comput. Appl. Math. 6, 1980) with the
+# quartic dense output of Shampine (Math. Comp. 46, 1986), written with the
+# same float-literal quotients as scipy's RK45, so both hold the same
+# doubles.  Stage s = 1 .. 5 sits at t + C[s - 1] h with weights A[s - 1].
+_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_A = tuple(map(np.array, (
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+)))
+_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+_ERROR_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
 
 
 @dataclass(frozen=True)
@@ -85,17 +95,18 @@ class _Interpolant:
 
     Segment lookup and evaluation follow scipy's OdeSolution; a step's
     coefficient matrix Q = K^T P is formed only when the step is evaluated.
+    A segment cut at a terminal root keeps the quartic of its full step.
     """
 
-    def __init__(self, ts, y_old, K, P):
-        self.ts = ts  # step boundaries, shape (m + 1,)
+    def __init__(self, ts, hs, y_old, K):
+        self.ts = ts  # segment boundaries, shape (m + 1,)
+        self._hs = hs  # step lengths, shape (m,)
         self._y_old = y_old  # shape (m, n)
         self._K = K  # stage derivatives, shape (m, stages + 1, n)
-        self._P = P  # the tableau's dense-output matrix
 
     def _segment(self, i, t):
-        Q = self._K[i].T.dot(self._P)
-        return _interpolate(t, self.ts[i], self.ts[i + 1] - self.ts[i], Q, self._y_old[i])
+        Q = self._K[i].T.dot(_P)
+        return _interpolate(t, self.ts[i], self._hs[i], Q, self._y_old[i])
 
     def __call__(self, t):
         """State(s) at t: shape (n,) for a scalar, (n, len(t)) for a 1-D array."""
@@ -120,15 +131,15 @@ class _Interpolant:
 
 @dataclass(frozen=True)
 class _Run:
-    t: np.ndarray  # accepted times, from 0 to t_end
+    t: np.ndarray  # accepted times, from 0 to t_end or to a terminal root
     y: np.ndarray  # accepted states, shape (len(t), m)
     stats: SolverStats
     dense: _Interpolant | None  # over the steps ending at or after keep_from
-    t_events: np.ndarray | None  # upward section crossings
-    y_events: np.ndarray | None
+    t_events: list  # one array of roots per event
+    y_events: list  # one array of states per event, shape (roots, m)
 
 
-def _initial_step(rhs, y0, f0, t_end, rtol, atol, error_exponent):
+def _initial_step(rhs, y0, f0, t_end, rtol, atol):
     """scipy's select_initial_step for a forward run from t = 0."""
     scale = atol + np.abs(y0) * rtol
     root_n = y0.size ** 0.5
@@ -136,55 +147,56 @@ def _initial_step(rhs, y0, f0, t_end, rtol, atol, error_exponent):
     d1 = np.linalg.norm(f0 / scale) / root_n
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end)
-    f1 = rhs(y0 + h0 * f0, np.empty(y0.size))
+    f1 = rhs(h0, y0 + h0 * f0, np.empty(y0.size))
     d2 = np.linalg.norm((f1 - f0) / scale) / root_n / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** -error_exponent
-    return min(100 * h0, h1, t_end)
+        h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
+    # a Python float keeps the step loop's times and step sizes off numpy scalars
+    return float(min(100 * h0, h1, t_end))
 
 
-def _dopri5(rhs, y0, t_end, tol, *, densities=None, keep_from=math.inf, section=None) -> _Run:
-    """Integrate the autonomous system y' = f(y) from y0 over [0, t_end].
+def _dopri5(rhs, y0, t_end, tol, *, densities=None, keep_from=math.inf, events=()) -> _Run:
+    """Integrate y' = f(t, y) from y0 over [0, t_end].
 
-    ``rhs(y, out)`` writes f(y) into ``out`` and returns it.  The run
-    matches ``solve_ivp(lambda t, y: f(y), (0, t_end), y0, method="RK45",
-    rtol=tol, atol=tol * 1e-2)`` operation for operation, so its times,
-    states, nfev, section roots and dense output equal scipy's bit for bit.
+    ``rhs(t, y, out)`` writes f(t, y) into ``out`` and returns it.  The run
+    matches scipy's RK45 at rtol = tol and atol = tol * 1e-2 operation for
+    operation, so its times, states, nfev, event roots and dense output
+    equal scipy's bit for bit.
 
     - ``keep_from``: the dense output covers the steps ending at or after it
       (0 keeps all of them; the default keeps none).
-    - ``section``: y -> float; each upward zero crossing (``g <= 0`` at the
-      step start and ``>= 0`` at its end) is refined by brentq on the step's
-      quartic with xtol = rtol = 4 eps, and is recorded with its state.
+    - ``events``: ``(g, direction, terminal)`` triples with ``g(t, y) ->
+      float``, as scipy's event functions with those attributes.  A
+      step on which g changes sign in the given direction (> 0 upward, < 0
+      downward, 0 either way) has its root refined by brentq on the step's
+      quartic with xtol = rtol = 4 eps.  When a terminal event fires, the
+      step's roots are sorted and cut after the first terminal one, and the
+      run ends at that root.
     - ``densities``: the number of leading components that ``min_state``
       covers (all by default).
 
     Raises NumericalFailure when the step size falls below 10 ulp(t).
     """
-    stage_rows, B, E, P, error_exponent = _rk45_tableau()
-    n_stages = len(stage_rows) + 1
     rtol, atol = max(tol, 100 * _EPS), tol * 1e-2  # scipy raises rtol to 100 eps
     rtol_v, atol_v = np.array(rtol), np.array(atol)
     n = y0.size
     root_n = n ** 0.5
-    K = np.empty((n_stages + 1, n))
-    stages = [(K[s], K[:s].T, a) for s, a in enumerate(stage_rows, start=1)]
+    K = np.empty((len(_B) + 1, n))
+    stages = [(K[s], K[:s].T, a, c) for s, (a, c) in enumerate(zip(_A, _C), start=1)]
     K_B, K_E = K[:-1].T, K.T
 
     t, y = 0.0, y0
-    h_abs = _initial_step(rhs, y, rhs(y, K[0]), t_end, rtol, atol, error_exponent)
+    h_abs = _initial_step(rhs, y, rhs(t, y, K[0]), t_end, rtol, atol)
     nfev, rejected_steps = 2, 0
     abs_y = np.abs(y)
-    ts, ys, kept = [t], [y], []
-    if section is not None:
-        from scipy.optimize import brentq
+    ts, ys, hs, kept = [t], [y], [], []
+    g = [event(t, y) for event, _, _ in events]
+    t_events, y_events = [[] for _ in events], [[] for _ in events]
+    terminate = False
 
-        g = section(y)
-        t_events, y_events = [], []
-
-    while t < t_end:
+    while t < t_end and not terminate:
         min_step = 10 * math.ulp(t)
         if h_abs < min_step:
             h_abs = min_step
@@ -198,43 +210,49 @@ def _dopri5(rhs, y0, t_end, tol, *, densities=None, keep_from=math.inf, section=
             h = t_new - t
             h_abs = abs(h)
             hv = np.array(h)  # a 0-d array scales an array faster than a float does
-            for row, K_s, a in stages:
-                rhs(y + K_s.dot(a) * hv, row)
-            y_new = y + hv * K_B.dot(B)
-            rhs(y_new, K[-1])
-            nfev += n_stages
+            for row, K_s, a, c in stages:
+                rhs(t + c * h, y + K_s.dot(a) * hv, row)
+            y_new = y + hv * K_B.dot(_B)
+            rhs(t + h, y_new, K[-1])
+            nfev += len(_B)
             abs_new = np.abs(y_new)
             scale = atol_v + np.maximum(abs_y, abs_new) * rtol_v
-            err = K_E.dot(E) * hv / scale
+            err = K_E.dot(_E) * hv / scale
             error_norm = math.sqrt(err.dot(err)) / root_n
             if error_norm < 1:
                 if error_norm == 0:
                     factor = _MAX_FACTOR
                 else:
-                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** error_exponent)
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
                 if step_rejected:
                     factor = min(1, factor)
                 h_abs *= factor
                 break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** error_exponent)
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             step_rejected = True
             rejected_steps += 1
 
         t_old, y_old = t, y
         t, y, abs_y = t_new, y_new, abs_new
+        active = []
+        for i, (event, direction, _) in enumerate(events):
+            before, g[i] = g[i], event(t, y)
+            if (direction >= 0 and before <= 0 <= g[i]) or (direction <= 0 and before >= 0 >= g[i]):
+                active.append(i)
+        if active:
+            Q = K_E.dot(_P)
+
+            def sol(s):
+                return _interpolate(s, t_old, h, Q, y_old)
+
+            root = _event_roots(events, active, sol, t_old, t, t_events, y_events)
+            if root is not None:
+                t, y, terminate = root, sol(root), True
         ts.append(t)
         ys.append(y)
         if t >= keep_from:
             kept.append(K.copy())
-        if section is not None:
-            g_new = section(y)
-            if g <= 0 and g_new >= 0:
-                Q = K_E.dot(P)
-                root = brentq(lambda s: section(_interpolate(s, t_old, h, Q, y_old)),
-                              t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
-                t_events.append(root)
-                y_events.append(_interpolate(root, t_old, h, Q, y_old))
-            g = g_new
+            hs.append(h)
         K[0] = K[-1]  # the next step starts from this step's end derivative
 
     Y = np.array(ys)
@@ -242,27 +260,46 @@ def _dopri5(rhs, y0, t_end, tol, *, densities=None, keep_from=math.inf, section=
     dense = None
     if kept:
         m = len(kept)
-        dense = _Interpolant(np.array(ts[-m - 1:]), Y[-m - 1:-1], np.array(kept), P)
-    return _Run(
-        np.array(ts), Y, stats, dense,
-        None if section is None else np.asarray(t_events),
-        None if section is None else np.asarray(y_events),
-    )
+        dense = _Interpolant(np.array(ts[-m - 1:]), np.array(hs), Y[-m - 1:-1], np.array(kept))
+    return _Run(np.array(ts), Y, stats, dense,
+                [np.asarray(te) for te in t_events], [np.asarray(ye) for ye in y_events])
+
+
+def _event_roots(events, active, sol, t_old, t, t_events, y_events):
+    """Record the active events' roots on one step as scipy's handle_events does.
+
+    Returns the earliest terminal root (later roots are dropped), or None.
+    """
+    from scipy.optimize import brentq
+
+    roots = [brentq(lambda s, g=events[i][0]: g(s, sol(s)), t_old, t,
+                    xtol=4 * _EPS, rtol=4 * _EPS) for i in active]
+    terminal = None
+    if any(events[i][2] for i in active):
+        order = sorted(range(len(roots)), key=roots.__getitem__)
+        cut = next(k for k, j in enumerate(order) if events[active[j]][2]) + 1
+        active = [active[j] for j in order[:cut]]
+        roots = [roots[j] for j in order[:cut]]
+        terminal = roots[-1]
+    for i, root in zip(active, roots):
+        t_events[i].append(root)
+        y_events[i].append(sol(root))
+    return terminal
 
 
 def _kinetic_rhs(model):
-    """f(U) = U (1 - a U) into ``out``, with the arithmetic of ``model.reaction``."""
+    """(t, U) -> f(U) = U (1 - a U) into ``out``, with the arithmetic of ``model.reaction``."""
     a = model.a
     one = np.array(1.0)
 
-    def rhs(U, out):
+    def rhs(t, U, out):
         return np.multiply(U, one - a.dot(U), out=out)
 
     return rhs
 
 
 def _variational_rhs(model, lam_d):
-    """(U, X) -> (f(U), (J(U) - diag(lam_d)) X) into ``out``.
+    """(t, (U, X)) -> (f(U), (J(U) - diag(lam_d)) X) into ``out``.
 
     The arithmetic is that of ``model.reaction`` and ``model.jacobian``.
     """
@@ -273,7 +310,7 @@ def _variational_rhs(model, lam_d):
     shift = np.diag(lam_d)
     one = np.array(1.0)
 
-    def rhs(y, out):
+    def rhs(t, y, out):
         U = y[:n]
         X = y[n:].reshape(n, n)
         growth = one - a.dot(U)
@@ -339,10 +376,9 @@ class OrbitAnalysis:
     """Outcome of long-run orbit classification.
 
     ``status`` is "periodic", "converged" or "undetermined".  For periodic
-    orbits the anchor lies on the cycle, ``sample_times``/``sample_states``
-    cover one full period, and the monodromy matrix with its multipliers is
-    attached.  ``crossing_times`` keeps the raw section-return times for
-    spread diagnostics.  ``solver`` maps each integration that ran
+    orbits the anchor lies on the cycle, and the monodromy matrix with its
+    multipliers is attached.  ``crossing_times`` keeps the raw section-return
+    times for spread diagnostics.  ``solver`` maps each integration that ran
     ("transient", "section", "closure", "monodromy", in that order) to its
     counters.
     """
@@ -351,8 +387,6 @@ class OrbitAnalysis:
     periodic: bool
     period: float | None
     anchor: np.ndarray | None
-    sample_times: np.ndarray | None
-    sample_states: np.ndarray | None
     monodromy: np.ndarray | None
     multipliers: np.ndarray | None
     converged_to: str | None
@@ -410,7 +444,7 @@ def detect_limit_cycle(model: CompetitionModel, U0, max_time: float = DEFAULT_MA
     anchor0 = transient.y[-1]
 
     def outcome(status, converged_to=None, crossing_times=None):
-        return OrbitAnalysis(status, False, None, None, None, None, None, None,
+        return OrbitAnalysis(status, False, None, None, None, None,
                              converged_to, crossing_times, solver)
 
     if _is_settled(model, transient.dense, 0.0, t_half):
@@ -420,14 +454,15 @@ def detect_limit_cycle(model: CompetitionModel, U0, max_time: float = DEFAULT_MA
     velocity = reaction(model, anchor0)
     normal = velocity / np.linalg.norm(velocity)
 
-    def crossing(y):
+    def crossing(t, y):
         return float(normal.dot(y - anchor0))
 
     span = max_time - t_half
-    run = _dopri5(rhs, anchor0, span, tol, keep_from=span - SETTLE_SAMPLES, section=crossing)
+    run = _dopri5(rhs, anchor0, span, tol, keep_from=span - SETTLE_SAMPLES,
+                  events=[(crossing, 1, False)])
     solver["section"] = run.stats
-    t_cross = run.t_events
-    x_cross = run.y_events
+    t_cross = run.t_events[0]
+    x_cross = run.y_events[0]
 
     hit = None
     if t_cross.size >= 4:
@@ -445,17 +480,15 @@ def detect_limit_cycle(model: CompetitionModel, U0, max_time: float = DEFAULT_MA
 
     if hit is not None:
         period, anchor, crossings = hit
-        t_samp = np.linspace(0.0, period, 401)
-        one_period = _dopri5(rhs, anchor, period, tol, keep_from=0.0)
+        one_period = _dopri5(rhs, anchor, period, tol)
         solver["closure"] = one_period.stats
-        samples = one_period.dense(t_samp)
-        if np.linalg.norm(samples[:, -1] - anchor) < RETURN_STATE_TOL:
+        if np.linalg.norm(one_period.y[-1] - anchor) < RETURN_STATE_TOL:
             mono, solver["monodromy"] = _monodromy_matrix(model, anchor, period,
                                                           np.zeros(model.n), tol)
             mult = np.linalg.eigvals(mono)
             mult = mult[np.argsort(-np.abs(mult))]
-            return OrbitAnalysis("periodic", True, period, anchor, t_samp, samples.T,
-                                 mono, mult, None, crossings, solver)
+            return OrbitAnalysis("periodic", True, period, anchor, mono, mult, None,
+                                 crossings, solver)
 
     if _is_settled(model, run.dense, 0.0, span):
         label = _settled_equilibrium_label(model, run.y[-1])

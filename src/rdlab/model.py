@@ -77,21 +77,6 @@ def jacobian(model: CompetitionModel, U: np.ndarray) -> np.ndarray:
     return J
 
 
-def jacobian_frobenius_sq(model: CompetitionModel, U: np.ndarray) -> float:
-    """Squared Frobenius norm of the kinetic Jacobian at U."""
-    J = jacobian(model, U)
-    return float(np.sum(J * J))
-
-
-def jacobian_norm(model: CompetitionModel, U: np.ndarray, norm: str = "frobenius") -> float:
-    """Norm of the kinetic Jacobian at U; ``norm`` is "frobenius" (default) or "operator"."""
-    if norm == "frobenius":
-        return float(np.sqrt(jacobian_frobenius_sq(model, U)))
-    if norm == "operator":
-        return float(np.linalg.norm(jacobian(model, U), 2))
-    raise ValueError(f"unknown norm {norm!r}")
-
-
 # --- equilibria ---------------------------------------------------------
 
 

@@ -110,16 +110,6 @@ def _laplacian_diagonals(domain: Domain1D):
     return sub, main, sup
 
 
-def laplacian_apply(domain: Domain1D, values: np.ndarray) -> np.ndarray:
-    """Apply the discrete Laplacian to one or more rows of grid values."""
-    values = np.asarray(values, dtype=float)
-    sub, main, sup = _laplacian_diagonals(domain)
-    out = values * main
-    out[..., 1:] += values[..., :-1] * sub[1:]
-    out[..., :-1] += values[..., 1:] * sup[:-1]
-    return out
-
-
 def neumann_eigenvalue(L: float, k: int) -> float:
     """k-th Neumann Laplacian eigenvalue (k pi / L)^2 on an interval of length L."""
     if not (math.isfinite(L) and L > 0.0):
@@ -127,11 +117,6 @@ def neumann_eigenvalue(L: float, k: int) -> float:
     if k < 0:
         raise ValueError("mode index must be nonnegative")
     return float((k * np.pi / L) ** 2)
-
-
-def neumann_mode(L: float, k: int, x) -> np.ndarray:
-    """k-th Neumann eigenfunction cos(k pi x / L), for mode projections."""
-    return np.cos(k * np.pi * np.asarray(x, dtype=float) / L)
 
 
 @dataclass(frozen=True)

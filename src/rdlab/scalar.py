@@ -9,9 +9,9 @@ The length of the positive hump through amplitude ``mu`` is the time map
 
 an increasing function with limit ``pi * sqrt(D)`` as mu -> 0+ (the
 critical interval length below which only the trivial state survives).
-The Dirichlet profile runs on the kinetics module's DOPRI5 loop.  Radial
-profiles are shot from the regular center by scipy's ``solve_ivp``, which
-stops at their events.
+The Dirichlet profile and the radial shots from the regular center both
+run on the kinetics module's DOPRI5 loop, which stops a shot at its
+terminal events.
 """
 
 import math
@@ -152,7 +152,7 @@ def dirichlet_steady_profile(L: float, D: float) -> SteadyProfile | None:
         raise NumericalFailure("amplitude bisection did not converge in 200 iterations")
     mu_star = 0.5 * (lo + hi)
 
-    def rhs(y, out):
+    def rhs(x, y, out):
         out[0] = y[1]
         out[1] = -y[0] * (1.0 - y[0]) / D
         return out
@@ -200,36 +200,23 @@ def radial_shoot(c: float, D: float, R: float, m: int = 2, samples: int = 1000) 
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
 
-    from scipy.integrate import solve_ivp
-
-    def rhs(r, y):
+    def rhs(r, y, out):
         u, up = y
+        out[0] = up
         if r == 0.0:
-            return [up, -u * (1.0 - u) / (D * m)]
-        return [up, -u * (1.0 - u) / D - (m - 1) * up / r]
+            out[1] = -u * (1.0 - u) / (D * m)
+        else:
+            out[1] = -u * (1.0 - u) / D - (m - 1) * up / r
+        return out
 
-    def hit_zero(r, y):
-        return y[0]
-
-    hit_zero.terminal = True
-    hit_zero.direction = -1
-
-    def blow_up(r, y):
-        return y[0] - BLOWUP_THRESHOLD
-
-    blow_up.terminal = True
-    blow_up.direction = 1
-
-    def turning(r, y):
-        return y[1]
-
-    turning.terminal = False
-
-    sol = solve_ivp(rhs, (0.0, R), [c, 0.0], method="RK45", rtol=1e-8, atol=1e-10,
-                    dense_output=True, events=[hit_zero, blow_up, turning])
-    if sol.status == -1:
-        raise NumericalFailure(f"radial shooting failed: {sol.message}")
-    zero_events, blow_events, turn_events = sol.t_events
+    events = [
+        (lambda r, y: y[0], -1, True),  # hit zero
+        (lambda r, y: y[0] - BLOWUP_THRESHOLD, 1, True),  # blow up
+        (lambda r, y: y[1], 0, False),  # turning point
+    ]
+    # tol 1e-8 runs at rtol 1e-8 and atol 1e-10
+    run = _dopri5(rhs, np.array([c, 0.0]), float(R), 1e-8, keep_from=0.0, events=events)
+    zero_events, blow_events, turn_events = run.t_events
     if blow_events.size:
         outcome, first_zero = "blow-up", None
         r_stop = float(blow_events[0])
@@ -240,6 +227,6 @@ def radial_shoot(c: float, D: float, R: float, m: int = 2, samples: int = 1000) 
         outcome, first_zero = "stayed-positive", None
         r_stop = R
     rr = np.linspace(0.0, r_stop, samples)
-    uu, up = sol.sol(rr)
+    uu, up = run.dense(rr)
     turning_points = turn_events[turn_events > 1e-10]  # drop the seeded u'(0) = 0 root
     return ShootResult(outcome, first_zero, rr, uu, up, turning_points)

@@ -10,6 +10,7 @@ import pytest
 
 from rdlab import CompetitionModel
 from rdlab.cli import REFERENCE_DIFFUSION, REFERENCE_MATRIX, REFERENCE_PHI_COEFFS, main
+from rdlab.pde import _laplacian_diagonals
 
 
 @pytest.fixture
@@ -29,6 +30,12 @@ def reference_phi_values(x: np.ndarray) -> np.ndarray:
     from numpy.polynomial import polynomial as P
 
     return np.array([P.polyval(x, np.array(c)) for c in REFERENCE_PHI_COEFFS])
+
+
+def laplacian_matrix(domain) -> np.ndarray:
+    """The discrete Laplacian as a dense matrix, assembled from the CN step's diagonals."""
+    sub, main, sup = _laplacian_diagonals(domain)
+    return np.diag(main) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
 
 
 @dataclass(frozen=True)

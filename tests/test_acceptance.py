@@ -15,6 +15,7 @@ from rdlab import CompetitionModel
 from rdlab.analysis import (
     REGION_A_3SPECIES,
     REGION_SIGMA_2SPECIES,
+    _norm_batch,
     decay_fit,
     periodicity_score,
     sup_jacobian_norm,
@@ -24,13 +25,12 @@ from rdlab.model import (
     condition_report,
     equilibria,
     jacobian,
-    jacobian_frobenius_sq,
     reaction,
     region_membership,
 )
-from rdlab.pde import Domain1D, Field, evolve, laplacian_apply, spatial_average
+from rdlab.pde import Domain1D, Field, evolve, spatial_average
 from rdlab.scalar import dirichlet_steady_profile, radial_shoot, time_map
-from tests.conftest import REFERENCE_MATRIX
+from tests.conftest import REFERENCE_MATRIX, laplacian_matrix
 
 
 @pytest.fixture
@@ -138,17 +138,14 @@ def test_criterion_05_two_species_norm_formula(criterion):
         model = CompetitionModel(a=np.ones((2, 2)), d=np.ones(2))
         rng = np.random.default_rng(5)
         pts = rng.uniform(0.0, 2.0, size=(10_000, 2))
-        worst = 0.0
-        for u, v in pts:
-            # closed form for b = c = 1, expanded by hand
-            closed = (
-                2.0 - 6.0 * u - 6.0 * v + 6.0 * u * u + 6.0 * v * v + 8.0 * u * v
-            )
-            worst = max(worst, abs(jacobian_frobenius_sq(model, np.array([u, v])) - closed))
+        u, v = pts.T
+        # closed form for b = c = 1, expanded by hand
+        closed = 2.0 - 6.0 * u - 6.0 * v + 6.0 * u * u + 6.0 * v * v + 8.0 * u * v
+        worst = float(np.max(np.abs(_norm_batch(model, pts, "frobenius") ** 2 - closed)))
         assert worst < 1e-12
         sup = sup_jacobian_norm(model, REGION_SIGMA_2SPECIES)
         assert abs(sup**2 - 2.0) < 1e-6
-        origin_norm_sq = jacobian_frobenius_sq(model, np.zeros(2))
+        origin_norm_sq = _norm_batch(model, np.zeros((1, 2)), "frobenius")[0] ** 2
         assert abs(origin_norm_sq - sup**2) < 1e-12  # attained at the origin
         rec["detail"] = f"max formula gap {worst:.2e} on 1e4 samples; sup^2={sup**2:.12f} at origin"
 
@@ -343,7 +340,7 @@ def test_criterion_12_numerical_hygiene(criterion, kinetics_model, flattening_ru
 
         # second-order h convergence of the Laplacian on eigenfunctions
         def defect(domain, u, lam):
-            applied = laplacian_apply(domain, u)
+            applied = laplacian_matrix(domain) @ u
             return float(np.max(np.abs(applied[1:-1] + lam * u[1:-1])))
 
         from scipy.special import j0, jn_zeros

@@ -242,7 +242,9 @@ class TestChs:
         assert report["threshold_d"] == pytest.approx(0.5487869938338156, abs=1e-9)
         assert report["flat_guarantee"] is True
         assert report["threshold_d_origin"] == pytest.approx(np.sqrt(3.0) / np.pi**2, rel=1e-12)
-        assert "length_threshold_note" in report
+        # the dimensionally inconsistent length floor and its note are gone;
+        # threshold_d is the diffusion floor
+        assert not {"classical_length_floor", "length_threshold_note"} & set(report)
 
 
 class TestReproducePaper:

@@ -22,8 +22,7 @@ from rdlab.model import condition_report, equilibria, jacobian, reaction
 
 def _fake_periodic_orbit(anchor, period, multipliers=None):
     return OrbitAnalysis(
-        "periodic", True, period, np.asarray(anchor, dtype=float),
-        None, None, None,
+        "periodic", True, period, np.asarray(anchor, dtype=float), None,
         None if multipliers is None else np.asarray(multipliers, dtype=complex),
         None, None,
     )
@@ -81,14 +80,47 @@ class TestDopri5MatchesScipy:
         ref = _scipy_rk45(lambda y: reaction(reference_kinetics, y), 1500.0, anchor, 1e-7,
                           events=[event], dense_output=True)
         run = _dopri5(_kinetic_rhs(reference_kinetics), anchor, 1500.0, 1e-7,
-                      keep_from=1490.0, section=crossing)
+                      keep_from=1490.0, events=[(event, 1, False)])
         assert ref.t_events[0].size >= 5
-        assert np.array_equal(run.t_events, ref.t_events[0])
-        assert np.array_equal(run.y_events, ref.y_events[0])
+        assert np.array_equal(run.t_events[0], ref.t_events[0])
+        assert np.array_equal(run.y_events[0], ref.y_events[0])
         assert np.array_equal(run.y, ref.y.T)
         # the tail interpolant kept for the settle check
         tail = np.linspace(1491.0, 1500.0, 10)
         assert np.array_equal(run.dense(tail), ref.sol(tail))
+
+    def test_non_autonomous_run_with_terminal_event(self):
+        # a resonantly forced oscillator: the amplitude grows until the
+        # terminal event cuts the run inside a step; the turning points are
+        # roots in either direction on the way
+        def f(t, y):
+            return np.array([y[1], -y[0] + np.sin(t)])
+
+        def rhs(t, y, out):
+            out[:] = f(t, y)
+            return out
+
+        def reach(t, y):
+            return y[0] - 6.0
+
+        def turning(t, y):
+            return y[1]
+
+        reach.terminal, reach.direction = True, 1
+        ref = solve_ivp(f, (0.0, 50.0), [0.5, 0.0], method="RK45", rtol=1e-7, atol=1e-9,
+                        dense_output=True, events=[reach, turning])
+        run = _dopri5(rhs, np.array([0.5, 0.0]), 50.0, 1e-7, keep_from=0.0,
+                      events=[(reach, 1, True), (turning, 0, False)])
+        assert ref.status == 1 and ref.t_events[1].size >= 5
+        assert np.array_equal(run.t, ref.t)
+        assert np.array_equal(run.y, ref.y.T)
+        assert run.stats.nfev == ref.nfev
+        for mine, theirs in zip(run.t_events + run.y_events, ref.t_events + ref.y_events):
+            assert np.array_equal(mine, theirs)
+        assert run.t[-1] == run.t_events[0][0] < 50.0
+        # the cut last step is evaluated with the quartic of the full step
+        t = np.linspace(run.t[-2], run.t[-1], 17)
+        assert np.array_equal(run.dense(t), ref.sol(t))
 
     def test_t_eval_samples(self, reference_kinetics):
         # the closure run of detect_limit_cycle samples its dense output where
@@ -319,7 +351,7 @@ class TestMonodromy:
 
     def test_monodromy_requires_periodic_orbit(self, reference_kinetics):
         orbit = OrbitAnalysis(
-            "undetermined", False, None, None, None, None, None, None, None, None
+            "undetermined", False, None, None, None, None, None, None
         )
         with pytest.raises(ValueError):
             monodromy(reference_kinetics, orbit)

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from rdlab import CompetitionModel, ConfigError, DegenerateModelError
+from rdlab.analysis import _norm_batch
 from rdlab.model import (
     classify,
     condition_report,
     equilibria,
     jacobian,
-    jacobian_frobenius_sq,
-    jacobian_norm,
     load_model,
     model_to_dict,
     reaction,
@@ -88,22 +87,20 @@ class TestReactionAndJacobian:
             b, c = rng.uniform(0.2, 3.0, size=2)
             model = CompetitionModel(a=np.array([[1.0, b], [c, 1.0]]), d=np.ones(2))
             pts = rng.uniform(0.0, 2.0, size=(500, 2))
-            for u, v in pts:
-                closed = (
-                    2.0 - 4.0 * u - 4.0 * v - 2.0 * b * v - 2.0 * c * u
-                    + 4.0 * u * u + 4.0 * v * v
-                    + (b * b + c * c) * (u * u + v * v)
-                    + 4.0 * (b + c) * u * v
-                )
-                assert abs(jacobian_frobenius_sq(model, np.array([u, v])) - closed) < 1e-12
+            u, v = pts.T
+            closed = (
+                2.0 - 4.0 * u - 4.0 * v - 2.0 * b * v - 2.0 * c * u
+                + 4.0 * u * u + 4.0 * v * v
+                + (b * b + c * c) * (u * u + v * v)
+                + 4.0 * (b + c) * u * v
+            )
+            assert np.max(np.abs(_norm_batch(model, pts, "frobenius") ** 2 - closed)) < 1e-12
 
     def test_operator_norm_bounded_by_frobenius(self, reference_kinetics):
-        rng = np.random.default_rng(15)
-        for _ in range(100):
-            U = rng.uniform(0.0, 1.5, size=3)
-            op = jacobian_norm(reference_kinetics, U, norm="operator")
-            fro = jacobian_norm(reference_kinetics, U, norm="frobenius")
-            assert op <= fro + 1e-12
+        pts = np.random.default_rng(15).uniform(0.0, 1.5, size=(100, 3))
+        op = _norm_batch(reference_kinetics, pts, "operator")
+        fro = _norm_batch(reference_kinetics, pts, "frobenius")
+        assert np.all(op <= fro + 1e-12)
 
 
 class TestEquilibria:

@@ -14,12 +14,11 @@ from rdlab.pde import (
     evolve,
     flatness,
     grad_l2_norm,
-    laplacian_apply,
     neumann_eigenvalue,
     spatial_average,
 )
 from rdlab.scalar import dirichlet_steady_profile
-from tests.conftest import reference_phi_values
+from tests.conftest import laplacian_matrix, reference_phi_values
 
 
 def _interval(N, L=1.0, bc="neumann"):
@@ -39,7 +38,7 @@ def _grad_l2_norm_reference(field):
 
 def _eigenfunction_defect(domain, u, lam):
     """Sup norm of (Laplacian u + lam u) over interior nodes."""
-    applied = laplacian_apply(domain, u)
+    applied = laplacian_matrix(domain) @ u
     return float(np.max(np.abs(applied[1:-1] + lam * u[1:-1])))
 
 
@@ -286,7 +285,7 @@ class TestEvolveAccuracy:
 def _dense_cn_reference(domain, d, values, dt):
     """One diffusion-only step by dense linear algebra: two CN half steps per species."""
     G = domain.N + 2
-    lap = laplacian_apply(domain, np.eye(G)).T  # column k is L e_k
+    lap = laplacian_matrix(domain)
     out = []
     for di, u in zip(d, values):
         c = di * dt / 4.0

@@ -5,6 +5,7 @@ import pytest
 
 from rdlab import NumericalFailure  # noqa: F401  (documents the raised type)
 from rdlab.scalar import (
+    BLOWUP_THRESHOLD,
     MU_MAX,
     dirichlet_steady_profile,
     energy,
@@ -161,6 +162,46 @@ class TestNonFiniteDiffusion:
             time_map(0.5, D)
 
 
+def _solve_ivp_shoot(c, D, R, m, samples=1000):
+    """The former radial_shoot on scipy's solve_ivp, kept as the reference."""
+    from scipy.integrate import solve_ivp
+
+    def rhs(r, y):
+        u, up = y
+        if r == 0.0:
+            return [up, -u * (1.0 - u) / (D * m)]
+        return [up, -u * (1.0 - u) / D - (m - 1) * up / r]
+
+    def hit_zero(r, y):
+        return y[0]
+
+    hit_zero.terminal = True
+    hit_zero.direction = -1
+
+    def blow_up(r, y):
+        return y[0] - BLOWUP_THRESHOLD
+
+    blow_up.terminal = True
+    blow_up.direction = 1
+
+    def turning(r, y):
+        return y[1]
+
+    sol = solve_ivp(rhs, (0.0, R), [c, 0.0], method="RK45", rtol=1e-8, atol=1e-10,
+                    dense_output=True, events=[hit_zero, blow_up, turning])
+    zero_events, blow_events, turn_events = sol.t_events
+    if blow_events.size:
+        outcome, first_zero, r_stop = "blow-up", None, float(blow_events[0])
+    elif zero_events.size:
+        outcome, first_zero = "hit-zero", float(zero_events[0])
+        r_stop = first_zero
+    else:
+        outcome, first_zero, r_stop = "stayed-positive", None, R
+    rr = np.linspace(0.0, r_stop, samples)
+    uu, up = sol.sol(rr)
+    return outcome, first_zero, rr, uu, up, turn_events[turn_events > 1e-10]
+
+
 class TestRadialShoot:
     def test_fewer_than_two_samples_rejected(self):
         # one sample wrote a one-row table and could not be charted
@@ -199,6 +240,18 @@ class TestRadialShoot:
         result = radial_shoot(0.5, 0.1, 6.0, m=2)
         assert result.u[0] == pytest.approx(0.5, abs=1e-12)
         assert result.uprime[0] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("c, R, outcome", [(0.5, 6.0, "hit-zero"), (1.5, 10.0, "blow-up"),
+                                               (0.5, 0.5, "stayed-positive")])
+    def test_matches_solve_ivp_bit_for_bit(self, c, R, outcome, m):
+        result = radial_shoot(c, 0.1, R, m=m)
+        ref = _solve_ivp_shoot(c, 0.1, R, m)
+        assert result.outcome == ref[0] == outcome
+        assert result.first_zero_r == ref[1]
+        for mine, theirs in zip((result.r, result.u, result.uprime, result.turning_points),
+                                ref[2:]):
+            assert np.array_equal(mine, theirs)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):

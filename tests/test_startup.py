@@ -41,16 +41,34 @@ _CONFIGS = {
 }
 
 
-def test_commands_load_only_the_scipy_modules_they_use(tmp_path):
+_INTEGRATING_CONFIGS = {
+    "ode": {"model": {"preset": "reference"}, "U0": [0.1, 0.2, 0.3], "t_end": 10.0},
+    "timemap": {"D": 0.05, "L_target": 1.5},
+    "shoot": {"D": 0.05, "c": 0.5, "r_max": 10.0},
+    # the circulant model of tests/conftest.py, whose orbit closes within max_time
+    "floquet": {
+        "model": {"a": [[1.0, 1.2, 0.8], [0.8, 1.0, 1.2], [1.2, 0.8, 1.0]], "d": [1.0, 1.0, 1.0]},
+        "U0": [0.45, 0.3, 0.25],
+        "max_time": 2000.0,
+    },
+}
+
+
+def _loaded_modules(tmp_path, configs):
+    """The scipy modules loaded after the import and after each command, in one fresh process."""
     runs = []
-    for command, config in _CONFIGS.items():
+    for command, config in configs.items():
         path = tmp_path / f"{command}.json"
         path.write_text(json.dumps(config))
         runs.append([command, str(path), str(tmp_path / command)])
     env = dict(os.environ, PYTHONPATH=str(Path(rdlab.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", _SCRIPT, json.dumps(runs)], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    loaded = json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_commands_load_only_the_scipy_modules_they_use(tmp_path):
+    loaded = _loaded_modules(tmp_path, _CONFIGS)
     # the theory commands and the import itself stay on numpy alone
     for step in ("import rdlab", "import rdlab.cli", "equilibria", "chs"):
         assert loaded[step] == [], step
@@ -58,3 +76,17 @@ def test_commands_load_only_the_scipy_modules_they_use(tmp_path):
     assert isinstance(loaded["pde"], list), loaded["pde"]
     assert "scipy.linalg.lapack" in loaded["pde"]
     assert not {"scipy.integrate", "scipy.optimize"} & set(loaded["pde"])
+
+
+def test_integrations_never_load_scipy_integrate(tmp_path):
+    # one process per command, so no command inherits another's modules
+    loaded = {command: _loaded_modules(tmp_path, {command: config})[command]
+              for command, config in _INTEGRATING_CONFIGS.items()}
+    # runs without events stay on numpy alone
+    assert loaded["ode"] == []
+    assert loaded["timemap"] == []
+    # event roots are refined by brentq
+    for command in ("shoot", "floquet"):
+        assert isinstance(loaded[command], list), loaded[command]
+        assert "scipy.optimize" in loaded[command], command
+        assert "scipy.integrate" not in loaded[command], command
