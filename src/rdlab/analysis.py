@@ -8,13 +8,12 @@ dynamics follows the spatially averaged kinetics.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CompetitionModel, equilibria
-from .pde import PdeTrajectory, spatial_average
+from .model import REGION_TIE_TOL, CompetitionModel, equilibria
+from .pde import PdeTrajectory, neumann_eigenvalue, spatial_average
 
 REGION_SIGMA_2SPECIES = "sigma-region-2species"
 REGION_A_3SPECIES = "region-A-3species"
@@ -32,8 +31,8 @@ def _region_box_and_mask(model: CompetitionModel, region):
             box = np.array([[0.0, max(1.0, 1.0 / c)], [0.0, max(1.0, 1.0 / b)]])
 
             def member(pts):
-                return ((pts[:, 0] <= 1.0 - b * pts[:, 1] + 1e-12)
-                        | (pts[:, 1] <= 1.0 - c * pts[:, 0] + 1e-12))
+                return ((pts[:, 0] <= 1.0 - b * pts[:, 1] + REGION_TIE_TOL)
+                        | (pts[:, 1] <= 1.0 - c * pts[:, 0] + REGION_TIE_TOL))
 
             return box, member
         if region == REGION_A_3SPECIES:
@@ -44,7 +43,8 @@ def _region_box_and_mask(model: CompetitionModel, region):
 
             def member(pts):
                 r = pts @ a.T
-                return (r.min(axis=1) <= 1.0 + 1e-12) & (r.max(axis=1) >= 1.0 - 1e-12)
+                return ((r.min(axis=1) <= 1.0 + REGION_TIE_TOL)
+                        & (r.max(axis=1) >= 1.0 - REGION_TIE_TOL))
 
             return box, member
         raise ValueError(f"unknown region {region!r}")
@@ -120,14 +120,16 @@ def sup_jacobian_norm(model: CompetitionModel, region, *, norm: str = "frobenius
 
 @dataclass(frozen=True)
 class ChsReport:
-    """Gradient-collapse certificate sigma = lambda1 * min(d) - M_sup."""
+    """Gradient-collapse certificate sigma = lambda1 * min(d) - M_sup on an interval of length L."""
 
+    L: float
     lambda1: float
     d_min: float
     M_sup: float
     sigma: float
     flat_guarantee: bool
     threshold_d: float
+    threshold_d_origin: float  # the same floor with the norm of J(0) = I for M_sup
 
 
 def chs_report(model: CompetitionModel, L: float, *, norm: str = "frobenius") -> ChsReport:
@@ -136,20 +138,21 @@ def chs_report(model: CompetitionModel, L: float, *, norm: str = "frobenius") ->
     The Jacobian norm is maximized over the named invariant region, which
     exists for n = 2 or 3 only; other sizes raise ValueError.  flat_guarantee
     is sigma > 0, and threshold_d = M_sup / lambda1 is the diffusion floor at
-    which the guarantee kicks in.
+    which the guarantee kicks in.  threshold_d_origin is the same floor with the
+    norm of J(0) = I in place of M_sup: sqrt(n) / lambda1 for the Frobenius
+    norm and 1 / lambda1 for the operator norm.
     """
-    if not (math.isfinite(L) and L > 0.0):
-        raise ValueError(f"interval length L must be finite and positive, got {L}")
+    lambda1 = neumann_eigenvalue(L, 1)  # raises ValueError unless L is finite and positive
     regions = {2: REGION_SIGMA_2SPECIES, 3: REGION_A_3SPECIES}
     if model.n not in regions:
         raise ValueError(f"no named invariant region for {model.n} species (2 or 3 needed)")
     region = regions[model.n]
-    lambda1 = (np.pi / L) ** 2
     M_sup = sup_jacobian_norm(model, region, norm=norm)
     d_min = float(model.d.min())
     sigma = lambda1 * d_min - M_sup
-    return ChsReport(float(lambda1), d_min, M_sup, float(sigma), bool(sigma > 0.0),
-                     float(M_sup / lambda1))
+    origin_norm = _norm_batch(model, np.zeros((1, model.n)), norm)[0]
+    return ChsReport(float(L), lambda1, d_min, M_sup, float(sigma), bool(sigma > 0.0),
+                     float(M_sup / lambda1), float(origin_norm / lambda1))
 
 
 def decay_fit(trajectory: PdeTrajectory, window: tuple[float, float] | None = None):

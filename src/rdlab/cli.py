@@ -26,7 +26,6 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -276,33 +275,6 @@ def _eig_columns(n: int) -> list[str]:
     return cols
 
 
-def _condition_dict(rep) -> dict:
-    return {
-        "W": rep.W,
-        "W_u": rep.W_u,
-        "W_v": rep.W_v,
-        "W_w": rep.W_w,
-        "p": rep.p,
-        "ineq9_holds": rep.ineq9_holds,
-        "case": rep.case,
-        "interior_point": None if rep.interior_point is None else list(rep.interior_point),
-    }
-
-
-def _sigma_dict(model, L: float, rep) -> dict:
-    """The flattening certificate fields shared by chs.json and sigma_report.json."""
-    return {
-        "L": L,
-        "lambda1": rep.lambda1,
-        "d_min": rep.d_min,
-        "M_sup": rep.M_sup,
-        "sigma": rep.sigma,
-        "flat_guarantee": rep.flat_guarantee,
-        "threshold_d": rep.threshold_d,
-        "threshold_d_origin": float(np.sqrt(model.n) / rep.lambda1),
-    }
-
-
 def _cycle_dict(orbit) -> dict:
     """The detector outcome fields shared by report.json's cycle and cycle.json."""
     return {
@@ -311,11 +283,6 @@ def _cycle_dict(orbit) -> dict:
         "period": orbit.period,
         "anchor": None if orbit.anchor is None else [float(v) for v in orbit.anchor],
     }
-
-
-def _solver_counters(orbit) -> dict:
-    """Each orbit integration's deterministic counters, keyed by leg."""
-    return {leg: asdict(stats) for leg, stats in orbit.solver.items()}
 
 
 _DECAY_HEADER = ["t", "grad_norm", "fitted"]
@@ -345,18 +312,11 @@ def _run_equilibria(cfg: dict, out: Path):
     eqs = equilibria(model)
     report = {
         "model": model_to_dict(model),
-        "supports": [
-            {
-                "support": list(sol.support),
-                "status": sol.status,
-                "point": None if sol.point is None else list(sol.point),
-            }
-            for sol in support_solutions(model)
-        ],
+        "supports": support_solutions(model),
         "equilibrium_count": len(eqs),
     }
     if n == 3:
-        report["condition"] = _condition_dict(condition_report(model))
+        report["condition"] = condition_report(model)
     if n == 2:
         report["two_species_case"] = two_species_case(model) if has_unit_diagonal(model) else None
 
@@ -424,7 +384,6 @@ def _run_shoot(cfg: dict, out: Path):
         "r_max": r_max,
         "outcome": result.outcome,
         "first_zero_r": result.first_zero_r,
-        "turning_points": list(result.turning_points),
     }
     files = [
         write_csv(out / "shoot.csv", ["r", "u", "uprime"],
@@ -463,7 +422,7 @@ def _run_ode(cfg: dict, out: Path):
     if cfg["detect_cycle"] is not None:
         orbit = detect_limit_cycle(model, np.array(U0), **cfg["detect_cycle"])
         report["cycle"] = {**_cycle_dict(orbit), "converged_to": orbit.converged_to,
-                           "solver": _solver_counters(orbit)}
+                           "solver": orbit.solver}
 
     files = [
         write_csv(out / "trajectory.csv", ["t"] + [f"u{i + 1}" for i in range(model.n)],
@@ -487,16 +446,7 @@ def _pde_outputs(model, traj, out: Path, *, svg: bool, decay_window=None):
     n = model.n
     avgs = traj.spatial_averages()
 
-    classification = None
-    if float(traj.times[-1]) >= 50.0:
-        cls = classify_omega(traj, model)
-        classification = {
-            "kind": cls.kind,
-            "label": cls.label,
-            "flatness": cls.flatness,
-            "periodicity": cls.periodicity,
-            "equilibrium_distance": cls.equilibrium_distance,
-        }
+    classification = classify_omega(traj, model) if float(traj.times[-1]) >= 50.0 else None
     extras = None
     if decay_window is not None:
         rate, amplitude, decay_rows = _decay(traj, decay_window, clip=True)
@@ -572,7 +522,7 @@ def _run_floquet(cfg: dict, out: Path):
         "verdict": verdict.verdict,
         "base_multiplier_moduli": [float(np.abs(m)) for m in verdict.base_multipliers],
         "modal_modes": [int(k) for k in sorted(verdict.modal_multipliers)],
-        "solver": _solver_counters(orbit),
+        "solver": orbit.solver,
     }
     return [write_csv(out / "multipliers.csv", header, rows),
             write_json(out / "floquet.json", report)], None
@@ -581,11 +531,7 @@ def _run_floquet(cfg: dict, out: Path):
 def _run_chs(cfg: dict, out: Path):
     model, L, norm = cfg["model"], cfg["L"], cfg["norm"]
     rep = chs_report(model, L, norm=norm)
-    report = {
-        "model": model_to_dict(model),
-        "norm": norm,
-        **_sigma_dict(model, L, rep),
-    }
+    report = {"model": model_to_dict(model), "norm": norm, **vars(rep)}
     files = []
     run = cfg.get("run")
     if run is not None:
@@ -634,7 +580,7 @@ def _run_reproduce(cfg: dict, out: Path):
 
     files, _ = _pde_outputs(model, traj_pde, out, svg=svg)
     files.append(write_json(out / "condition.json",
-                            {"model": model_to_dict(model), "condition": _condition_dict(cond)}))
+                            {"model": model_to_dict(model), "condition": cond}))
     files.append(write_csv(out / "ode_run.csv", ["t", "u1", "u2", "u3"],
                            np.column_stack([t, states.T])))
     files.append(write_json(out / "cycle.json", {
@@ -657,7 +603,7 @@ def _run_reproduce(cfg: dict, out: Path):
             x_label="time t",
             y_label="density",
         ))
-    files.append(write_json(out / "sigma_report.json", _sigma_dict(model, 1.0, sigma_rep)))
+    files.append(write_json(out / "sigma_report.json", sigma_rep))
 
     extras = {
         "pinned": {k: P[k] for k in ("N", "dt", "t_end", "tol", "max_time",

@@ -6,13 +6,16 @@ fully determined by the data.  CSV rows are formatted one at a time (an
 ndarray row is converted by ``tolist`` first) and SVG points with one
 ``%`` over the whole polyline.  No artifact may hold a NaN or an Infinity:
 each writer raises NumericalFailure, naming the file, instead of writing one.
-The manifest records a sha256 checksum per emitted file so a rerun can be
-diffed at a glance.
+A JSON payload may hold the library's result dataclasses as they are: each
+instance is written as an object of its fields, so an artifact's keys are
+the field names of the class it carries.  The manifest records a sha256
+checksum per emitted file so a rerun can be diffed at a glance.
 """
 
 import hashlib
 import json
 import math
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -73,11 +76,16 @@ def _json_default(obj):
         return obj.tolist()
     if isinstance(obj, Path):
         return str(obj)
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def write_json(path, payload) -> Path:
-    """Sorted-key JSON; a NaN or an Infinity raises NumericalFailure naming the file."""
+    """Sorted-key JSON; a NaN or an Infinity raises NumericalFailure naming the file.
+
+    A dataclass instance in ``payload`` becomes the object of its fields.
+    """
     path = Path(path)
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,

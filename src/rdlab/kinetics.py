@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import NEGATIVITY_TOL, InvariantViolation, NumericalFailure
 from .model import CompetitionModel, equilibria, reaction
+from .pde import neumann_eigenvalue
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_TIME = 2000.0
@@ -394,8 +395,8 @@ class OrbitAnalysis:
     solver: dict[str, SolverStats] = field(default_factory=dict)
 
 
-def _is_settled(model, dense, t_lo, t_hi):
-    ts = np.linspace(max(t_lo, t_hi - (SETTLE_SAMPLES - 1)), t_hi, SETTLE_SAMPLES)
+def _is_settled(model, dense, t_hi):
+    ts = np.linspace(max(0.0, t_hi - (SETTLE_SAMPLES - 1)), t_hi, SETTLE_SAMPLES)
     states = dense(ts)
     norms = np.linalg.norm(reaction(model, states), axis=0)
     return bool(np.all(norms < SETTLE_TOL))
@@ -447,7 +448,7 @@ def detect_limit_cycle(model: CompetitionModel, U0, max_time: float = DEFAULT_MA
         return OrbitAnalysis(status, False, None, None, None, None,
                              converged_to, crossing_times, solver)
 
-    if _is_settled(model, transient.dense, 0.0, t_half):
+    if _is_settled(model, transient.dense, t_half):
         label = _settled_equilibrium_label(model, anchor0)
         return outcome("undetermined" if label is None else "converged", label)
 
@@ -490,7 +491,7 @@ def detect_limit_cycle(model: CompetitionModel, U0, max_time: float = DEFAULT_MA
             return OrbitAnalysis("periodic", True, period, anchor, mono, mult, None,
                                  crossings, solver)
 
-    if _is_settled(model, run.dense, 0.0, span):
+    if _is_settled(model, run.dense, span):
         label = _settled_equilibrium_label(model, run.y[-1])
         if label is not None:
             return outcome("converged", label)
@@ -570,7 +571,7 @@ def orbital_stability(model: CompetitionModel, orbit: OrbitAnalysis, k_max: int 
         if L is not None:
             if k_max is None or k_max < 0:
                 raise ValueError("k_max must accompany an interval length")
-            eigenvalues = [(k * np.pi / L) ** 2 for k in range(1, k_max + 1)]
+            eigenvalues = [neumann_eigenvalue(L, k) for k in range(1, k_max + 1)]
         else:
             eigenvalues = []
     eigenvalues = np.asarray(eigenvalues, dtype=float)

@@ -179,7 +179,6 @@ class ShootResult:
     r: np.ndarray
     u: np.ndarray
     uprime: np.ndarray
-    turning_points: np.ndarray
 
 
 def radial_shoot(c: float, D: float, R: float, m: int = 2, samples: int = 1000) -> ShootResult:
@@ -188,9 +187,8 @@ def radial_shoot(c: float, D: float, R: float, m: int = 2, samples: int = 1000) 
     The removable singularity at the center is handled by the regularized
     limit u''(0) = -c(1-c)/(m D).  Integration stops at the first zero of u
     (outcome 'hit-zero' with the event radius), when u reaches 1e6
-    ('blow-up'), or at radius R ('stayed-positive').  Radii of interior
-    turning points (u' = 0) are recorded along the way.  ``c``, ``D`` and
-    ``R`` must be finite and positive and ``samples`` at least 2; otherwise
+    ('blow-up'), or at radius R ('stayed-positive').  ``c``, ``D`` and ``R``
+    must be finite and positive and ``samples`` at least 2; otherwise
     ValueError is raised.
     """
     for name, value in (("center amplitude c", c), ("D", D), ("R", R)):
@@ -212,11 +210,10 @@ def radial_shoot(c: float, D: float, R: float, m: int = 2, samples: int = 1000) 
     events = [
         (lambda r, y: y[0], -1, True),  # hit zero
         (lambda r, y: y[0] - BLOWUP_THRESHOLD, 1, True),  # blow up
-        (lambda r, y: y[1], 0, False),  # turning point
     ]
     # tol 1e-8 runs at rtol 1e-8 and atol 1e-10
     run = _dopri5(rhs, np.array([c, 0.0]), float(R), 1e-8, keep_from=0.0, events=events)
-    zero_events, blow_events, turn_events = run.t_events
+    zero_events, blow_events = run.t_events
     if blow_events.size:
         outcome, first_zero = "blow-up", None
         r_stop = float(blow_events[0])
@@ -228,5 +225,4 @@ def radial_shoot(c: float, D: float, R: float, m: int = 2, samples: int = 1000) 
         r_stop = R
     rr = np.linspace(0.0, r_stop, samples)
     uu, up = run.dense(rr)
-    turning_points = turn_events[turn_events > 1e-10]  # drop the seeded u'(0) = 0 root
-    return ShootResult(outcome, first_zero, rr, uu, up, turning_points)
+    return ShootResult(outcome, first_zero, rr, uu, up)

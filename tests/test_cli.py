@@ -246,6 +246,19 @@ class TestChs:
         # threshold_d is the diffusion floor
         assert not {"classical_length_floor", "length_threshold_note"} & set(report)
 
+    @pytest.mark.parametrize("norm, origin_norm", [("frobenius", np.sqrt(3.0)), ("operator", 1.0)])
+    def test_origin_threshold_uses_the_chosen_norm(self, tmp_path, norm, origin_norm):
+        # J(0) = I has Frobenius norm sqrt(n) but operator norm 1; the operator
+        # run used to write sqrt(3) / pi^2 as well
+        payload = {"model": {"preset": "reference"}, "L": 1.0, "norm": norm}
+        rc, out = _run(tmp_path, "chs", payload)
+        assert rc == 0
+        report = json.loads((out / "chs.json").read_text())
+        assert report["L"] == 1.0
+        assert report["norm"] == norm
+        assert report["threshold_d_origin"] == pytest.approx(origin_norm / np.pi**2, rel=1e-12)
+        assert report["threshold_d_origin"] <= report["threshold_d"]
+
 
 class TestReproducePaper:
     def test_pinned_run_artifacts(self, reproduction_run):

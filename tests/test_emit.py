@@ -4,12 +4,14 @@ import hashlib
 import json
 import re
 import xml.etree.ElementTree as ET
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from rdlab import NumericalFailure
 from rdlab.emit import sha256_file, svg_line_chart, write_csv, write_json, write_manifest
+from rdlab.model import condition_report, support_solutions
 
 
 def _fmt_reference(value) -> str:
@@ -150,6 +152,76 @@ class TestJson:
         write_json(p1, payload)
         write_json(p2, payload)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@dataclass(frozen=True)
+class _Counters:
+    steps: int
+    nfev: np.int64
+    min_state: np.float64
+    ok: np.bool_
+
+
+@dataclass(frozen=True)
+class _Profile:
+    label: str | None
+    x: np.ndarray
+    point: np.ndarray | None
+    z: complex
+    counters: _Counters
+
+
+_COUNTERS = _Counters(12, np.int64(80), np.float64(-1.5e-17), np.bool_(True))
+_COUNTERS_BY_HAND = {"steps": 12, "nfev": 80, "min_state": -1.5e-17, "ok": True}
+
+
+class TestJsonDataclasses:
+    """A result dataclass is written as the object of its fields, byte for byte."""
+
+    @pytest.mark.parametrize("payload, by_hand", [
+        (_COUNTERS, _COUNTERS_BY_HAND),
+        ({"transient": _COUNTERS, "section": _Counters(3, np.int64(20), 0.25, False)},
+         {"transient": _COUNTERS_BY_HAND,
+          "section": {"steps": 3, "nfev": 20, "min_state": 0.25, "ok": False}}),
+        (_Profile(None, np.linspace(0.0, 1.0, 4), None, complex(1.0, -0.5), _COUNTERS),
+         {"label": None, "x": [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0], "point": None,
+          "z": {"re": 1.0, "im": -0.5}, "counters": _COUNTERS_BY_HAND}),
+        ([_Profile("P_u", np.array([0.1]), np.array([0.5, 0.0]), 2j, _COUNTERS)],
+         [{"label": "P_u", "x": [0.1], "point": [0.5, 0.0], "z": {"re": 0.0, "im": 2.0},
+           "counters": _COUNTERS_BY_HAND}]),
+    ], ids=["dataclass", "dict-of-dataclasses", "array-and-none-fields", "list-of-nested"])
+    def test_bytes_match_the_hand_made_dict(self, tmp_path, payload, by_hand):
+        write_json(tmp_path / "a.json", payload)
+        write_json(tmp_path / "b.json", by_hand)
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_library_results_match_the_former_cli_dicts(self, tmp_path, reference_model):
+        # the dicts the CLI built field by field before it wrote the results as they are
+        rep = condition_report(reference_model)
+        solutions = support_solutions(reference_model)
+        by_hand = {
+            "condition": {
+                "W": rep.W, "W_u": rep.W_u, "W_v": rep.W_v, "W_w": rep.W_w, "p": rep.p,
+                "ineq9_holds": rep.ineq9_holds, "case": rep.case,
+                "interior_point": None if rep.interior_point is None else list(rep.interior_point),
+            },
+            "supports": [{"support": list(sol.support), "status": sol.status,
+                          "point": None if sol.point is None else list(sol.point)}
+                         for sol in solutions],
+        }
+        write_json(tmp_path / "a.json", {"condition": rep, "supports": solutions})
+        write_json(tmp_path / "b.json", by_hand)
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_non_finite_field_raises_naming_the_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        with pytest.raises(NumericalFailure, match=r"bad\.json"):
+            write_json(path, _Counters(1, np.int64(1), np.float64("nan"), np.bool_(True)))
+        assert not path.exists()
+
+    def test_a_dataclass_class_is_not_a_payload(self, tmp_path):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            write_json(tmp_path / "c.json", {"cls": _Counters})
 
 
 class TestSvg:

@@ -90,3 +90,10 @@ def test_integrations_never_load_scipy_integrate(tmp_path):
         assert isinstance(loaded[command], list), loaded[command]
         assert "scipy.optimize" in loaded[command], command
         assert "scipy.integrate" not in loaded[command], command
+
+
+def test_a_shot_that_stays_positive_loads_no_scipy(tmp_path):
+    # neither terminal event fires, so no root is refined by brentq
+    config = {"D": 0.1, "c": 0.5, "r_max": 0.5}
+    loaded = _loaded_modules(tmp_path, {"shoot": config})["shoot"]
+    assert loaded == []
