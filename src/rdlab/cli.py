@@ -14,7 +14,8 @@ manifest is written.  So a run that fails leaves no file of its own there
 and overwrites none from an earlier run.
 
 Exit codes: 0 success, 2 config error, 3 degenerate model, 4 numerical
-failure, 5 no periodic orbit where one was required.
+failure or a run too large for memory, 5 no periodic orbit where one was
+required.
 """
 
 from __future__ import annotations
@@ -282,6 +283,7 @@ def _cycle_dict(orbit) -> dict:
         "periodic": orbit.periodic,
         "period": orbit.period,
         "anchor": None if orbit.anchor is None else [float(v) for v in orbit.anchor],
+        "solver": orbit.solver,
     }
 
 
@@ -347,7 +349,7 @@ def _run_timemap(cfg: dict, out: Path):
 
     files = []
     if "mu" in cfg:
-        files.append(write_csv(out / "timemap.csv", ["mu", "L"], list(zip(mus, lengths))))
+        files.append(write_csv(out / "timemap.csv", ["mu", "L"], np.column_stack([mus, lengths])))
         report["mu_count"] = len(mus)
         if cfg["svg"]:
             files.append(svg_line_chart(
@@ -368,7 +370,8 @@ def _run_timemap(cfg: dict, out: Path):
                 "mu_star": float(profile.mu_star),
                 "max_value": float(profile.u.max()),
             }
-            files.append(write_csv(out / "profile.csv", ["x", "u"], list(zip(profile.x, profile.u))))
+            files.append(write_csv(out / "profile.csv", ["x", "u"],
+                                   np.column_stack([profile.x, profile.u])))
 
     files.append(write_json(out / "report.json", report))
     return files, None
@@ -387,7 +390,7 @@ def _run_shoot(cfg: dict, out: Path):
     }
     files = [
         write_csv(out / "shoot.csv", ["r", "u", "uprime"],
-                  list(zip(result.r, result.u, result.uprime))),
+                  np.column_stack([result.r, result.u, result.uprime])),
         write_json(out / "report.json", report),
     ]
     if cfg["svg"]:
@@ -421,8 +424,7 @@ def _run_ode(cfg: dict, out: Path):
         report["final_region"] = region_membership(model, final)
     if cfg["detect_cycle"] is not None:
         orbit = detect_limit_cycle(model, np.array(U0), **cfg["detect_cycle"])
-        report["cycle"] = {**_cycle_dict(orbit), "converged_to": orbit.converged_to,
-                           "solver": orbit.solver}
+        report["cycle"] = {**_cycle_dict(orbit), "converged_to": orbit.converged_to}
 
     files = [
         write_csv(out / "trajectory.csv", ["t"] + [f"u{i + 1}" for i in range(model.n)],
@@ -719,6 +721,9 @@ def main(argv=None) -> int:
         return 2
     except (NumericalFailure, InvariantViolation) as exc:
         print(f"rdlab: numerical failure: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:  # e.g. numpy refusing a step index array for t_end / dt steps
+        print(f"rdlab: out of memory: {exc}", file=sys.stderr)
         return 4
     except NoCycleError as exc:
         print(f"rdlab: no cycle: {exc}", file=sys.stderr)

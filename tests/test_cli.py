@@ -3,13 +3,19 @@
 import hashlib
 import json
 import os
+import resource
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rdlab import cli
+from rdlab import cli, emit
 from rdlab.cli import main
+from rdlab.scalar import dirichlet_steady_profile, radial_shoot, time_map
+from test_emit import _csv_reference
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -111,6 +117,32 @@ class TestShoot:
         rc, out = _run(tmp_path, "shoot", {"D": 0.1, "c": 1.5})
         assert rc == 0
         assert json.loads((out / "report.json").read_text())["outcome"] == "blow-up"
+
+
+class TestFloatTables:
+    """timemap and shoot hand their numeric tables to write_csv as float arrays."""
+
+    def test_csv_bytes_match_the_library_outputs(self, tmp_path, monkeypatch):
+        def refuse(value):
+            raise AssertionError("a numeric table took the per-value path")
+
+        monkeypatch.setattr(emit, "_fmt", refuse)
+        rc, timemap = _run(tmp_path, "timemap", {
+            "D": 0.1, "mu": {"start": 0.01, "stop": 0.9, "count": 20}, "L_target": 2.0})
+        assert rc == 0
+        mus = np.linspace(0.01, 0.9, 20)
+        assert (timemap / "timemap.csv").read_text() == _csv_reference(
+            ["mu", "L"], [(mu, time_map(mu, 0.1)) for mu in mus])
+        profile = dirichlet_steady_profile(2.0, 0.1)
+        assert (timemap / "profile.csv").read_text() == _csv_reference(
+            ["x", "u"], zip(profile.x, profile.u))
+
+        rc, shoot = _run(tmp_path, "shoot", {"D": 0.1, "c": 0.5, "m": 2, "r_max": 6.0},
+                         out_name="shoot")
+        assert rc == 0
+        result = radial_shoot(0.5, 0.1, 6.0, m=2, samples=1000)
+        assert (shoot / "shoot.csv").read_text() == _csv_reference(
+            ["r", "u", "uprime"], zip(result.r, result.u, result.uprime))
 
 
 class TestOde:
@@ -291,6 +323,9 @@ class TestReproducePaper:
         cycle = json.loads((out / "cycle.json").read_text())
         assert cycle["periodic"] is True
         assert cycle["period"] == pytest.approx(207.76984226637737, rel=1e-5)
+        for leg in cycle["solver"].values():  # the detector's counters, leg by leg
+            assert leg["nfev"] == 2 + 6 * (leg["accepted_steps"] + leg["rejected_steps"])
+        assert {"transient", "section", "closure"} <= set(cycle["solver"])
         condition = json.loads((out / "condition.json").read_text())
         assert condition["condition"]["case"] == "periodic-attractor-candidate"
         sigma = json.loads((out / "sigma_report.json").read_text())
@@ -428,6 +463,30 @@ class TestExitCodes:
         assert rc == 0
         assert sorted(p.name for p in out.iterdir()) == [
             "manifest.json", "report.json", "timemap.csv", "timemap.svg"]
+
+    def test_run_too_large_for_memory_is_one_line_exit_4(self, tmp_path):
+        # 1e11 steps: evolve's step index array alone would take 745 GiB; the
+        # child's address space is capped so the allocation fails whatever
+        # the host's overcommit policy
+        payload = {
+            "model": {"a": [[1.0]], "d": [1.0]},
+            "domain": {"kind": "interval", "length": 1.0, "N": 8, "bc": "neumann"},
+            "phi": {"constant": [0.5]},
+            "t_end": 1e9,
+            "dt": 1e-2,
+        }
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "rdlab.cli", "pde", "--config",
+             _write_config(tmp_path, payload), "--out", str(out)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (8 << 30, 8 << 30)),
+        )
+        assert proc.returncode == 4
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("rdlab: out of memory:"), err
+        assert list(out.iterdir()) == []
 
     def test_dirichlet_logistic_run_exits_zero(self, tmp_path):
         # c / h^2 > 1: the pinned boundary must stay exactly 0 over t = 200

@@ -5,11 +5,15 @@ import json
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from rdlab import NumericalFailure
+from rdlab import NumericalFailure, emit
 from rdlab.emit import sha256_file, svg_line_chart, write_csv, write_json, write_manifest
 from rdlab.model import condition_report, support_solutions
 
@@ -64,6 +68,46 @@ _MIXED_ROW = (0.1, np.float64(-2.5e-7), np.float32(0.1), 7, np.int64(-3), True, 
               "P_1", -0.0, 5e-324, 1e16, 1.0 / 3.0)
 
 
+# finite doubles across the whole range, with the edge values drawn often
+_FINITE_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-308, 1e308, -1e308,
+                 1.7976931348623157e308, 1e16, 1.0 / 3.0]
+
+
+def _float_tables(min_rows):
+    return arrays(np.float64, st.tuples(st.integers(min_rows, 40), st.integers(1, 12)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)
+                  | st.sampled_from(_FINITE_EDGES))
+
+
+# a float table is formatted block by block; small blocks put block edges
+# inside these small tables
+_BLOCK_CELLS = st.integers(1, 40) | st.just(emit._CSV_BLOCK_CELLS)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(rows=_float_tables(0), block_cells=_BLOCK_CELLS)
+def test_float_table_bytes_match_the_per_value_formatter(tmp_path_factory, rows, block_cells):
+    header = [f"c{i}" for i in range(rows.shape[1])]
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    with patch.object(emit, "_CSV_BLOCK_CELLS", block_cells):
+        write_csv(path, header, rows)
+    assert path.read_text() == _csv_reference(header, rows)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(rows=_float_tables(1), block_cells=_BLOCK_CELLS, data=st.data())
+def test_non_finite_cell_names_its_row_and_writes_nothing(tmp_path_factory, rows, block_cells,
+                                                          data):
+    i = data.draw(st.integers(0, rows.shape[0] - 1))
+    j = data.draw(st.integers(0, rows.shape[1] - 1))
+    rows[i, j] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    path = tmp_path_factory.mktemp("csv") / "bad.csv"
+    with patch.object(emit, "_CSV_BLOCK_CELLS", block_cells), \
+            pytest.raises(NumericalFailure, match=rf"bad\.csv: row {i + 1} "):
+        write_csv(path, [f"c{k}" for k in range(rows.shape[1])], rows)
+    assert not path.exists()
+
+
 class TestCsv:
     def test_full_precision_floats(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -111,6 +155,18 @@ class TestCsv:
         with pytest.raises(NumericalFailure, match=r"bad\.csv: row 2 "):
             write_csv(path, ["x", "y"], np.array(rows) if as_array else rows)
         assert not path.exists()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_float_arrays_never_reach_the_per_value_formatter(self, tmp_path, monkeypatch,
+                                                              dtype):
+        def refuse(value):
+            raise AssertionError("a float ndarray took the per-value path")
+
+        monkeypatch.setattr(emit, "_fmt", refuse)
+        rows = np.array([[0.1, -0.0, 5e-324], [1e16, 1.0 / 3.0, -2.5e-7]], dtype=dtype)
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b", "c"], rows)
+        assert path.read_text() == _csv_reference(["a", "b", "c"], rows)
 
     def test_text_cells_that_merely_contain_nan_or_inf_are_kept(self, tmp_path):
         path = tmp_path / "t.csv"
