@@ -167,13 +167,18 @@ _MODEL_INLINE = {"a": (_number_rows, REQUIRED), "d": (_numbers, REQUIRED), "n": 
 
 
 def _model(spec, where: str) -> CompetitionModel:
-    """The reference preset, a {"file": path} reference, or inline a/d arrays (n optional)."""
+    """The reference preset, inline a/d arrays (n optional), or a {"file": path}
+    reference to a JSON file holding such arrays, checked by the same schema."""
     if spec == "reference" or spec == {"preset": "reference"}:
         return _reference_model()
     if isinstance(spec, dict) and "file" in spec:
-        return load_model(_parse(spec, _MODEL_FILE, where)["file"])
+        path = _parse(spec, _MODEL_FILE, where)["file"]
+        spec, where = _load_config(path), f"model file {path!r}"
     inline = _parse(spec, _MODEL_INLINE, where)
-    return load_model({"n": inline.get("n", len(inline["a"])), "a": inline["a"], "d": inline["d"]})
+    try:
+        return load_model({"n": inline.get("n", len(inline["a"])), **inline})
+    except ConfigError as exc:  # shapes and entries, checked by the model itself
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 _DOMAIN = {
@@ -342,7 +347,7 @@ def _run_timemap(cfg: dict, out: Path):
         mus = cfg["mu"]
         if cfg["svg"] and len(mus) < 2:
             raise ConfigError("svg needs at least 2 mu values")
-        lengths = [time_map(mu, D) for mu in mus]
+        lengths = time_map(mus, D)
     if "L_target" in cfg:
         L_target = cfg["L_target"]
         profile = dirichlet_steady_profile(L_target, D)

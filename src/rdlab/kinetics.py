@@ -26,7 +26,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .errors import NEGATIVITY_TOL, InvariantViolation, NumericalFailure
+from .errors import NEGATIVITY_TOL, InvariantViolation, NumericalFailure, _require_finite_positive
 from .model import CompetitionModel, equilibria, reaction
 from .pde import neumann_eigenvalue
 
@@ -346,10 +346,8 @@ def _checked_start(model, U0, span: float, span_name: str, tol: float) -> np.nda
         raise ValueError(f"initial state must have shape ({model.n},)")
     if not np.isfinite(U0).all():
         raise ValueError("initial state must be finite")
-    if not (math.isfinite(span) and span > 0.0):
-        raise ValueError(f"{span_name} must be finite and positive, got {span}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    _require_finite_positive(span_name, span)
+    _require_finite_positive("tol", tol)
     return U0
 
 
@@ -565,8 +563,8 @@ def orbital_stability(model: CompetitionModel, orbit: OrbitAnalysis, k_max: int 
     integration.
     """
     _require_periodic(orbit)
-    if L is not None and not (math.isfinite(L) and L > 0.0):
-        raise ValueError(f"interval length L must be finite and positive, got {L}")
+    if L is not None:
+        _require_finite_positive("interval length L", L)
     if eigenvalues is None:
         if L is not None:
             if k_max is None or k_max < 0:

@@ -336,7 +336,7 @@ def load_model(source) -> CompetitionModel:
     if missing:
         raise ConfigError(f"missing model keys: {sorted(missing)}")
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # true and false are ints too
         raise ConfigError("model key 'n' must be a positive integer")
     arrays = []
     for key in ("a", "d"):

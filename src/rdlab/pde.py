@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NEGATIVITY_TOL, InvariantViolation
+from .errors import NEGATIVITY_TOL, InvariantViolation, _require_finite_positive
 from .model import CompetitionModel, reaction
 
 DEFAULT_SNAPSHOTS = 200
@@ -55,8 +55,7 @@ class Domain1D:
             raise ValueError(f"unknown domain kind {self.kind!r}")
         if self.bc not in ("neumann", "dirichlet"):
             raise ValueError(f"unknown boundary condition {self.bc!r}")
-        if not (math.isfinite(self.length) and self.length > 0.0):
-            raise ValueError(f"domain length must be finite and positive, got {self.length}")
+        _require_finite_positive("domain length", self.length)
         if self.N < 8:
             raise ValueError("at least 8 interior nodes are required")
         if self.kind == "radial" and self.m < 2:
@@ -112,8 +111,7 @@ def _laplacian_diagonals(domain: Domain1D):
 
 def neumann_eigenvalue(L: float, k: int) -> float:
     """k-th Neumann Laplacian eigenvalue (k pi / L)^2 on an interval of length L."""
-    if not (math.isfinite(L) and L > 0.0):
-        raise ValueError(f"interval length must be finite and positive, got {L}")
+    _require_finite_positive("interval length", L)
     if k < 0:
         raise ValueError("mode index must be nonnegative")
     return float((k * np.pi / L) ** 2)
@@ -360,12 +358,10 @@ def evolve(model: CompetitionModel, domain: Domain1D, phi: Field, t_end: float,
         raise ValueError("initial field was built on a different domain")
     if phi.n_species != model.n:
         raise ValueError(f"initial field has {phi.n_species} species, model has {model.n}")
-    if not (math.isfinite(t_end) and t_end > 0.0):
-        raise ValueError(f"t_end must be finite and positive, got {t_end}")
+    _require_finite_positive("t_end", t_end)
     if dt is None:
         dt = default_dt(domain, model)
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be finite and positive, got {dt}")
+    _require_finite_positive("dt", dt)
     if not math.isfinite(t_end / dt):
         raise ValueError(f"t_end / dt = {t_end} / {dt} is too many steps")
     if snapshots < 1:

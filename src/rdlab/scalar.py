@@ -9,17 +9,22 @@ The length of the positive hump through amplitude ``mu`` is the time map
 
 an increasing function with limit ``pi * sqrt(D)`` as mu -> 0+ (the
 critical interval length below which only the trivial state survives).
+As F(mu) - F(u) = (mu - u)(r+ - u)(u - r-) / 3, with r+- the roots of
+u^2 + (mu - 3/2) u + mu^2 - 3 mu / 2, L is an elliptic integral of the
+first kind.  Carlson's reduction (DLMF 19.29(i)) gives it in closed form,
+L(mu) = 2 sqrt(6 D) R_F(s, 3 (3/2 - mu)(1 - mu) / s, 3 (1 - mu)) with
+s = (9/2 - 3 mu + sqrt(9/4 + 3 mu (1 - mu))) / 2 (see ``time_map``).
+
 The Dirichlet profile and the radial shots from the regular center both
 run on the kinetics module's DOPRI5 loop, which stops a shot at its
 terminal events.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailure
+from .errors import NumericalFailure, _require_finite_positive
 from .kinetics import _dopri5
 
 MU_MIN = 1e-8
@@ -27,7 +32,11 @@ MU_MAX = 1.0 - 1e-6
 BLOWUP_THRESHOLD = 1e6
 PROFILE_POINTS = 16385  # odd, so the midpoint is a grid node
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# Carlson's stopping factor Q / max|A_0 - x| at r = machine epsilon: once
+# 4^-m Q < A_m, |X|, |Y|, |Z| < (3 r)^(1/8), and the terms of degree 8 that
+# the DLMF 19.36.1 series leaves out stay below r (Carlson's (3 r)^(-1/6) is
+# for his series through degree 5)
+_RF_Q = (3.0 * np.finfo(float).eps) ** (-1.0 / 8.0)
 
 
 def potential(u):
@@ -43,72 +52,58 @@ def energy(u, uprime, D: float):
     return uprime * uprime / 2.0 + potential(u) / D
 
 
-def _require_finite_positive(name: str, value: float) -> None:
-    """Raise ValueError unless ``value`` is finite and positive.
-
-    A NaN passes every ``<= 0`` test, and a NaN or infinite length or
-    diffusion coefficient would send the bisection and the profile
-    integration below into NaN arithmetic that never terminates.
-    """
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
 def kiss_size(D: float) -> float:
     """Critical Dirichlet interval length pi * sqrt(D); D must be finite and positive."""
     _require_finite_positive("D", D)
     return float(np.pi * np.sqrt(D))
 
 
-def _gl_panel(f, a: float, b: float) -> float:
-    half = 0.5 * (b - a)
-    return half * float(np.dot(_GL_WEIGHTS, f(a + half * (_GL_NODES + 1.0))))
+def _carlson_rf(x, y, z):
+    """Carlson's symmetric elliptic integral R_F(x, y, z), elementwise.
 
-
-def _adaptive_gl(f, a: float, b: float, rtol: float) -> float:
-    """Adaptive bisection with 16-point Gauss-Legendre panels.
-
-    The integrand must be positive, so per-panel relative acceptance bounds
-    the global relative error by ``rtol``.
+    The arguments broadcast; they must be finite and nonnegative, with at
+    most one zero per triple.  Duplication (Carlson, Numer. Algorithms 10,
+    1995; DLMF 19.36(i)) moves each triple towards its mean A_m, leaving R_F
+    unchanged, until the DLMF 19.36.1 series reaches machine precision.  Each
+    element stops at its own test, so it does not depend on the rest.
     """
-    total = 0.0
-    stack = [(a, b, _gl_panel(f, a, b), 0)]
-    while stack:
-        lo, hi, coarse, depth = stack.pop()
-        mid = 0.5 * (lo + hi)
-        left = _gl_panel(f, lo, mid)
-        right = _gl_panel(f, mid, hi)
-        fine = left + right
-        if abs(fine - coarse) <= rtol * abs(fine) or depth >= 48:
-            if depth >= 48:
-                raise NumericalFailure("quadrature panel recursion exhausted")
-            total += fine
-        else:
-            stack.append((lo, mid, left, depth + 1))
-            stack.append((mid, hi, right, depth + 1))
-    return total
+    xyz = np.array(np.broadcast_arrays(x, y, z), dtype=float)
+    a0 = (xyz[0] + xyz[1] + xyz[2]) / 3.0
+    q = _RF_Q * np.abs(a0 - xyz).max(axis=0)
+    w = np.concatenate([xyz, [a0]])  # x_m, y_m, z_m, A_m
+    m = np.zeros(a0.shape, dtype=int)
+    active = q >= a0
+    while active.any():
+        r = np.sqrt(w[:3])
+        lam = r[0] * r[1] + r[1] * r[2] + r[2] * r[0]
+        w = np.where(active, (w + lam) / 4.0, w)
+        m = m + active
+        active = np.ldexp(q, -2 * m) >= w[3]
+    X, Y = np.ldexp(a0 - xyz[:2], -2 * m) / w[3]
+    Z = -(X + Y)
+    e2 = X * Y - Z * Z
+    e3 = X * Y * Z
+    series = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0
+              - 5.0 * e2 ** 3 / 208.0 + 3.0 * e3 * e3 / 104.0 + e2 * e2 * e3 / 16.0)
+    return series / np.sqrt(w[3])
 
 
-def time_map(mu: float, D: float) -> float:
+def time_map(mu, D: float):
     """Length L(mu) of the positive Dirichlet hump with amplitude mu.
 
-    Valid for 1e-8 <= mu <= 1 - 1e-6 and finite D > 0.  The substitutions
-    u = mu * z and z = 1 - w^2 remove the inverse-square-root endpoint
-    singularity exactly: with g(u) = (mu + u)/2 - (mu^2 + mu u + u^2)/3 the
-    integrand becomes 2 sqrt(mu) / sqrt(g(mu (1 - w^2))), smooth on [0, 1],
-    and is integrated by adaptive Gauss-Legendre panels to relative
-    tolerance 1e-8.
+    L(mu) = 2 sqrt(6 D) R_F(s, 3 (3/2 - mu)(1 - mu) / s, 3 (1 - mu)) with
+    s = (9/2 - 3 mu + sqrt(9/4 + 3 mu (1 - mu))) / 2, for 1e-8 <= mu <= 1 - 1e-6
+    (where no argument cancels) and finite D > 0.  ``mu`` is a number (a float
+    is returned) or an array.  As mu -> 0, L -> pi sqrt(D), the ``kiss_size``.
     """
-    if not MU_MIN <= mu <= MU_MAX:
+    mu = np.asarray(mu, dtype=float)
+    if not np.all((mu >= MU_MIN) & (mu <= MU_MAX)):  # a NaN fails both tests
         raise ValueError(f"amplitude mu must lie in [{MU_MIN:g}, {MU_MAX:g}]")
     _require_finite_positive("D", D)
-
-    def integrand(w):
-        u = mu * (1.0 - w * w)
-        g = (mu + u) / 2.0 - (mu * mu + mu * u + u * u) / 3.0
-        return 2.0 * np.sqrt(mu) / np.sqrt(g)
-
-    return float(np.sqrt(2.0 * D) * _adaptive_gl(integrand, 0.0, 1.0, 1e-8))
+    s = (4.5 - 3.0 * mu + np.sqrt(2.25 + 3.0 * mu * (1.0 - mu))) / 2.0
+    rf = _carlson_rf(s, 3.0 * (1.5 - mu) * (1.0 - mu) / s, 3.0 * (1.0 - mu))
+    length = 2.0 * np.sqrt(6.0 * D) * rf
+    return float(length) if length.ndim == 0 else length
 
 
 @dataclass(frozen=True)
@@ -134,12 +129,13 @@ def dirichlet_steady_profile(L: float, D: float) -> SteadyProfile | None:
     _require_finite_positive("D", D)
     if L <= kiss_size(D):
         return None
-    lo, hi = MU_MIN, MU_MAX
-    if time_map(hi, D) < L:
+    top = time_map(MU_MAX, D)
+    if top < L:
         raise ValueError(
             f"target length {L:g} exceeds the supported amplitude range "
-            f"(time_map({MU_MAX:g}) = {time_map(hi, D):g})"
+            f"(time_map({MU_MAX:g}) = {top:g})"
         )
+    lo, hi = MU_MIN, MU_MAX
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if time_map(mid, D) < L:

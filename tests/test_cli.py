@@ -396,8 +396,9 @@ class TestExitCodes:
                                                   ("kiss_size", "report.json")])
     def test_non_finite_artifact_is_numerical_failure(self, tmp_path, capsys, monkeypatch,
                                                       source, artifact):
-        # a writer fed a NaN refuses its file instead of writing "nan" or NaN
-        monkeypatch.setattr(cli, source, lambda *args: float("nan"))
+        # a writer fed a NaN refuses its file instead of writing "nan" or NaN;
+        # the stand-in keeps its first argument's shape (time_map takes all mu at once)
+        monkeypatch.setattr(cli, source, lambda x, *rest: np.multiply(x, float("nan")))
         rc, out = _run(tmp_path, "timemap", {"D": 0.1, "mu": [0.3, 0.5], "svg": True})
         assert rc == 4
         err = capsys.readouterr().err
@@ -592,6 +593,21 @@ DIRICHLET_BUMP = {
 }
 
 
+# (model, a fragment of its error message); inline the message is prefixed
+# "model", from a file "model file '<path>'"
+BAD_MODELS = [
+    ({"a": [[1.0, 0.5], [0.5, 1.0]], "d": {}}, ".d must be a non-empty array"),
+    ({"a": [[1.0, 0.5], [0.5]], "d": [1.0, 1.0]}, "'a' must be an array of numbers"),
+    ({"n": True, "a": [["1.0"]], "d": [True]}, ".a[0][0] must be a finite number"),
+    ({"n": True, "a": [[1.0]], "d": [1.0]}, ".n must be an integer"),
+    ({"n": 3, "a": [[1.0, 0.5], [0.5, 1.0]], "d": [1.0, 1.0]}, "'a' must be 3x3"),
+    ({"a": [[1.0]], "d": [1.0], "x": 1}, "has unknown keys: x"),
+    ({"a": [[1.0]]}, "is missing required key 'd'"),
+    ({"a": [[1.0]], "d": [float("inf")]}, ".d[0] must be a finite number"),
+    ({"a": [[1.0]], "d": [-1.0]}, "diffusion"),
+]
+
+
 class TestConfigBoundary:
     @pytest.mark.parametrize(
         "command, payload, key",
@@ -626,6 +642,34 @@ class TestConfigBoundary:
         if key is not None:
             assert key in err[0]
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("source", ["inline", "file"])
+    @pytest.mark.parametrize("model, message", BAD_MODELS)
+    def test_bad_model_is_rejected_inline_and_from_a_file(self, tmp_path, capsys, source,
+                                                          model, message):
+        # a {"file": path} model goes through the same schema as an inline one
+        if source == "file":
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps(model))
+            model = {"file": str(path)}
+        rc, out = _run(tmp_path, "equilibria", {"model": model})
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("rdlab: config error:")
+        assert message in err[0]
+        if source == "file":
+            assert str(tmp_path / "model.json") in err[0]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("text, message", [("[1, 2]", "must be a JSON object"),
+                                               ("{", "is not valid JSON")])
+    def test_model_file_that_is_no_object_names_the_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        rc, _ = _run(tmp_path, "equilibria", {"model": {"file": str(path)}})
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and str(path) in err
 
     def test_empty_detect_cycle_object_runs_the_detector(self, tmp_path):
         payload = {"model": TWO_SPECIES_SINK, "U0": [0.4, 0.5], "t_end": 1.0, "detect_cycle": {}}

@@ -335,6 +335,12 @@ class TestLoadModel:
         with pytest.raises(ConfigError, match=f"model key '{key}'"):
             load_model(data)
 
+    @pytest.mark.parametrize("n", [True, 1.0, "1"])
+    def test_size_must_be_an_int(self, n):
+        # true passed as 1 before, because (1, 1) == (True, True)
+        with pytest.raises(ConfigError, match="'n' must be a positive integer"):
+            load_model({"n": n, "a": [[1.0]], "d": [1.0]})
+
     def test_nonpositive_entries_rejected(self):
         with pytest.raises(ValueError):
             CompetitionModel(a=np.array([[1.0, 0.0], [0.5, 1.0]]), d=np.ones(2))

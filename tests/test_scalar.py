@@ -7,6 +7,8 @@ from rdlab import NumericalFailure  # noqa: F401  (documents the raised type)
 from rdlab.scalar import (
     BLOWUP_THRESHOLD,
     MU_MAX,
+    MU_MIN,
+    _carlson_rf,
     dirichlet_steady_profile,
     energy,
     kiss_size,
@@ -68,6 +70,70 @@ class TestTimeMap:
             time_map(1.0, 0.1)
         with pytest.raises(ValueError):
             time_map(0.5, 0.0)
+        # a NaN fails both range tests; one bad amplitude rejects the array
+        for mu in (float("nan"), [0.5, float("nan")], [0.5, 1.0]):
+            with pytest.raises(ValueError, match="amplitude mu"):
+                time_map(mu, 0.1)
+
+    def test_array_call_equals_scalar_calls_bit_for_bit(self):
+        rng = np.random.default_rng(14)
+        mus = np.concatenate([[MU_MIN, MU_MAX], np.linspace(MU_MIN, MU_MAX, 200),
+                              rng.uniform(MU_MIN, MU_MAX, 100)])
+        for D in (1e-6, 0.1, 1e6):
+            lengths = time_map(mus, D)
+            assert isinstance(time_map(0.5, D), float)
+            assert lengths.shape == mus.shape
+            assert lengths.tolist() == [time_map(float(mu), D) for mu in mus]
+            assert np.array_equal(time_map(mus.reshape(2, 151), D), lengths.reshape(2, 151))
+
+    @pytest.mark.parametrize("D", [1e-6, 0.1, 1e6])
+    def test_matches_quadrature_of_the_defining_integral(self, D):
+        # with t = mu - u, F(mu) - F(u) = t g(t) and g has no root on [0, mu];
+        # quad's algebraic weight takes the t^(-1/2) endpoint singularity exactly
+        from scipy.integrate import quad
+
+        def reference(mu):
+            def g(t):
+                return mu * (1.0 - mu) + t * (mu - 0.5) - t * t / 3.0
+
+            value, _ = quad(lambda t: 1.0 / np.sqrt(g(t)), 0.0, mu, weight="alg",
+                            wvar=(-0.5, 0.0), epsabs=0.0, epsrel=1e-13, limit=200)
+            return np.sqrt(2.0 * D) * value
+
+        mus = np.concatenate([[MU_MIN, MU_MAX], np.linspace(MU_MIN, MU_MAX, 50)])
+        expected = np.array([reference(mu) for mu in mus])
+        np.testing.assert_allclose(time_map(mus, D), expected, rtol=1e-11, atol=0.0)
+
+
+class TestCarlsonRF:
+    def test_matches_scipy_elliprf(self):
+        from scipy.special import elliprf
+
+        rng = np.random.default_rng(19)
+        x, y, z = 10.0 ** rng.uniform(-200.0, 200.0, (3, 5000))
+        zero = rng.integers(0, 4, x.size)  # 3 leaves the triple without a zero
+        for k, arg in enumerate((x, y, z)):
+            arg[zero == k] = 0.0
+        expected = elliprf(x, y, z)
+        # scipy returns NaN for a zero next to two arguments whose product
+        # underflows; R_F is homogeneous of degree -1/2, so scaling all three
+        # by 4^150 and the value by 2^150 is exact
+        gap = np.isnan(expected)
+        expected[gap] = elliprf(x[gap] * 4.0**150, y[gap] * 4.0**150, z[gap] * 4.0**150) * 2.0**150
+        assert np.isfinite(expected).all()
+        np.testing.assert_allclose(_carlson_rf(x, y, z), expected, rtol=1e-14, atol=0.0)
+
+    def test_closed_form_values(self):
+        # R_F(x, x, x) = x^(-1/2), R_F(0, 1, 1) = pi/2 and the lemniscate
+        # constant R_F(0, 1, 2) = Gamma(1/4)^2 / (4 sqrt(2 pi)) (DLMF 19.20.2)
+        from math import gamma, pi, sqrt
+
+        assert _carlson_rf(4.0, 4.0, 4.0) == 0.5
+        assert _carlson_rf(0.0, 1.0, 1.0) == pytest.approx(pi / 2.0, rel=1e-15)
+        assert _carlson_rf(0.0, 1.0, 2.0) == pytest.approx(
+            gamma(0.25) ** 2 / (4.0 * sqrt(2.0 * pi)), rel=1e-15)
+        # the time map's mu -> 0 limit
+        assert 2.0 * sqrt(6.0) * _carlson_rf(3.0, 1.5, 3.0) == pytest.approx(pi, rel=1e-15)
 
 
 class TestDirichletProfile:
