@@ -6,12 +6,15 @@ each artifact's sha256.  Outputs carry no timestamps or machine identifiers,
 so rerunning a command with the same config reproduces the same bytes.
 
 Each command declares its config keys once, in a schema table that
-``_parse`` checks before the command's handler runs.  A handler runs every
-computation before it writes its first file, and it writes into a hidden
-staging directory inside the output directory; the files move up into the
-output directory, by renames on the same filesystem, only after the
-manifest is written.  So a run that fails leaves no file of its own there
-and overwrites none from an earlier run.
+``errors._parse`` checks before the command's handler runs; a model is
+read by ``model.load_model``, which checks it by the same schema, so the
+library and the CLI accept and reject the same models with the same
+message.  A handler runs every computation before it writes its first
+file, and it writes into a hidden staging directory inside the output
+directory.  The manifest lists every file in that directory; the files
+move up into the output directory, by renames on the same filesystem, only
+after the manifest is written.  So a run that fails leaves no file of its
+own there and overwrites none from an earlier run.
 
 Exit codes: 0 success, 2 config error, 3 degenerate model, 4 numerical
 failure or a run too large for memory, 5 no periodic orbit where one was
@@ -21,8 +24,6 @@ required.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import os
 import shutil
 import sys
@@ -35,11 +36,21 @@ from numpy.polynomial.polynomial import polyval
 from .analysis import chs_report, classify_omega, decay_fit
 from .emit import svg_line_chart, write_csv, write_json, write_manifest
 from .errors import (
+    OMIT,
+    REQUIRED,
     ConfigError,
     DegenerateModelError,
     InvariantViolation,
     NoCycleError,
     NumericalFailure,
+    _boolean,
+    _integer,
+    _load_config,
+    _number,
+    _number_rows,
+    _numbers,
+    _parse,
+    _string,
 )
 from .kinetics import detect_limit_cycle, integrate, orbital_stability
 from .model import (
@@ -83,102 +94,18 @@ REPRODUCTION = {
 }
 
 
-def _load_config(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# config schemas: a schema maps each allowed key to (parser, default), where a
-# parser takes (value, dotted key path) and returns the parsed value
-
-REQUIRED = object()  # the key must be present
-OMIT = object()  # an absent key stays absent, so the library's own default applies
-
-
-def _parse(obj, schema: dict, where: str = "") -> dict:
-    """Check one JSON object against a schema and return its parsed values by key."""
-    name = where or "config"
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{name} must be a JSON object")
-    unknown = sorted(set(obj) - set(schema))
-    if unknown:
-        raise ConfigError(f"{name} has unknown keys: {', '.join(unknown)}")
-    parsed = {}
-    for key, (parse, default) in schema.items():
-        if key in obj:
-            parsed[key] = parse(obj[key], f"{where}.{key}" if where else key)
-        elif default is REQUIRED:
-            raise ConfigError(f"{name} is missing required key {key!r}")
-        elif default is not OMIT:
-            parsed[key] = default
-    return parsed
-
-
-def _number(value, where: str) -> float:
-    """A finite number: NaN, Infinity and literals beyond the float range (1e999) are rejected."""
-    try:
-        x = float(value) if type(value) in (int, float) else math.nan
-    except OverflowError:  # an integer literal too large for a float
-        x = math.inf
-    if not math.isfinite(x):
-        raise ConfigError(f"{where} must be a finite number")
-    return x
-
-
-def _exact_type(kind: type, what: str):
-    def parse(value, where: str):
-        if type(value) is not kind:  # also keeps true/false out of the integers
-            raise ConfigError(f"{where} must be {what}")
-        return value
-
-    return parse
-
-
-_integer = _exact_type(int, "an integer")
-_boolean = _exact_type(bool, "true or false")
-_string = _exact_type(str, "a string")
-
-
-def _nonempty_list(item, what: str):
-    def parse(value, where: str) -> list:
-        if type(value) is not list or not value:
-            raise ConfigError(f"{where} must be a non-empty array of {what}")
-        return [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
-
-    return parse
-
-
-_numbers = _nonempty_list(_number, "numbers")
-_number_rows = _nonempty_list(_numbers, "number arrays")
-
-
 def _reference_model() -> CompetitionModel:
     return load_model({"n": 3, "a": REFERENCE_MATRIX, "d": REFERENCE_DIFFUSION})
 
 
-_MODEL_FILE = {"file": (_string, REQUIRED)}
-_MODEL_INLINE = {"a": (_number_rows, REQUIRED), "d": (_numbers, REQUIRED), "n": (_integer, OMIT)}
-
-
 def _model(spec, where: str) -> CompetitionModel:
-    """The reference preset, inline a/d arrays (n optional), or a {"file": path}
-    reference to a JSON file holding such arrays, checked by the same schema."""
+    """The reference preset, inline a/d arrays (n optional), or {"file": path}
+    naming a JSON file that holds such arrays; load_model checks both."""
     if spec == "reference" or spec == {"preset": "reference"}:
         return _reference_model()
-    if isinstance(spec, dict) and "file" in spec:
-        path = _parse(spec, _MODEL_FILE, where)["file"]
-        spec, where = _load_config(path), f"model file {path!r}"
-    inline = _parse(spec, _MODEL_INLINE, where)
-    try:
-        return load_model({"n": inline.get("n", len(inline["a"])), **inline})
-    except ConfigError as exc:  # shapes and entries, checked by the model itself
-        raise ConfigError(f"{where}: {exc}") from exc
+    if isinstance(spec, dict) and list(spec) == ["file"]:
+        return load_model(_string(spec["file"], f"{where}.file"))
+    return load_model(spec, where)
 
 
 _DOMAIN = {
@@ -188,12 +115,6 @@ _DOMAIN = {
     "bc": (_string, REQUIRED),
     "m": (_integer, OMIT),
 }
-
-
-def _domain(spec, where: str) -> Domain1D:
-    parsed = _parse(spec, _DOMAIN, where)
-    parsed.setdefault("m", 2 if parsed["kind"] == "radial" else 1)
-    return Domain1D(**parsed)
 
 
 _PHI = {"constant": (_numbers, OMIT), "poly": (_number_rows, OMIT)}
@@ -309,8 +230,8 @@ def _decay(traj, window, clip: bool):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each takes the parsed config and the output directory
-# and returns (written file paths, manifest extras)
+# subcommand handlers: each takes the parsed config and the staging directory,
+# writes its files there and returns the manifest extras (None for most)
 
 
 def _run_equilibria(cfg: dict, out: Path):
@@ -334,8 +255,8 @@ def _run_equilibria(cfg: dict, out: Path):
         for lam in eq.eigenvalues:
             row += [float(np.real(lam)), float(np.imag(lam))]
         rows.append(row)
-    return [write_csv(out / "equilibria.csv", header, rows),
-            write_json(out / "report.json", report)], None
+    write_csv(out / "equilibria.csv", header, rows)
+    write_json(out / "report.json", report)
 
 
 def _run_timemap(cfg: dict, out: Path):
@@ -352,18 +273,17 @@ def _run_timemap(cfg: dict, out: Path):
         L_target = cfg["L_target"]
         profile = dirichlet_steady_profile(L_target, D)
 
-    files = []
     if "mu" in cfg:
-        files.append(write_csv(out / "timemap.csv", ["mu", "L"], np.column_stack([mus, lengths])))
+        write_csv(out / "timemap.csv", ["mu", "L"], np.column_stack([mus, lengths]))
         report["mu_count"] = len(mus)
         if cfg["svg"]:
-            files.append(svg_line_chart(
+            svg_line_chart(
                 out / "timemap.svg",
                 [("L(mu)", np.array(mus), np.array(lengths))],
                 title=f"Dirichlet hump length, D = {D:g}",
                 x_label="amplitude mu",
                 y_label="interval length L",
-            ))
+            )
 
     if "L_target" in cfg:
         if profile is None:
@@ -375,11 +295,9 @@ def _run_timemap(cfg: dict, out: Path):
                 "mu_star": float(profile.mu_star),
                 "max_value": float(profile.u.max()),
             }
-            files.append(write_csv(out / "profile.csv", ["x", "u"],
-                                   np.column_stack([profile.x, profile.u])))
+            write_csv(out / "profile.csv", ["x", "u"], np.column_stack([profile.x, profile.u]))
 
-    files.append(write_json(out / "report.json", report))
-    return files, None
+    write_json(out / "report.json", report)
 
 
 def _run_shoot(cfg: dict, out: Path):
@@ -393,20 +311,17 @@ def _run_shoot(cfg: dict, out: Path):
         "outcome": result.outcome,
         "first_zero_r": result.first_zero_r,
     }
-    files = [
-        write_csv(out / "shoot.csv", ["r", "u", "uprime"],
-                  np.column_stack([result.r, result.u, result.uprime])),
-        write_json(out / "report.json", report),
-    ]
+    write_csv(out / "shoot.csv", ["r", "u", "uprime"],
+              np.column_stack([result.r, result.u, result.uprime]))
+    write_json(out / "report.json", report)
     if cfg["svg"]:
-        files.append(svg_line_chart(
+        svg_line_chart(
             out / "shoot.svg",
             [("u(r)", result.r, result.u)],
             title=f"Radial profile, c = {c:g}, D = {D:g}, m = {m}",
             x_label="radius r",
             y_label="u",
-        ))
-    return files, None
+        )
 
 
 def _run_ode(cfg: dict, out: Path):
@@ -431,20 +346,17 @@ def _run_ode(cfg: dict, out: Path):
         orbit = detect_limit_cycle(model, np.array(U0), **cfg["detect_cycle"])
         report["cycle"] = {**_cycle_dict(orbit), "converged_to": orbit.converged_to}
 
-    files = [
-        write_csv(out / "trajectory.csv", ["t"] + [f"u{i + 1}" for i in range(model.n)],
-                  np.column_stack([t, states.T])),
-        write_json(out / "report.json", report),
-    ]
+    write_csv(out / "trajectory.csv", ["t"] + [f"u{i + 1}" for i in range(model.n)],
+              np.column_stack([t, states.T]))
+    write_json(out / "report.json", report)
     if cfg["svg"]:
-        files.append(svg_line_chart(
+        svg_line_chart(
             out / "trajectory.svg",
             [(f"u{i + 1}", t, states[i]) for i in range(model.n)],
             title="Kinetic trajectory",
             x_label="time t",
             y_label="density",
-        ))
-    return files, None
+        )
 
 
 def _pde_outputs(model, traj, out: Path, *, svg: bool, decay_window=None):
@@ -459,22 +371,19 @@ def _pde_outputs(model, traj, out: Path, *, svg: bool, decay_window=None):
         rate, amplitude, decay_rows = _decay(traj, decay_window, clip=True)
         extras = {"decay_rate": rate, "decay_amplitude": amplitude}
 
-    files = [
-        write_csv(out / "averages.csv", ["t"] + [f"avg_u{i + 1}" for i in range(n)],
-                  np.column_stack([traj.times, avgs])),
-        write_csv(out / "flatness.csv", ["t", "flatness"],
-                  np.column_stack([traj.times, traj.flatness()])),
-        write_csv(out / "final_field.csv", ["x"] + [f"u{i + 1}" for i in range(n)],
-                  np.column_stack([x, traj.fields[-1].T])),
-    ]
+    write_csv(out / "averages.csv", ["t"] + [f"avg_u{i + 1}" for i in range(n)],
+              np.column_stack([traj.times, avgs]))
+    write_csv(out / "flatness.csv", ["t", "flatness"],
+              np.column_stack([traj.times, traj.flatness()]))
+    write_csv(out / "final_field.csv", ["x"] + [f"u{i + 1}" for i in range(n)],
+              np.column_stack([x, traj.fields[-1].T]))
     if traj.probe_points is not None:
         header = ["t"]
         for i in range(n):
             for xp in traj.probe_points:
                 header.append(f"u{i + 1}@x={xp:.6g}")
         block = traj.probe_values.reshape(traj.probe_values.shape[0], -1)
-        files.append(write_csv(out / "probes.csv", header,
-                               np.column_stack([traj.probe_times, block])))
+        write_csv(out / "probes.csv", header, np.column_stack([traj.probe_times, block]))
         if svg:
             series = []
             for i in range(n):
@@ -482,17 +391,17 @@ def _pde_outputs(model, traj, out: Path, *, svg: bool, decay_window=None):
                     series.append(
                         (f"u{i + 1}@x={xp:.3g}", traj.probe_times, traj.probe_values[:, i, j])
                     )
-            files.append(svg_line_chart(
+            svg_line_chart(
                 out / "probes.svg",
                 series,
                 title="Probe traces",
                 x_label="time t",
                 y_label="density",
-            ))
-    files.append(write_json(out / "classification.json", {"classification": classification}))
+            )
+    write_json(out / "classification.json", {"classification": classification})
     if decay_window is not None:
-        files.append(write_csv(out / "decay.csv", _DECAY_HEADER, decay_rows))
-    return files, extras
+        write_csv(out / "decay.csv", _DECAY_HEADER, decay_rows)
+    return extras
 
 
 def _run_pde(cfg: dict, out: Path):
@@ -531,15 +440,14 @@ def _run_floquet(cfg: dict, out: Path):
         "modal_modes": [int(k) for k in sorted(verdict.modal_multipliers)],
         "solver": orbit.solver,
     }
-    return [write_csv(out / "multipliers.csv", header, rows),
-            write_json(out / "floquet.json", report)], None
+    write_csv(out / "multipliers.csv", header, rows)
+    write_json(out / "floquet.json", report)
 
 
 def _run_chs(cfg: dict, out: Path):
     model, L, norm = cfg["model"], cfg["L"], cfg["norm"]
     rep = chs_report(model, L, norm=norm)
     report = {"model": model_to_dict(model), "norm": norm, **vars(rep)}
-    files = []
     run = cfg.get("run")
     if run is not None:
         domain = Domain1D(kind="interval", length=L, N=run["N"], bc="neumann")
@@ -553,9 +461,8 @@ def _run_chs(cfg: dict, out: Path):
             "fitted_amplitude": amplitude,
             "rate_at_least_sigma": bool(rate >= rep.sigma - 1.0e-6),
         }
-        files.append(write_csv(out / "decay.csv", _DECAY_HEADER, decay_rows))
-    files.append(write_json(out / "chs.json", report))
-    return files, None
+        write_csv(out / "decay.csv", _DECAY_HEADER, decay_rows)
+    write_json(out / "chs.json", report)
 
 
 def _run_reproduce(cfg: dict, out: Path):
@@ -585,32 +492,30 @@ def _run_reproduce(cfg: dict, out: Path):
     ode_at_snaps = traj_ode.at(traj_pde.times).T
     diff = np.abs(avgs - ode_at_snaps).max(axis=1)
 
-    files, _ = _pde_outputs(model, traj_pde, out, svg=svg)
-    files.append(write_json(out / "condition.json",
-                            {"model": model_to_dict(model), "condition": cond}))
-    files.append(write_csv(out / "ode_run.csv", ["t", "u1", "u2", "u3"],
-                           np.column_stack([t, states.T])))
-    files.append(write_json(out / "cycle.json", {
+    _pde_outputs(model, traj_pde, out, svg=svg)
+    write_json(out / "condition.json", {"model": model_to_dict(model), "condition": cond})
+    write_csv(out / "ode_run.csv", ["t", "u1", "u2", "u3"], np.column_stack([t, states.T]))
+    write_json(out / "cycle.json", {
         "U0": [float(v) for v in U0],
         **_cycle_dict(orbit),
         "crossings": None if orbit.crossing_times is None else len(orbit.crossing_times),
-    }))
-    files.append(write_csv(
+    })
+    write_csv(
         out / "comparison.csv",
         ["t", "ode_u1", "ode_u2", "ode_u3", "avg_u1", "avg_u2", "avg_u3", "max_abs_diff"],
         np.column_stack([traj_pde.times, ode_at_snaps, avgs, diff]),
-    ))
+    )
     if svg:
         series = [(f"ode_u{i + 1}", traj_pde.times, ode_at_snaps[:, i]) for i in range(3)]
         series += [(f"avg_u{i + 1}", traj_pde.times, avgs[:, i]) for i in range(3)]
-        files.append(svg_line_chart(
+        svg_line_chart(
             out / "comparison.svg",
             series,
             title="Kinetic orbit vs spatial averages",
             x_label="time t",
             y_label="density",
-        ))
-    files.append(write_json(out / "sigma_report.json", sigma_rep))
+        )
+    write_json(out / "sigma_report.json", sigma_rep)
 
     extras = {
         "pinned": {k: P[k] for k in ("N", "dt", "t_end", "tol", "max_time",
@@ -619,7 +524,7 @@ def _run_reproduce(cfg: dict, out: Path):
         "phi_spatial_average": [float(v) for v in spatial_average(phi)],
         "phi_exact_average": list(REFERENCE_PHI_AVERAGES),
     }
-    return files, extras
+    return extras
 
 
 # ---------------------------------------------------------------------------
@@ -653,10 +558,12 @@ _COMMANDS = {
     "pde": (
         "evolve the reaction-diffusion system on an interval or disk",
         _run_pde,
-        {"model": (_model, REQUIRED), "domain": (_domain, REQUIRED), "phi": (_phi, REQUIRED),
-         "t_end": (_number, REQUIRED), "dt": (_number, OMIT), "snapshots": (_integer, OMIT),
-         "probes": (_numbers, OMIT), "probe_stride": (_integer, OMIT),
-         "svg": (_boolean, False), "decay_window": (_numbers, OMIT)},
+        {"model": (_model, REQUIRED),
+         "domain": (lambda spec, where: Domain1D(**_parse(spec, _DOMAIN, where)), REQUIRED),
+         "phi": (_phi, REQUIRED), "t_end": (_number, REQUIRED), "dt": (_number, OMIT),
+         "snapshots": (_integer, OMIT), "probes": (_numbers, OMIT),
+         "probe_stride": (_integer, OMIT), "svg": (_boolean, False),
+         "decay_window": (_numbers, OMIT)},
     ),
     "floquet": (
         "multipliers and modal stability of a detected limit cycle",
@@ -710,7 +617,8 @@ def main(argv=None) -> int:
         except OSError as exc:  # out, or a parent of it, is a file or not writable
             raise ConfigError(f"cannot write into output directory {out}: {exc}") from exc
         try:
-            files, extras = handler(_parse(config, schema), staging)
+            extras = handler(_parse(config, schema), staging)
+            files = sorted(staging.iterdir())
             files.append(write_manifest(staging, args.command, config, files, extra=extras))
             for f in files:
                 os.replace(f, out / f.name)

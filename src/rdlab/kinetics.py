@@ -484,10 +484,8 @@ def detect_limit_cycle(model: CompetitionModel, U0, max_time: float = DEFAULT_MA
         if np.linalg.norm(one_period.y[-1] - anchor) < RETURN_STATE_TOL:
             mono, solver["monodromy"] = _monodromy_matrix(model, anchor, period,
                                                           np.zeros(model.n), tol)
-            mult = np.linalg.eigvals(mono)
-            mult = mult[np.argsort(-np.abs(mult))]
-            return OrbitAnalysis("periodic", True, period, anchor, mono, mult, None,
-                                 crossings, solver)
+            return OrbitAnalysis("periodic", True, period, anchor, mono, _multipliers(mono),
+                                 None, crossings, solver)
 
     if _is_settled(model, run.dense, span):
         label = _settled_equilibrium_label(model, run.y[-1])
@@ -505,6 +503,12 @@ def _monodromy_matrix(model, anchor, period, lam_d, tol):
     y0 = np.concatenate([anchor, np.eye(n).ravel()])
     run = _dopri5(_variational_rhs(model, lam_d), y0, period, tol, densities=n)
     return run.y[-1, n:].reshape(n, n), run.stats
+
+
+def _multipliers(mono):
+    """The eigenvalues of a monodromy matrix, by decreasing modulus."""
+    mult = np.linalg.eigvals(mono)
+    return mult[np.argsort(-np.abs(mult))]
 
 
 def _require_periodic(orbit):
@@ -532,8 +536,7 @@ def modal_multipliers(model: CompetitionModel, orbit: OrbitAnalysis, lam: float,
     if not (math.isfinite(lam) and lam >= 0.0):
         raise ValueError(f"Laplacian eigenvalue must be finite and nonnegative, got {lam}")
     mono, _ = _monodromy_matrix(model, orbit.anchor, orbit.period, lam * model.d, tol)
-    mult = np.linalg.eigvals(mono)
-    return mult[np.argsort(-np.abs(mult))]
+    return _multipliers(mono)
 
 
 @dataclass(frozen=True)
@@ -583,8 +586,7 @@ def orbital_stability(model: CompetitionModel, orbit: OrbitAnalysis, k_max: int 
         raise ValueError("Laplacian eigenvalues must be finite and nonnegative")
     base = orbit.multipliers
     if base is None:
-        base = np.linalg.eigvals(monodromy(model, orbit, tol))
-        base = base[np.argsort(-np.abs(base))]
+        base = modal_multipliers(model, orbit, 0.0, tol)
     near_one = np.abs(base - 1.0) < TRIVIAL_MULTIPLIER_TOL
     unit_simple = int(near_one.sum()) == 1
     modal = {k: modal_multipliers(model, orbit, float(eigenvalues[k - 1]), tol)

@@ -13,13 +13,22 @@ decide between a stable interior state and a periodic attractor.
 """
 
 import itertools
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateModelError
+from .errors import (
+    OMIT,
+    REQUIRED,
+    ConfigError,
+    DegenerateModelError,
+    _integer,
+    _load_config,
+    _number_rows,
+    _numbers,
+    _parse,
+)
 
 EQUILIBRIUM_RESIDUAL_TOL = 1e-10
 HYPERBOLICITY_TOL = 1e-8
@@ -318,38 +327,24 @@ def model_to_dict(model: CompetitionModel) -> dict:
     return {"n": model.n, "a": model.a.tolist(), "d": model.d.tolist()}
 
 
-def load_model(source) -> CompetitionModel:
-    """Build a model from a dict or a JSON file with exactly the keys n, a, d."""
+_MODEL = {"a": (_number_rows, REQUIRED), "d": (_numbers, REQUIRED), "n": (_integer, OMIT)}
+
+
+def load_model(source, where: str = "model") -> CompetitionModel:
+    """Build a model from a dict, or a JSON file, holding arrays a and d and
+    optionally the species count n.
+
+    The input is checked by the same config schema as the CLI's, and every
+    error is a ConfigError that starts with ``where`` (for a file, with the
+    file's name).
+    """
     if isinstance(source, (str, Path)):
-        try:
-            data = json.loads(Path(source).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read model file {source}: {exc}") from exc
-    else:
-        data = source
-    if not isinstance(data, dict):
-        raise ConfigError(f"a model must be a JSON object with keys n, a, d, got {type(data).__name__}")
-    extra = set(data) - {"n", "a", "d"}
-    if extra:
-        raise ConfigError(f"unknown model keys: {sorted(extra)}")
-    missing = {"n", "a", "d"} - set(data)
-    if missing:
-        raise ConfigError(f"missing model keys: {sorted(missing)}")
-    n = data["n"]
-    if type(n) is not int or n < 1:  # true and false are ints too
-        raise ConfigError("model key 'n' must be a positive integer")
-    arrays = []
-    for key in ("a", "d"):
-        try:
-            arrays.append(np.array(data[key], dtype=float))
-        except (TypeError, ValueError, OverflowError) as exc:  # a dict, a string, a ragged list
-            raise ConfigError(f"model key {key!r} must be an array of numbers: {exc}") from exc
-    a, d = arrays
-    if a.shape != (n, n):
-        raise ConfigError(f"model matrix 'a' must be {n}x{n} row-major")
-    if d.shape != (n,):
-        raise ConfigError(f"model vector 'd' must have length {n}")
+        source, where = _load_config(source), f"model file {str(source)!r}"
+    spec = _parse(source, _MODEL, where)
     try:
-        return CompetitionModel(a, d)
+        model = CompetitionModel(spec["a"], spec["d"])
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{where}: {exc}") from exc
+    if spec.get("n", model.n) != model.n:
+        raise ConfigError(f"{where}: 'a' must be {spec['n']}x{spec['n']} to match n")
+    return model

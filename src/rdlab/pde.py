@@ -23,7 +23,6 @@ on a row of ones, and the four stage rates are combined by one dot.
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -41,16 +40,19 @@ class Domain1D:
     ``N`` counts interior nodes; the grid has N + 2 nodes including both
     boundaries with spacing h = length / (N + 1).  Radial domains require a
     space dimension m >= 2 and are rotationally symmetric about r = 0
-    (which is a regular point, not a boundary condition).
+    (which is a regular point, not a boundary condition).  An omitted ``m``
+    is 1 on an interval and 2 on a radial domain (a disk).
     """
 
     kind: str  # 'interval' | 'radial'
     length: float
     N: int
     bc: str  # 'neumann' | 'dirichlet'
-    m: int = 1
+    m: int | None = None
 
     def __post_init__(self):
+        if self.m is None:
+            object.__setattr__(self, "m", 2 if self.kind == "radial" else 1)
         if self.kind not in ("interval", "radial"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
         if self.bc not in ("neumann", "dirichlet"):
@@ -71,7 +73,6 @@ class Domain1D:
         return np.linspace(0.0, self.length, self.N + 2)
 
 
-@lru_cache(maxsize=64)
 def _laplacian_diagonals(domain: Domain1D):
     """(sub, main, super) diagonals of the discrete Laplacian on the full grid.
 

@@ -14,6 +14,8 @@ import pytest
 
 from rdlab import cli, emit
 from rdlab.cli import main
+from rdlab.errors import ConfigError
+from rdlab.model import load_model
 from rdlab.scalar import dirichlet_steady_profile, radial_shoot, time_map
 from test_emit import _csv_reference
 
@@ -597,7 +599,7 @@ DIRICHLET_BUMP = {
 # "model", from a file "model file '<path>'"
 BAD_MODELS = [
     ({"a": [[1.0, 0.5], [0.5, 1.0]], "d": {}}, ".d must be a non-empty array"),
-    ({"a": [[1.0, 0.5], [0.5]], "d": [1.0, 1.0]}, "'a' must be an array of numbers"),
+    ({"a": [[1.0, 0.5], [0.5]], "d": [1.0, 1.0]}, "inhomogeneous shape"),
     ({"n": True, "a": [["1.0"]], "d": [True]}, ".a[0][0] must be a finite number"),
     ({"n": True, "a": [[1.0]], "d": [1.0]}, ".n must be an integer"),
     ({"n": 3, "a": [[1.0, 0.5], [0.5, 1.0]], "d": [1.0, 1.0]}, "'a' must be 3x3"),
@@ -605,6 +607,8 @@ BAD_MODELS = [
     ({"a": [[1.0]]}, "is missing required key 'd'"),
     ({"a": [[1.0]], "d": [float("inf")]}, ".d[0] must be a finite number"),
     ({"a": [[1.0]], "d": [-1.0]}, "diffusion"),
+    ({"n": 1, "a": [["1.0"]], "d": [True]}, ".a[0][0] must be a finite number"),
+    ({"a": [[1.0]], "d": [True]}, ".d[0] must be a finite number"),
 ]
 
 
@@ -630,7 +634,8 @@ class TestConfigBoundary:
                      "run": {"phi": {"constant": [0.5, 0.5]}, "t_end": float("inf")}},
              "run.t_end"),
             ("equilibria", {"model": {"a": [[1.0, 0.5], [0.5, 1.0]], "d": {}}}, "model.d"),
-            ("equilibria", {"model": {"a": [[1.0, 0.5], [0.5]], "d": [1.0, 1.0]}}, "'a'"),
+            ("equilibria", {"model": {"a": [[1.0, 0.5], [0.5]], "d": [1.0, 1.0]}},
+             "inhomogeneous"),
         ],
     )
     def test_rejected_config_leaves_output_empty(self, tmp_path, capsys, command, payload, key):
@@ -643,11 +648,16 @@ class TestConfigBoundary:
             assert key in err[0]
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("source", ["inline", "file"])
+    @pytest.mark.parametrize("source", ["inline", "file", "library"])
     @pytest.mark.parametrize("model, message", BAD_MODELS)
     def test_bad_model_is_rejected_inline_and_from_a_file(self, tmp_path, capsys, source,
                                                           model, message):
-        # a {"file": path} model goes through the same schema as an inline one
+        # a {"file": path} model goes through the same schema as an inline one,
+        # and rdlab.load_model raises the very message the CLI prints
+        if source == "library":
+            with pytest.raises(ConfigError) as raised:
+                load_model(model)
+            library_error = f"rdlab: config error: {raised.value}"
         if source == "file":
             path = tmp_path / "model.json"
             path.write_text(json.dumps(model))
@@ -659,6 +669,8 @@ class TestConfigBoundary:
         assert message in err[0]
         if source == "file":
             assert str(tmp_path / "model.json") in err[0]
+        if source == "library":
+            assert err[0] == library_error
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("text, message", [("[1, 2]", "must be a JSON object"),

@@ -332,14 +332,47 @@ class TestLoadModel:
     def test_non_numeric_arrays_rejected(self, key, value):
         # a dict raised an uncaught TypeError, a string or a ragged matrix a ValueError
         data = {"n": 2, "a": [[1.0, 0.5], [0.5, 1.0]], "d": [1.0, 1.0], key: value}
-        with pytest.raises(ConfigError, match=f"model key '{key}'"):
+        message = {"d": r"^model\.d must be a non-empty array of numbers$",
+                   "a": r"^model: .*inhomogeneous shape"}[key]
+        with pytest.raises(ConfigError, match=message):
+            load_model(data)
+
+    @pytest.mark.parametrize("data, message", [
+        ({"n": 1, "a": [["1.0"]], "d": [1.0]}, r"^model\.a\[0\]\[0\] must be a finite number$"),
+        ({"n": 1, "a": [[1.0]], "d": [True]}, r"^model\.d\[0\] must be a finite number$"),
+    ])
+    def test_string_and_boolean_entries_rejected(self, data, message):
+        # np.array(..., dtype=float) once read "1.0" and true as 1.0
+        with pytest.raises(ConfigError, match=message):
             load_model(data)
 
     @pytest.mark.parametrize("n", [True, 1.0, "1"])
     def test_size_must_be_an_int(self, n):
         # true passed as 1 before, because (1, 1) == (True, True)
-        with pytest.raises(ConfigError, match="'n' must be a positive integer"):
+        with pytest.raises(ConfigError, match=r"^model\.n must be an integer$"):
             load_model({"n": n, "a": [[1.0]], "d": [1.0]})
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_size_must_match_the_matrix(self, n):
+        with pytest.raises(ConfigError, match=f"'a' must be {n}x{n}"):
+            load_model({"n": n, "a": [[1.0]], "d": [1.0]})
+
+    def test_file_without_n_loads(self, tmp_path):
+        import json
+
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"a": [[1.0, 0.3], [0.3, 1.0]], "d": [1.0, 2.0]}))
+        model = load_model(str(path))
+        assert model.n == 2
+        assert np.array_equal(model.d, [1.0, 2.0])
+
+    def test_file_errors_name_the_file(self, tmp_path):
+        import json
+
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"a": [[1.0]], "d": [1.0], "x": 1}))
+        with pytest.raises(ConfigError, match=r"^model file '.*model\.json' has unknown keys: x$"):
+            load_model(path)
 
     def test_nonpositive_entries_rejected(self):
         with pytest.raises(ValueError):

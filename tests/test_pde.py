@@ -123,6 +123,14 @@ class TestFieldDiagnostics:
         assert np.array_equal([grad_l2_norm(f) for f in snaps], reference)
         assert np.array_equal(traj.grad_l2_norms(), reference)
 
+    @pytest.mark.parametrize("kind, m", [("interval", 1), ("radial", 2)])
+    def test_omitted_space_dimension_follows_the_kind(self, kind, m):
+        assert Domain1D(kind=kind, length=1.0, N=32, bc="neumann").m == m
+
+    def test_radial_domain_with_m_1_is_rejected(self):
+        with pytest.raises(ValueError, match="m >= 2"):
+            Domain1D(kind="radial", length=1.0, N=32, bc="neumann", m=1)
+
     @pytest.mark.parametrize("length", [0.0, -1.0, float("nan"), float("inf")])
     def test_domain_length_must_be_finite_and_positive(self, length):
         with pytest.raises(ValueError):
