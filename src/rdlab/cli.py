@@ -98,14 +98,18 @@ def _reference_model() -> CompetitionModel:
     return load_model({"n": 3, "a": REFERENCE_MATRIX, "d": REFERENCE_DIFFUSION})
 
 
+_MODEL_FILE = {"file": (_string, REQUIRED)}
+
+
 def _model(spec, where: str) -> CompetitionModel:
     """The reference preset, inline a/d arrays (n optional), or {"file": path}
     naming a JSON file that holds such arrays; load_model checks both."""
     if spec == "reference" or spec == {"preset": "reference"}:
         return _reference_model()
-    if isinstance(spec, dict) and list(spec) == ["file"]:
-        return load_model(_string(spec["file"], f"{where}.file"))
-    return load_model(spec, where)
+    if isinstance(spec, dict) and "file" not in spec:
+        return load_model(spec)
+    # a {"file": path} object; anything that is no object fails here too
+    return load_model(_parse(spec, _MODEL_FILE, where)["file"])
 
 
 _DOMAIN = {

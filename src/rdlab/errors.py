@@ -48,14 +48,15 @@ def _require_finite_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-def _load_config(path: str):
+def _load_config(path: str, noun: str = "config"):
+    """Read a JSON file; errors name it as ``noun`` (a config, a model file)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {noun} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{noun} {path} is not valid JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,10 @@ class CompetitionModel:
     d: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.a, dtype=float)
+        try:
+            a = np.array(self.a, dtype=float)
+        except ValueError as exc:  # a ragged matrix
+            raise ValueError("interaction matrix must be square and nonempty") from exc
         d = np.array(self.d, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError("interaction matrix must be square and nonempty")
@@ -330,16 +333,17 @@ def model_to_dict(model: CompetitionModel) -> dict:
 _MODEL = {"a": (_number_rows, REQUIRED), "d": (_numbers, REQUIRED), "n": (_integer, OMIT)}
 
 
-def load_model(source, where: str = "model") -> CompetitionModel:
+def load_model(source) -> CompetitionModel:
     """Build a model from a dict, or a JSON file, holding arrays a and d and
     optionally the species count n.
 
     The input is checked by the same config schema as the CLI's, and every
-    error is a ConfigError that starts with ``where`` (for a file, with the
-    file's name).
+    error is a ConfigError that starts with "model" (for a file, with
+    "model file" and the file's name).
     """
+    where = "model"
     if isinstance(source, (str, Path)):
-        source, where = _load_config(source), f"model file {str(source)!r}"
+        source, where = _load_config(source, "model file"), f"model file {str(source)!r}"
     spec = _parse(source, _MODEL, where)
     try:
         model = CompetitionModel(spec["a"], spec["d"])

@@ -599,7 +599,7 @@ DIRICHLET_BUMP = {
 # "model", from a file "model file '<path>'"
 BAD_MODELS = [
     ({"a": [[1.0, 0.5], [0.5, 1.0]], "d": {}}, ".d must be a non-empty array"),
-    ({"a": [[1.0, 0.5], [0.5]], "d": [1.0, 1.0]}, "inhomogeneous shape"),
+    ({"a": [[1.0, 0.5], [0.5]], "d": [1.0, 1.0]}, "interaction matrix must be square"),
     ({"n": True, "a": [["1.0"]], "d": [True]}, ".a[0][0] must be a finite number"),
     ({"n": True, "a": [[1.0]], "d": [1.0]}, ".n must be an integer"),
     ({"n": 3, "a": [[1.0, 0.5], [0.5, 1.0]], "d": [1.0, 1.0]}, "'a' must be 3x3"),
@@ -635,7 +635,7 @@ class TestConfigBoundary:
              "run.t_end"),
             ("equilibria", {"model": {"a": [[1.0, 0.5], [0.5, 1.0]], "d": {}}}, "model.d"),
             ("equilibria", {"model": {"a": [[1.0, 0.5], [0.5]], "d": [1.0, 1.0]}},
-             "inhomogeneous"),
+             "model: interaction matrix"),
         ],
     )
     def test_rejected_config_leaves_output_empty(self, tmp_path, capsys, command, payload, key):
@@ -671,6 +671,26 @@ class TestConfigBoundary:
             assert str(tmp_path / "model.json") in err[0]
         if source == "library":
             assert err[0] == library_error
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("model, message", [
+        ("referenc", "model must be a JSON object"),
+        ("model.json", "model must be a JSON object"),
+        ([[1.0]], "model must be a JSON object"),
+        ({"file": "model.json", "n": 1}, "model has unknown keys: n"),
+        ({"file": 1}, "model.file must be a string"),
+    ])
+    def test_model_is_the_preset_an_object_or_a_file_reference(self, tmp_path, capsys,
+                                                               monkeypatch, model, message):
+        # a string other than the preset is no model, not a path, even where
+        # such a file exists; a file reference holds the key "file" alone
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "model.json").write_text(json.dumps({"a": [[1.0]], "d": [1.0]}))
+        if isinstance(model, dict) and model["file"] == "model.json":
+            model["file"] = str(tmp_path / "model.json")
+        rc, out = _run(tmp_path, "equilibria", {"model": model})
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"rdlab: config error: {message}"]
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("text, message", [("[1, 2]", "must be a JSON object"),

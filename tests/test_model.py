@@ -317,7 +317,7 @@ class TestLoadModel:
             load_model({"n": 2, "a": [[1, 0.5], [0.5, 1]], "d": [1, 1], "extra": 1})
 
     def test_unreadable_file_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^cannot read model file .*missing\.json: "):
             load_model(str(tmp_path / "missing.json"))
 
     @pytest.mark.parametrize("text", ["5", "null", "[1, 2]"])
@@ -333,7 +333,7 @@ class TestLoadModel:
         # a dict raised an uncaught TypeError, a string or a ragged matrix a ValueError
         data = {"n": 2, "a": [[1.0, 0.5], [0.5, 1.0]], "d": [1.0, 1.0], key: value}
         message = {"d": r"^model\.d must be a non-empty array of numbers$",
-                   "a": r"^model: .*inhomogeneous shape"}[key]
+                   "a": r"^model: interaction matrix must be square and nonempty$"}[key]
         with pytest.raises(ConfigError, match=message):
             load_model(data)
 
