@@ -402,7 +402,10 @@ def _pde_outputs(model, traj, out: Path, *, svg: bool, decay_window=None):
                 x_label="time t",
                 y_label="density",
             )
-    write_json(out / "classification.json", {"classification": classification})
+    write_json(out / "classification.json", {
+        "classification": classification,
+        "solver": {"steps": traj.steps, "dt": traj.dt, "min_value": traj.min_value},
+    })
     if decay_window is not None:
         write_csv(out / "decay.csv", _DECAY_HEADER, decay_rows)
     return extras

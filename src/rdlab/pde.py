@@ -9,15 +9,18 @@ RK4 step of the pointwise kinetics, and a second diffusion half step; the
 scheme is second order in dt.  The species are stacked into one tridiagonal
 Crank-Nicolson system with no coupling between species blocks.  Since
 (I - cL)^-1 (I + cL) = 2 (I - cL)^-1 - I, each half step is a single solve
-over all species.  A diagonal similarity makes the matrix symmetric positive
-definite, so it is factored once per run with LAPACK ``dpttrf`` and solved
-with ``dpttrs``; radial domains with m >= 3, where no such similarity exists,
-keep the pivoted LU ``dgttrf``/``dgttrs``.  These four routines are imported
-from ``scipy.linalg.lapack`` by ``_cn_half_step``, once per run, so importing
-this module loads numpy alone.  The RK4 step works on buffers
-allocated once per run: each stage's growth factor 1 - a y comes from one
-BLAS product of the augmented matrix [-a | 1] with the stage state stacked
-on a row of ones, and the four stage rates are combined by one dot.
+over all species.  Row weights, computed per species block, make the
+halved matrix symmetric positive definite, so it is factored once per run
+with LAPACK ``dpttrf``; a half step is then a weighting, one ``dpttrs``
+solve and one subtraction.  Radial domains with m >= 3, where no such
+weights exist, factor the halved matrix with the pivoted LU
+``dgttrf``/``dgttrs``.  These four routines are imported from
+``scipy.linalg.lapack`` by ``_cn_half_step``, once per run, so importing
+this module loads numpy alone.  The RK4 step works on buffers allocated
+once per run, with the stage sizes folded into the stage products: each
+stage's scaled rate c y (1 - a y) comes from one BLAS product of c [-a | 1]
+with the stage state stacked on a row of ones and one multiply, the next
+stage state is one add, and the four scaled rates are combined by one dot.
 """
 
 import math
@@ -202,6 +205,9 @@ class PdeTrajectory:
     probe_points: np.ndarray  # shape (K,)
     probe_times: np.ndarray  # shape (P,)
     probe_values: np.ndarray  # shape (P, n_species, K)
+    steps: int  # time steps taken
+    dt: float  # the step actually used, t_end / steps
+    min_value: float  # smallest value of any state of the run, the initial one included
 
     def snapshot(self, index: int) -> Field:
         return Field(self.domain, self.fields[index])
@@ -231,60 +237,64 @@ def default_dt(domain: Domain1D, model: CompetitionModel) -> float:
 def _cn_half_step(domain: Domain1D, d: np.ndarray, dt: float):
     """The Crank-Nicolson half step u -> (I - cL)^-1 (I + cL) u, c = d dt / 4.
 
-    All species are stacked into one tridiagonal matrix I - cL of size
+    All species are stacked into one tridiagonal matrix T = I - cL of size
     n (N + 2) with no coupling between species blocks, factored here once.
-    The returned function maps an (n, N + 2) array to the next half step by
-    one solve, 2 (I - cL)^-1 u - u.  Couplings into a pinned Dirichlet node
-    (an identity row, whose value is 0) are dropped, which is exact.  If then
-    every remaining product lower_i upper_i is positive, the diagonal D with
-    (D_i+1 / D_i)^2 = lower_i / upper_i makes S = D^-1 (I - cL) D symmetric,
-    with off-diagonals -sqrt(lower_i upper_i).  S is positive definite since
-    L is self-adjoint in the quadrature-weighted inner product with spectrum
-    <= 0, so S is factored by ``dpttrf`` and (I - cL)^-1 u = D S^-1 D^-1 u.
-    The radial centre row has a zero (m = 3) or negative (m >= 4) product;
-    those domains use the pivoted LU ``dgttrf``/``dgttrs``.
+    Since (I - cL)^-1 (I + cL) u = 2 T^-1 u - u, the returned function maps
+    an (n, N + 2) array to the next half step by one solve.  Couplings into
+    a pinned Dirichlet node (an identity row, whose value is 0) are dropped,
+    which is exact.  If then every remaining product lower_i upper_i is
+    positive, row weights w with w_i+1 lower_i = w_i upper_i make diag(w) T
+    symmetric.  It is positive definite, since L is self-adjoint in the
+    quadrature-weighted inner product with spectrum <= 0, so M = diag(w) T / 2
+    is factored by ``dpttrf`` and 2 T^-1 u = M^-1 (w u).  Each species block
+    has its own weights, 1 at its first node, so they stay within the
+    block's own range (about 1 to 1.6e4 on a radial m = 2, N = 2048 grid)
+    however many species there are.  The radial centre row has a zero
+    (m = 3) or negative (m >= 4) product; those domains factor T / 2 with
+    the pivoted LU ``dgttrf``/``dgttrs``.
     """
     from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
     sub, main, sup = _laplacian_diagonals(domain)
     c = (np.asarray(d, dtype=float) * (dt / 4.0))[:, None]
-    G = domain.N + 2
-    shape = (c.shape[0], G)
-    diag = (1.0 - c * main).ravel()
-    lower = -(c * sub).ravel()[1:]  # lower[i] couples row i + 1 to column i
-    upper = -(c * sup).ravel()[:-1]  # upper[i] couples row i to column i + 1
-    lower[G - 1::G] = 0.0  # no coupling between species blocks
-    upper[G - 1::G] = 0.0
-    pinned = np.flatnonzero(np.tile((sub == 0.0) & (main == 0.0) & (sup == 0.0), shape[0]))
-    lower[pinned[pinned < lower.size]] = 0.0
-    upper[pinned[pinned > 0] - 1] = 0.0
+    shape = (c.shape[0], domain.N + 2)
+    diag = 0.5 - 0.5 * c * main
+    lower = -0.5 * c * sub[1:]  # lower[:, j] couples node j + 1 to node j
+    upper = -0.5 * c * sup[:-1]  # upper[:, j] couples node j to node j + 1
+    pinned = (sub == 0.0) & (main == 0.0) & (sup == 0.0)
+    lower[:, pinned[:-1]] = 0.0
+    upper[:, pinned[1:]] = 0.0
+
+    def flat(band):  # one species block's band after another, zero between blocks
+        return np.hstack((band, np.zeros((shape[0], 1)))).ravel()[:-1]
 
     product = lower * upper
     if np.all((product > 0.0) | ((lower == 0.0) & (upper == 0.0))):
-        ratio = np.divide(lower, upper, out=np.ones_like(lower), where=product > 0.0)
-        scale = np.cumprod(np.concatenate(([1.0], np.sqrt(ratio)))).reshape(shape)
-        inv_scale, two_scale = 1.0 / scale, 2.0 * scale
-        factor_d, factor_e, info = dpttrf(diag, -np.sqrt(product))
+        weights = np.ones(shape)
+        np.cumprod(np.divide(upper, lower, out=np.ones_like(upper), where=product > 0.0),
+                   axis=1, out=weights[:, 1:])
+        factor_d, factor_e, info = dpttrf((weights * diag).ravel(), flat(weights[:, :-1] * upper))
         if info != 0:
             raise InvariantViolation(
                 f"Crank-Nicolson matrix is not positive definite (dpttrf info = {info})")
 
         def half_step(values):
-            out = values * inv_scale
+            out = values * weights
             dpttrs(factor_d, factor_e, out.reshape(-1), overwrite_b=1)  # solves in place
-            out *= two_scale
             out -= values
             return out
 
         return half_step
 
-    *factors, info = dgttrf(lower, diag, upper)
+    *factors, info = dgttrf(flat(lower), diag.ravel(), flat(upper))
     if info != 0:
         raise InvariantViolation(f"Crank-Nicolson matrix is singular (dgttrf info = {info})")
 
     def half_step(values):
         solved, _ = dgttrs(*factors, values.ravel())
-        return 2.0 * solved.reshape(shape) - values
+        solved = solved.reshape(shape)
+        solved -= values
+        return solved
 
     return half_step
 
@@ -293,34 +303,37 @@ def _rk4_reaction_step(a: np.ndarray, dt: float, shape):
     """The classical RK4 step of the pointwise kinetics u' = u (1 - a u), in place.
 
     Its buffers are allocated here, once per evolve call.  Each stage state
-    y sits in the first n rows of Y, whose last row is all ones, so one
-    BLAS call A Y with A = [-a | 1] gives the growth factor 1 - a y, and the
-    stage rate y (1 - a y) goes into one row of a (4, n, G) array.  The
-    returned function adds the rates to its (n, G) argument in one dot with
-    dt (1, 2, 2, 1) / 6.  The argument must be a fresh array: it is updated
-    in place.
+    y sits in the first n rows of Y, whose last row is all ones.  The stage
+    sizes c = dt/2, dt/2, dt, dt/6 are folded into the stage products: one
+    BLAS call A_s Y with A_s = c [-a | 1] gives c (1 - a y), so one multiply
+    puts the scaled rate c k = c y (1 - a y) into one row of a (4, n, G)
+    array, and the next stage state U + c k is one add.  The returned
+    function adds the rates to its (n, G) argument in one dot with the
+    weights (1/3, 2/3, 1/3, 1), which make dt (k1 + 2 k2 + 2 k3 + k4) / 6 of
+    the scaled rates.  The argument must be a fresh array: it is updated in
+    place.
     """
     n = shape[0]
-    A = np.hstack((-a, np.ones((n, 1))))
+    augmented = np.hstack((-a, np.ones((n, 1))))
+    stage_matrices = [c * augmented for c in (0.5 * dt, 0.5 * dt, dt, dt / 6.0)]
     Y = np.ones((n + 1, shape[1]))
     y = Y[:n]
     growth = np.empty(shape)
     rates = np.empty((4,) + shape)
-    stage_rates = list(rates)
     flat_rates = rates.reshape(4, -1)
-    weights = dt * np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
+    weights = np.array([1.0, 2.0, 1.0, 3.0]) / 3.0
     increment = np.empty(flat_rates.shape[1])
-    stage_steps = (0.5 * dt, 0.5 * dt, dt)
+    stages = list(zip(stage_matrices, rates))
 
     def step(U):
         np.copyto(y, U)
-        for k, c in zip(stage_rates, stage_steps):
+        for A, k in stages[:3]:
             np.dot(A, Y, out=growth)
             np.multiply(y, growth, out=k)
-            np.multiply(k, c, out=y)  # the next stage state U + c k
-            np.add(y, U, out=y)
+            np.add(U, k, out=y)  # the next stage state U + c k
+        A, k = stages[3]
         np.dot(A, Y, out=growth)
-        np.multiply(y, growth, out=stage_rates[3])
+        np.multiply(y, growth, out=k)
         np.dot(weights, flat_rates, out=increment)
         U += increment.reshape(shape)
 
@@ -336,18 +349,19 @@ def evolve(model: CompetitionModel, domain: Domain1D, phi: Field, t_end: float,
     Strang splitting per step: Crank-Nicolson diffusion half steps around a
     full RK4 kinetics step (pointwise, species-coupled).  The Crank-Nicolson
     matrix of all species is factored once per call (symmetric positive
-    definite ``dpttrf``, or pivoted LU on radial domains with m >= 3), so
-    each half step is one LAPACK tridiagonal solve over every species at
-    once.  The RK4 step runs in place on buffers allocated once per call:
-    per stage, one product [-a | 1] [y; 1] gives 1 - a y and one multiply
-    the stage rate; the four rates are combined by one dot with
-    dt (1, 2, 2, 1) / 6.  ``dt``
-    defaults to min(1e-2, h^2 / (2 max d) * 10); it is rounded so t_end is
-    an integer number of steps.  About ``snapshots`` full-field snapshots
-    are kept; probe traces at ``probes`` (fractions 0.1/0.5/0.9 of the
-    length by default) are recorded every ``probe_stride`` steps and at
+    definite ``dpttrf`` after row weights, or pivoted LU on radial domains
+    with m >= 3), so each half step is one LAPACK tridiagonal solve over
+    every species at once between two elementwise passes.  The RK4 step runs
+    in place on buffers allocated once per call, with the stage sizes folded
+    into the stage products: per stage, one product c [-a | 1] [y; 1] and
+    one multiply give the scaled rate, and one add the next stage state.
+    ``dt`` defaults to min(1e-2, h^2 / (2 max d) * 10); it is rounded so
+    t_end is an integer number of steps.  About ``snapshots`` full-field
+    snapshots are kept; probe traces at ``probes`` (fractions 0.1/0.5/0.9 of
+    the length by default) are recorded every ``probe_stride`` steps and at
     t_end; the bracketing node values are stored during the run and
-    interpolated once at the end.
+    interpolated once at the end.  The trajectory also records the number
+    of steps, the dt used and the smallest value of any state of the run.
 
     ``t_end`` and ``dt`` must be finite and positive, ``snapshots`` and
     ``probe_stride`` at least 1, the probes inside the domain and phi finite
@@ -411,9 +425,10 @@ def evolve(model: CompetitionModel, domain: Domain1D, phi: Field, t_end: float,
     snap_steps = np.unique(np.append(np.arange(0, nsteps + 1, snap_every), nsteps))
     brackets = np.empty((probe_steps.size, model.n, 2 * K))
     snaps = np.empty((snap_steps.size,) + U.shape)
-    np.take(U, columns, axis=1, out=brackets[0], mode="clip")
+    U.take(columns, 1, brackets[0], "clip")
     snaps[0] = U
     probe_row = snap_row = 1
+    min_value = np.minimum.reduce(U, axis=None)
 
     reaction_step = _rk4_reaction_step(model.a, dt, U.shape)
     for step in range(1, nsteps + 1):
@@ -421,16 +436,19 @@ def evolve(model: CompetitionModel, domain: Domain1D, phi: Field, t_end: float,
         if include_reaction:
             reaction_step(U)
         U = half_diffusion(U)
-        low = U.min()
+        low = np.minimum.reduce(U, axis=None)
         if not low >= -NEGATIVITY_TOL:  # also true for NaN, which the solves pass through
             raise InvariantViolation(
                 f"field dipped to {low:.3e} at t = {step * dt:.6g}, below -{NEGATIVITY_TOL:g}")
+        if low < min_value:
+            min_value = low
         if step % probe_stride == 0 or step == nsteps:
-            np.take(U, columns, axis=1, out=brackets[probe_row], mode="clip")
+            U.take(columns, 1, brackets[probe_row], "clip")
             probe_row += 1
         if step % snap_every == 0 or step == nsteps:
             snaps[snap_row] = U
             snap_row += 1
 
     probe_values = brackets[..., :K] * (1.0 - frac) + brackets[..., K:] * frac
-    return PdeTrajectory(domain, snap_steps * dt, snaps, probes, probe_steps * dt, probe_values)
+    return PdeTrajectory(domain, snap_steps * dt, snaps, probes, probe_steps * dt, probe_values,
+                         nsteps, dt, float(min_value))

@@ -213,7 +213,12 @@ class TestPde:
         # N = 32 grid quadrature: averages are accurate to O(h^2) here
         assert np.max(np.abs(first - exact)) < 1e-6
         # short runs cannot be classified: recorded as null, not guessed
-        assert json.loads((out / "classification.json").read_text())["classification"] is None
+        report = json.loads((out / "classification.json").read_text())
+        assert report["classification"] is None
+        solver = report["solver"]
+        assert solver["steps"] == 50 and solver["dt"] == 0.01
+        # paper-phi vanishes at x = 1, and no later state dips below that
+        assert solver["min_value"] == 0.0
 
     def test_dirichlet_decay_outputs(self, tmp_path):
         payload = {
@@ -328,6 +333,9 @@ class TestReproducePaper:
         for leg in cycle["solver"].values():  # the detector's counters, leg by leg
             assert leg["nfev"] == 2 + 6 * (leg["accepted_steps"] + leg["rejected_steps"])
         assert {"transient", "section", "closure"} <= set(cycle["solver"])
+        solver = json.loads((out / "classification.json").read_text())["solver"]
+        assert solver["steps"] == 100_000 and solver["dt"] == 1e-3
+        assert solver["min_value"] == 0.0
         condition = json.loads((out / "condition.json").read_text())
         assert condition["condition"]["case"] == "periodic-attractor-candidate"
         sigma = json.loads((out / "sigma_report.json").read_text())

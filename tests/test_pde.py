@@ -10,6 +10,7 @@ from rdlab.pde import (
     Domain1D,
     Field,
     _cn_half_step,
+    _laplacian_diagonals,
     default_dt,
     evolve,
     flatness,
@@ -327,6 +328,67 @@ class TestCrankNicolsonSolve:
         expected = _dense_cn_reference(dom, d, traj.fields[0], dt)
         assert np.max(np.abs(traj.fields[-1] - expected)) < 1e-12
 
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+    def test_half_step_matches_banded_reference_over_the_wide_weight_range(self, bc):
+        # radial m = 2, N = 2048: the row weights of one block span about 1 to
+        # 1.6e4, and c / h^2 reaches about 1000
+        from scipy.linalg import solve_banded
+
+        d = np.array([0.002, 0.1, 1.0])
+        dt = 1e-3
+        dom = Domain1D(kind="radial", length=1.0, N=2048, bc=bc, m=2)
+        values = _vanishing_field(dom, 3, seed=5).values
+        got = _cn_half_step(dom, d, dt)(values)
+        sub, main, sup = _laplacian_diagonals(dom)
+        for di, u, x in zip(d, values, got):
+            c = di * dt / 4.0
+            bands = np.zeros((3, dom.N + 2))
+            bands[0, 1:] = -c * sup[:-1]
+            bands[1] = 1.0 - c * main
+            bands[2, :-1] = -c * sub[1:]
+            rhs = u + c * (main * u)
+            rhs[1:] += c * sub[1:] * u[:-1]
+            rhs[:-1] += c * sup[:-1] * u[1:]
+            reference = solve_banded((1, 1), bands, rhs)
+            assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    def test_weights_are_per_species_block(self):
+        # with one weight product across all blocks, 160 species on this disk
+        # overflowed and the step returned NaN
+        n = 160
+        model = CompetitionModel(a=np.eye(n) + 0.1, d=np.linspace(0.01, 1.0, n))
+        dom = Domain1D(kind="radial", length=1.0, N=2048, bc="neumann", m=2)
+        phi = Field(dom, np.ones((n, dom.N + 2)))
+        traj = evolve(model, dom, phi, 1e-3, dt=1e-3, include_reaction=False)
+        assert np.max(np.abs(traj.fields[-1] - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_lu_half_step_of_the_halved_matrix_is_exact(self, m, bc):
+        # factoring (I - cL) / 2 in place of I - cL scales by a power of two,
+        # so the half step equals the unhalved 2 (I - cL)^-1 u - u bit for bit
+        from scipy.linalg.lapack import dgttrf, dgttrs
+
+        d = np.array([0.05, 0.4, 1.3])
+        dt = 0.02
+        dom = Domain1D(kind="radial", length=1.5, N=40, bc=bc, m=m)
+        values = _vanishing_field(dom, 3, seed=6).values
+        sub, main, sup = _laplacian_diagonals(dom)
+        c = (d * (dt / 4.0))[:, None]
+        G = dom.N + 2
+        lower = -(c * sub).ravel()[1:]
+        upper = -(c * sup).ravel()[:-1]
+        lower[G - 1::G] = 0.0
+        upper[G - 1::G] = 0.0
+        pinned = np.flatnonzero(np.tile((sub == 0.0) & (main == 0.0) & (sup == 0.0), 3))
+        lower[pinned[pinned < lower.size]] = 0.0
+        upper[pinned[pinned > 0] - 1] = 0.0
+        *factors, info = dgttrf(lower, (1.0 - c * main).ravel(), upper)
+        assert info == 0
+        solved, _ = dgttrs(*factors, values.ravel())
+        expected = 2.0 * solved.reshape(values.shape) - values
+        assert np.array_equal(_cn_half_step(dom, d, dt)(values), expected)
+
     def test_diffusion_conserves_neumann_interval_average(self):
         model = CompetitionModel(a=np.eye(3) * 2.0 + 0.1, d=np.array([0.3, 0.05, 1.0]))
         dom = _interval(128)
@@ -371,11 +433,11 @@ class TestReactionStep:
     @pytest.mark.parametrize("kind, bc, m", [("interval", "neumann", 1),
                                              ("interval", "dirichlet", 1),
                                              ("radial", "dirichlet", 2)])
-    def test_one_step_is_half_rk4_half(self, kind, bc, m, n):
+    @pytest.mark.parametrize("dt", [1e-3, 1e-2, 0.1])
+    def test_one_step_is_half_rk4_half(self, kind, bc, m, n, dt):
         model = _random_model(n, seed=n)
         dom = Domain1D(kind=kind, length=1.3, N=40, bc=bc, m=m)
         phi = _vanishing_field(dom, n, seed=10 + n)
-        dt = 0.01
         traj = evolve(model, dom, phi, dt, dt=dt, snapshots=1, probe_stride=1)
         half = _cn_half_step(dom, model.d, dt)
         expected = half(_rk4_reference(model.a, dt, half(phi.values)))
@@ -446,6 +508,17 @@ class TestProbes:
         phi = Field(dom, reference_phi_values(dom.grid()))
         with pytest.raises(ValueError):
             evolve(reference_model, dom, phi, 0.1, probes=[1.5])
+
+    def test_solver_counters(self, reference_model):
+        dom = _interval(32)
+        # far above the kinetics' equilibria, so the smallest value falls as it runs
+        phi = Field(dom, 4.0 + np.cos(np.pi * np.arange(1, 4)[:, None] * dom.grid()))
+        # 0.5 / 0.03 rounds to 17 steps, every one stored as a snapshot
+        traj = evolve(reference_model, dom, phi, 0.5, dt=0.03, snapshots=17)
+        assert traj.steps == 17
+        assert traj.dt == 0.5 / 17
+        assert traj.times.size == 18
+        assert traj.min_value == traj.fields.min() < traj.fields[0].min()
 
     def test_snapshot_count_and_endpoints(self, reference_model):
         dom = _interval(32)
