@@ -323,17 +323,16 @@ def _rk4_reaction_step(a: np.ndarray, dt: float, shape):
     flat_rates = rates.reshape(4, -1)
     weights = np.array([1.0, 2.0, 1.0, 3.0]) / 3.0
     increment = np.empty(flat_rates.shape[1])
-    stages = list(zip(stage_matrices, rates))
+    *stages, (last_A, last_k) = zip(stage_matrices, rates)
 
     def step(U):
         np.copyto(y, U)
-        for A, k in stages[:3]:
+        for A, k in stages:
             np.dot(A, Y, out=growth)
             np.multiply(y, growth, out=k)
             np.add(U, k, out=y)  # the next stage state U + c k
-        A, k = stages[3]
-        np.dot(A, Y, out=growth)
-        np.multiply(y, growth, out=k)
+        np.dot(last_A, Y, out=growth)
+        np.multiply(y, growth, out=last_k)
         np.dot(weights, flat_rates, out=increment)
         U += increment.reshape(shape)
 

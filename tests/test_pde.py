@@ -353,8 +353,8 @@ class TestCrankNicolsonSolve:
             assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
 
     def test_weights_are_per_species_block(self):
-        # with one weight product across all blocks, 160 species on this disk
-        # overflowed and the step returned NaN
+        # one weight product across all blocks would overflow on this disk
+        # at about 75 species, and the step would return NaN
         n = 160
         model = CompetitionModel(a=np.eye(n) + 0.1, d=np.linspace(0.01, 1.0, n))
         dom = Domain1D(kind="radial", length=1.0, N=2048, bc="neumann", m=2)
