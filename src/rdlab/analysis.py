@@ -262,7 +262,7 @@ class OmegaClassification:
     label: str | None
     flatness: float
     periodicity: float | None
-    equilibrium_distance: float | None
+    equilibrium_distance: float
 
 
 def classify_omega(trajectory: PdeTrajectory, model: CompetitionModel) -> OmegaClassification:
@@ -299,17 +299,14 @@ def classify_omega(trajectory: PdeTrajectory, model: CompetitionModel) -> OmegaC
                      for v in by_probe.values()]
     min_score = min(per_probe) if per_probe else None
 
-    eq_dist = None
-    label = None
-    eqs = equilibria(model)
+    eqs = equilibria(model)  # never empty: P_0 is always one
     final_avg = spatial_average(trajectory.final)
-    if eqs:
-        dists = [float(np.linalg.norm(eq.point - final_avg)) for eq in eqs]
-        k = int(np.argmin(dists))
-        eq_dist, label = dists[k], eqs[k].label
+    dists = [float(np.linalg.norm(eq.point - final_avg)) for eq in eqs]
+    k = int(np.argmin(dists))
+    eq_dist, label = dists[k], eqs[k].label
 
     if flat < 1e-4:
-        if eq_dist is not None and eq_dist < 1e-6:
+        if eq_dist < 1e-6:
             return OmegaClassification("constant-equilibrium", label, flat, min_score, eq_dist)
         if min_score is not None and min_score > PERIODIC_SCORE:
             return OmegaClassification("flat-periodic", None, flat, min_score, eq_dist)

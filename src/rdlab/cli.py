@@ -182,10 +182,6 @@ def _picked(parsed: dict, *keys: str) -> dict:
 # shared pieces of the handlers
 
 
-def _reference_phi_values(x: np.ndarray) -> np.ndarray:
-    return np.array([polyval(x, np.array(c)) for c in REFERENCE_PHI_COEFFS])
-
-
 def _phi_field(spec, domain: Domain1D, n: int, where: str = "phi") -> Field:
     x = domain.grid()
     if spec == "paper-phi":
@@ -193,7 +189,7 @@ def _phi_field(spec, domain: Domain1D, n: int, where: str = "phi") -> Field:
             raise ConfigError(
                 f"{where}: the paper-phi preset needs a 3-species model on an interval of length 1"
             )
-        return Field(domain, _reference_phi_values(x))
+        spec = {"poly": REFERENCE_PHI_COEFFS}
     if "constant" in spec:
         return Field(domain, np.outer(spec["constant"], np.ones_like(x)))
     return Field(domain, np.array([polyval(x, np.array(c)) for c in spec["poly"]]))
@@ -204,17 +200,6 @@ def _eig_columns(n: int) -> list[str]:
     for k in range(1, n + 1):
         cols += [f"eig{k}_re", f"eig{k}_im"]
     return cols
-
-
-def _cycle_dict(orbit) -> dict:
-    """The detector outcome fields shared by report.json's cycle and cycle.json."""
-    return {
-        "status": orbit.status,
-        "periodic": orbit.periodic,
-        "period": orbit.period,
-        "anchor": None if orbit.anchor is None else [float(v) for v in orbit.anchor],
-        "solver": orbit.solver,
-    }
 
 
 _DECAY_HEADER = ["t", "grad_norm", "fitted"]
@@ -347,8 +332,7 @@ def _run_ode(cfg: dict, out: Path):
     if model.n in (2, 3):
         report["final_region"] = region_membership(model, final)
     if cfg["detect_cycle"] is not None:
-        orbit = detect_limit_cycle(model, np.array(U0), **cfg["detect_cycle"])
-        report["cycle"] = {**_cycle_dict(orbit), "converged_to": orbit.converged_to}
+        report["cycle"] = detect_limit_cycle(model, np.array(U0), **cfg["detect_cycle"])
 
     write_csv(out / "trajectory.csv", ["t"] + [f"u{i + 1}" for i in range(model.n)],
               np.column_stack([t, states.T]))
@@ -437,18 +421,9 @@ def _run_floquet(cfg: dict, out: Path):
         for idx, mult in enumerate(verdict.modal_multipliers[k]):
             rows.append([k, "modal", idx, float(np.real(mult)), float(np.imag(mult)),
                          float(np.abs(mult))])
-    report = {
-        "model": model_to_dict(model),
-        "U0": U0,
-        "period": orbit.period,
-        "anchor": [float(v) for v in orbit.anchor],
-        "verdict": verdict.verdict,
-        "base_multiplier_moduli": [float(np.abs(m)) for m in verdict.base_multipliers],
-        "modal_modes": [int(k) for k in sorted(verdict.modal_multipliers)],
-        "solver": orbit.solver,
-    }
     write_csv(out / "multipliers.csv", header, rows)
-    write_json(out / "floquet.json", report)
+    write_json(out / "floquet.json",
+               {"model": model_to_dict(model), "U0": U0, **vars(orbit), **vars(verdict)})
 
 
 def _run_chs(cfg: dict, out: Path):
@@ -480,7 +455,7 @@ def _run_reproduce(cfg: dict, out: Path):
     orbit = detect_limit_cycle(model, U0, max_time=P["max_time"], tol=P["tol"])
     traj_ode = integrate(model, U0, P["t_end"], tol=P["tol"])
     domain = Domain1D(kind="interval", length=1.0, N=P["N"], bc="neumann")
-    phi = Field(domain, _reference_phi_values(domain.grid()))
+    phi = _phi_field("paper-phi", domain, model.n)
     traj_pde = evolve(
         model,
         domain,
@@ -502,11 +477,7 @@ def _run_reproduce(cfg: dict, out: Path):
     _pde_outputs(model, traj_pde, out, svg=svg)
     write_json(out / "condition.json", {"model": model_to_dict(model), "condition": cond})
     write_csv(out / "ode_run.csv", ["t", "u1", "u2", "u3"], np.column_stack([t, states.T]))
-    write_json(out / "cycle.json", {
-        "U0": [float(v) for v in U0],
-        **_cycle_dict(orbit),
-        "crossings": None if orbit.crossing_times is None else len(orbit.crossing_times),
-    })
+    write_json(out / "cycle.json", {"U0": [float(v) for v in U0], **vars(orbit)})
     write_csv(
         out / "comparison.csv",
         ["t", "ode_u1", "ode_u2", "ode_u3", "avg_u1", "avg_u2", "avg_u3", "max_abs_diff"],

@@ -1,17 +1,18 @@
 """Pointwise kinetics: trajectories, limit-cycle detection and Floquet data.
 
 Every adaptive integration in rdlab runs on ``_dopri5``, a Dormand-Prince
-5(4) loop with a quartic dense output and event location.  It reproduces
-scipy's RK45 integrator and its event handling bit for bit: the tableau is
-written with scipy's float-literal quotients, and each floating-point operation
+5(4) loop with a quartic dense output and event location.  It gives scipy's
+RK45 numbers bit for bit, without scipy's structure: the tableau is written
+with scipy's float-literal quotients, and each floating-point operation
 (initial step, stage times and sums, RMS error norm, step control, event
 roots, interpolated samples) is the one scipy performs, so results do not
-depend on which of the two ran.  It drops scipy's per-step overhead: the
-wrapper layers around the right-hand side, an interpolant object per step
-where none is needed, and event bookkeeping on steps without a sign
-change.  Only an event root imports scipy (``scipy.optimize.brentq``), so
-importing this module, or integrating without events, loads numpy alone.
-``tests/test_kinetics.py`` holds the loop to that contract.
+depend on which of the two ran.  What it drops is bookkeeping: the wrapper
+layers around the right-hand side, an interpolant object per step,
+OdeSolution's sort of the sample times, and event handling on steps
+without a sign change.  Only an event root imports scipy
+(``scipy.optimize.brentq``), so importing this module, or integrating
+without events, loads numpy alone.  ``tests/test_kinetics.py`` holds the
+loop to that contract.
 
 Periodic orbits are detected on a Poincare section anchored at a
 post-transient state with the local velocity as its normal; monodromy and
@@ -22,7 +23,6 @@ Jacobian, so no factorization shortcut is taken).
 
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 
@@ -79,24 +79,21 @@ class SolverStats:
 
 
 def _interpolate(t, t_old, h, Q, y_old):
-    """One step's quartic at t (scalar or 1-D), evaluated as scipy's RkDenseOutput does."""
-    t = np.asarray(t)
+    """One step's quartic at the 1-D times t, evaluated as scipy's RkDenseOutput does."""
     x = (t - t_old) / h
-    if t.ndim == 0:
-        p = np.cumprod(np.tile(x, Q.shape[1]))
-    else:
-        p = np.cumprod(np.tile(x, (Q.shape[1], 1)), axis=0)
+    p = np.cumprod(np.tile(x, (Q.shape[1], 1)), axis=0)
     y = h * np.dot(Q, p)
-    y += y_old[:, None] if y.ndim == 2 else y_old
+    y += y_old[:, None]
     return y
 
 
 class _Interpolant:
     """Piecewise quartic dense output over consecutive accepted steps.
 
-    Segment lookup and evaluation follow scipy's OdeSolution; a step's
-    coefficient matrix Q = K^T P is formed only when the step is evaluated.
-    A segment cut at a terminal root keeps the quartic of its full step.
+    A time on a step boundary belongs to the step on its left, as in
+    scipy's OdeSolution; a step's coefficient matrix Q = K^T P is formed
+    only when the step is evaluated.  A segment cut at a terminal root keeps
+    the quartic of its full step.
     """
 
     def __init__(self, ts, hs, y_old, K):
@@ -105,29 +102,22 @@ class _Interpolant:
         self._y_old = y_old  # shape (m, n)
         self._K = K  # stage derivatives, shape (m, stages + 1, n)
 
-    def _segment(self, i, t):
-        Q = self._K[i].T.dot(_P)
-        return _interpolate(t, self.ts[i], self._hs[i], Q, self._y_old[i])
-
     def __call__(self, t):
-        """State(s) at t: shape (n,) for a scalar, (n, len(t)) for a 1-D array."""
-        t = np.asarray(t)
-        last = len(self.ts) - 2
-        if t.ndim == 0:
-            ind = int(np.searchsorted(self.ts, t, side="left"))
-            return self._segment(min(max(ind - 1, 0), last), t)
-        order = np.argsort(t)
-        reverse = np.empty_like(order)
-        reverse[order] = np.arange(order.shape[0])
-        t_sorted = t[order]
-        segments = np.clip(np.searchsorted(self.ts, t_sorted, side="left") - 1, 0, last)
-        ys = []
-        start = 0
-        for segment, group in groupby(segments):
-            stop = start + len(list(group))
-            ys.append(self._segment(segment, t_sorted[start:stop]))
-            start = stop
-        return np.hstack(ys)[:, reverse]
+        """State(s) at t: shape (n,) for a scalar, (n, len(t)) for a 1-D array.
+
+        All the times on one step are evaluated in one product, whatever
+        their order: ``Q @ p`` does not give the same bits for every column
+        count, and scipy evaluates a step's times together.
+        """
+        times = np.atleast_1d(t)
+        steps = np.clip(np.searchsorted(self.ts, times, side="left") - 1, 0, len(self._hs) - 1)
+        order = np.argsort(steps, kind="stable")
+        y = np.empty((self._y_old.shape[1], times.size))
+        for group in np.split(order, np.flatnonzero(np.diff(steps[order])) + 1):
+            i = steps[group[0]]
+            y[:, group] = _interpolate(times[group], self.ts[i], self._hs[i],
+                                       self._K[i].T.dot(_P), self._y_old[i])
+        return y[:, 0] if np.ndim(t) == 0 else y
 
 
 @dataclass(frozen=True)
@@ -244,7 +234,7 @@ def _dopri5(rhs, y0, t_end, tol, *, densities=None, keep_from=math.inf, events=(
             Q = K_E.dot(_P)
 
             def sol(s):
-                return _interpolate(s, t_old, h, Q, y_old)
+                return _interpolate(np.array([s]), t_old, h, Q, y_old)[:, 0]
 
             root = _event_roots(events, active, sol, t_old, t, t_events, y_events)
             if root is not None:
@@ -269,23 +259,19 @@ def _dopri5(rhs, y0, t_end, tol, *, densities=None, keep_from=math.inf, events=(
 def _event_roots(events, active, sol, t_old, t, t_events, y_events):
     """Record the active events' roots on one step as scipy's handle_events does.
 
-    Returns the earliest terminal root (later roots are dropped), or None.
+    Roots are taken in time order (ties by event index) up to the first
+    terminal one, which is returned; None when no terminal event fired.
     """
     from scipy.optimize import brentq
 
-    roots = [brentq(lambda s, g=events[i][0]: g(s, sol(s)), t_old, t,
-                    xtol=4 * _EPS, rtol=4 * _EPS) for i in active]
-    terminal = None
-    if any(events[i][2] for i in active):
-        order = sorted(range(len(roots)), key=roots.__getitem__)
-        cut = next(k for k, j in enumerate(order) if events[active[j]][2]) + 1
-        active = [active[j] for j in order[:cut]]
-        roots = [roots[j] for j in order[:cut]]
-        terminal = roots[-1]
-    for i, root in zip(active, roots):
+    roots = sorted((brentq(lambda s, g=events[i][0]: g(s, sol(s)), t_old, t,
+                           xtol=4 * _EPS, rtol=4 * _EPS), i) for i in active)
+    for root, i in roots:
         t_events[i].append(root)
         y_events[i].append(sol(root))
-    return terminal
+        if events[i][2]:
+            return root
+    return None
 
 
 def _kinetic_rhs(model):
@@ -331,8 +317,11 @@ class Trajectory:
     dense: object  # callable t -> state(s), the integrator's interpolant
 
     def at(self, t) -> np.ndarray:
-        """Evaluate the dense interpolant; returns shape (n,) or (n, len(t))."""
-        return self.dense(t)
+        """The dense interpolant at t, clamped at zero as ``states`` is.
+
+        Returns shape (n,) for a scalar t and (n, len(t)) for a 1-D array.
+        """
+        return np.maximum(self.dense(t), 0.0)
 
 
 def _checked_start(model, U0, span: float, span_name: str, tol: float) -> np.ndarray:
@@ -358,7 +347,7 @@ def integrate(model: CompetitionModel, U0, t_end: float, tol: float = DEFAULT_TO
     positive; otherwise ValueError is raised.  Nonnegativity is enforced as
     an invariant check, not a projection: an excursion below -1e-8 raises
     InvariantViolation; smaller round-off dips are clamped to zero in the
-    reported states only.
+    reported states and in ``Trajectory.at`` only.
     """
     U0 = _checked_start(model, U0, t_end, "t_end", tol)
     if np.any(U0 < 0.0):

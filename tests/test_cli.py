@@ -20,6 +20,11 @@ from rdlab.scalar import dirichlet_steady_profile, radial_shoot, time_map
 from test_emit import _csv_reference
 
 
+# the fields of kinetics.OrbitAnalysis, the keys of every cycle object
+ORBIT_KEYS = {"status", "periodic", "period", "anchor", "monodromy", "multipliers",
+              "converged_to", "crossing_times", "solver"}
+
+
 def _write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -183,6 +188,18 @@ class TestOde:
         leg = solver["transient"]
         assert leg["nfev"] == 2 + 6 * (leg["accepted_steps"] + leg["rejected_steps"])
 
+    def test_round_off_dips_are_clamped_in_the_trajectory(self, tmp_path):
+        # u2 wins, u1 dies out, and the interpolant between steps dips below
+        # zero by round-off; the samples are clamped as Trajectory.states is
+        payload = {"model": {"a": [[1, 2], [0.5, 1]], "d": [1, 1]}, "U0": [0.5, 0.5],
+                   "t_end": 200}
+        rc, out = _run(tmp_path, "ode", payload)
+        assert rc == 0
+        _, rows = _csv_rows(out / "trajectory.csv")
+        cells = np.array(rows, dtype=float)[:, 1:]
+        assert cells.min() == 0.0
+        assert cells[-1, 0] < 1e-10
+
 
 class TestPde:
     def test_reference_phi_short_run(self, tmp_path):
@@ -252,7 +269,12 @@ class TestFloquet:
         report = json.loads((out / "floquet.json").read_text())
         assert report["period"] == pytest.approx(55.543542261712105, rel=1e-5)
         assert report["verdict"] == "inconclusive"
-        assert report["modal_modes"] == []
+        # the detector's OrbitAnalysis and the StabilityVerdict, written whole
+        assert set(report) == {"model", "U0", *ORBIT_KEYS, "verdict", "base_multipliers",
+                               "modal_multipliers"}
+        assert report["modal_multipliers"] == {}
+        assert report["base_multipliers"] == report["multipliers"]
+        assert len(report["base_multipliers"]) == 3
         solver = report["solver"]
         assert set(solver) == {"transient", "section", "closure", "monodromy"}
         for leg in solver.values():
@@ -333,6 +355,11 @@ class TestReproducePaper:
         for leg in cycle["solver"].values():  # the detector's counters, leg by leg
             assert leg["nfev"] == 2 + 6 * (leg["accepted_steps"] + leg["rejected_steps"])
         assert {"transient", "section", "closure"} <= set(cycle["solver"])
+        # the section's return gaps: the period is the mean of the last three
+        assert set(cycle) == {"U0", *ORBIT_KEYS}
+        gaps = np.diff(cycle["crossing_times"])
+        assert (gaps > 0.0).all()
+        assert gaps[-3:].mean() == cycle["period"]
         solver = json.loads((out / "classification.json").read_text())["solver"]
         assert solver["steps"] == 100_000 and solver["dt"] == 1e-3
         assert solver["min_value"] == 0.0
@@ -716,7 +743,7 @@ class TestConfigBoundary:
         rc, out = _run(tmp_path, "ode", payload)
         assert rc == 0
         cycle = json.loads((out / "report.json").read_text())["cycle"]
-        assert set(cycle) == {"status", "periodic", "period", "anchor", "converged_to", "solver"}
+        assert set(cycle) == ORBIT_KEYS
         assert "transient" in cycle["solver"]
 
     def test_two_species_case_is_null_without_unit_diagonal(self, tmp_path):
@@ -726,3 +753,26 @@ class TestConfigBoundary:
         report = json.loads((out / "report.json").read_text())
         assert report["two_species_case"] is None
         assert report["equilibrium_count"] == 4
+
+
+def _readme_config_keys() -> dict[str, set[str]]:
+    """README's "command | key | type | default" table: command -> the keys it lists."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| command | key | type | default |") + 2  # past the rule
+    keys: dict[str, set[str]] = {}
+    command = None
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        command = cells[0].strip("`") or command
+        keys.setdefault(command, set()).update(cells[1].replace("`", "").split(", "))
+    return keys
+
+
+class TestReadme:
+    def test_config_key_table_lists_each_commands_schema(self):
+        documented = _readme_config_keys()
+        assert set(documented) == set(cli._COMMANDS)
+        for command, (_, _, schema) in cli._COMMANDS.items():
+            assert documented[command] == set(schema), command

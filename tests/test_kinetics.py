@@ -41,6 +41,20 @@ def _scipy_rk45(fun, t_end, y0, tol, **kw):
                      rtol=tol, atol=tol * 1e-2, **kw)
 
 
+def _assert_order_free_dense_output(dense, sol, t):
+    """The dense output equals scipy's on a shuffled copy of t and at one scalar.
+
+    t holds many times per step.  They are not contiguous in a shuffled
+    copy, so this holds the interpolant to evaluating each step's times
+    together, in one product, and to returning them in input order.
+    """
+    shuffled = np.random.default_rng(0).permutation(t)
+    assert np.array_equal(dense(shuffled), sol(shuffled))
+    middle = float(t[t.size // 2])
+    assert dense(middle).shape == sol(middle).shape
+    assert np.array_equal(dense(middle), sol(middle))
+
+
 class TestDopri5MatchesScipy:
     """``_dopri5`` must reproduce solve_ivp's RK45 bit for bit (np.array_equal).
 
@@ -88,6 +102,7 @@ class TestDopri5MatchesScipy:
         # the tail interpolant kept for the settle check
         tail = np.linspace(1491.0, 1500.0, 10)
         assert np.array_equal(run.dense(tail), ref.sol(tail))
+        _assert_order_free_dense_output(run.dense, ref.sol, np.linspace(1491.0, 1500.0, 501))
 
     def test_non_autonomous_run_with_terminal_event(self):
         # a resonantly forced oscillator: the amplitude grows until the
@@ -121,6 +136,35 @@ class TestDopri5MatchesScipy:
         # the cut last step is evaluated with the quartic of the full step
         t = np.linspace(run.t[-2], run.t[-1], 17)
         assert np.array_equal(run.dense(t), ref.sol(t))
+        last_steps = np.linspace(run.t[-12], run.t[-1], 501)
+        _assert_order_free_dense_output(run.dense, ref.sol, np.concatenate([t, last_steps]))
+
+    def test_roots_on_one_step_in_time_order_up_to_the_terminal_one(self):
+        # y' = 1 steps 10x longer each time, so one step holds all four roots;
+        # listed out of time order, with a tie at the terminal root
+        def rhs(t, y, out):
+            out[:] = 1.0
+            return out
+
+        def level(c):
+            return lambda t, y: y[0] - c
+
+        events = [(level(5.1), 1, False), (level(5.0), 1, True), (level(4.9), 1, False),
+                  (level(5.0), 1, False)]
+        scipy_events = []
+        for g, direction, terminal in events:
+            def event(t, y, g=g):
+                return g(t, y)
+            event.direction, event.terminal = direction, terminal
+            scipy_events.append(event)
+        ref = solve_ivp(lambda t, y: np.ones(1), (0.0, 10.0), [0.0], method="RK45", rtol=1e-7,
+                        atol=1e-9, events=scipy_events)
+        run = _dopri5(rhs, np.zeros(1), 10.0, 1e-7, events=events)
+        assert ref.status == 1
+        assert [te.size for te in ref.t_events] == [0, 1, 1, 0]
+        assert np.array_equal(run.t, ref.t)
+        for mine, theirs in zip(run.t_events + run.y_events, ref.t_events + ref.y_events):
+            assert np.array_equal(mine, theirs)
 
     def test_t_eval_samples(self, reference_kinetics):
         # the closure run of detect_limit_cycle samples its dense output where
