@@ -25,7 +25,6 @@ from .kinetics import (
     detect_limit_cycle,
     integrate,
     modal_multipliers,
-    monodromy,
     orbital_stability,
 )
 from .model import (

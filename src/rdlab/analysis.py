@@ -20,69 +20,28 @@ REGION_A_3SPECIES = "region-A-3species"
 PERIODIC_SCORE = 0.9  # periodicity scores above it are periodic
 
 
-def _region_box_and_mask(model: CompetitionModel, region):
-    """Bounding box and membership test of a named region or an explicit box."""
-    a = model.a
+def _region_pieces(model: CompetitionModel, region) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Polytope pieces {U : G U <= h} whose union is a named region or an explicit box."""
+    n, a = model.n, model.a
+    orthant = -np.eye(n)  # U >= 0, or U >= lo for a box
     if isinstance(region, str):
         if region == REGION_SIGMA_2SPECIES:
-            if model.n != 2:
+            if n != 2:
                 raise ValueError(f"{region} requires a two-species model")
             b, c = float(a[0, 1]), float(a[1, 0])
-            box = np.array([[0.0, max(1.0, 1.0 / c)], [0.0, max(1.0, 1.0 / b)]])
-
-            def member(pts):
-                return ((pts[:, 0] <= 1.0 - b * pts[:, 1] + REGION_TIE_TOL)
-                        | (pts[:, 1] <= 1.0 - c * pts[:, 0] + REGION_TIE_TOL))
-
-            return box, member
+            return [(np.vstack([orthant, row]), np.array([0.0, 0.0, 1.0]))
+                    for row in ([1.0, b], [c, 1.0])]
         if region == REGION_A_3SPECIES:
-            if model.n != 3:
+            if n != 3:
                 raise ValueError(f"{region} requires a three-species model")
-            u_max = float(max(1.0 / a[:, k].min() for k in range(3))) + 1.0
-            box = np.array([[0.0, u_max]] * 3)
-
-            def member(pts):
-                r = pts @ a.T
-                return ((r.min(axis=1) <= 1.0 + REGION_TIE_TOL)
-                        & (r.max(axis=1) >= 1.0 - REGION_TIE_TOL))
-
-            return box, member
+            # (a U)_i <= 1 <= (a U)_j; bounded since a > 0
+            return [(np.vstack([orthant, a[i], -a[j]]), np.array([0.0, 0.0, 0.0, 1.0, -1.0]))
+                    for i, j in itertools.permutations(range(3), 2)]
         raise ValueError(f"unknown region {region!r}")
     box = np.asarray(region, dtype=float)
-    if box.shape != (model.n, 2) or np.any(box[:, 1] <= box[:, 0]):
+    if box.shape != (n, 2) or np.any(box[:, 1] <= box[:, 0]):
         raise ValueError("box region must be an (n, 2) array of increasing bounds")
-    return box, lambda pts: np.ones(pts.shape[0], dtype=bool)
-
-
-def _region_vertices(model: CompetitionModel, region, box: np.ndarray) -> np.ndarray:
-    """Corner candidates of the polytope pieces making up the region.
-
-    Every piece is cut out of the bounding box by the region's own planes,
-    so each of its corners is an n-fold intersection of box faces and region
-    planes; all such intersections inside the box are returned.  Some lie
-    outside the region and are left for the membership test to drop.
-    """
-    n = model.n
-    a = model.a
-    planes = [(np.eye(n)[k], float(box[k, 0])) for k in range(n)]
-    planes += [(np.eye(n)[k], float(box[k, 1])) for k in range(n)]
-    if isinstance(region, str) and region == REGION_SIGMA_2SPECIES:
-        b, c = float(a[0, 1]), float(a[1, 0])
-        planes += [(np.array([1.0, b]), 1.0), (np.array([c, 1.0]), 1.0)]
-    elif isinstance(region, str) and region == REGION_A_3SPECIES:
-        planes += [(a[i].astype(float), 1.0) for i in range(3)]
-    pts = []
-    for combo in itertools.combinations(range(len(planes)), n):
-        lhs = np.array([planes[k][0] for k in combo])
-        rhs = np.array([planes[k][1] for k in combo])
-        try:
-            p = np.linalg.solve(lhs, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        p[np.abs(p) < 1e-13] = 0.0
-        if np.all(p >= box[:, 0] - 1e-9) and np.all(p <= box[:, 1] + 1e-9):
-            pts.append(np.clip(p, box[:, 0], box[:, 1]))
-    return np.array(pts) if pts else np.empty((0, n))
+    return [(np.vstack([orthant, -orthant]), np.concatenate([-box[:, 0], box[:, 1]]))]
 
 
 def _norm_batch(model: CompetitionModel, pts: np.ndarray, norm: str) -> np.ndarray:
@@ -99,23 +58,29 @@ def _norm_batch(model: CompetitionModel, pts: np.ndarray, norm: str) -> np.ndarr
 def sup_jacobian_norm(model: CompetitionModel, region, *, norm: str = "frobenius") -> float:
     """Supremum of the kinetic Jacobian norm over an invariant region.
 
-    ``region`` is "sigma-region-2species" (union of the two triangles under
-    u = 1 - b v and v = 1 - c u), "region-A-3species" (states with
-    min_i (a U)_i <= 1 <= max_i (a U)_i, confined to the box that contains
-    it), or an explicit (n, 2) bounds array.  ``norm`` is "frobenius" or
-    "operator".
+    ``region`` is "sigma-region-2species" (union of the two triangles
+    U >= 0, u + b v <= 1 and U >= 0, c u + v <= 1), "region-A-3species"
+    (states with min_i (a U)_i <= 1 <= max_i (a U)_i: the union over i != j
+    of U >= 0, (a U)_i <= 1 <= (a U)_j), or an explicit (n, 2) bounds array.
+    ``norm`` is "frobenius" or "operator".
 
     The value is exact.  The Jacobian is affine in U, so both norms are
     convex in U, and a convex function on a polytope attains its maximum
     at a corner (Rockafellar, Convex Analysis, Cor. 32.3.2).  Each region
-    is a finite union of polytopes, so the supremum is the largest norm
-    over the corners of its pieces: the plane intersections listed by
-    ``_region_vertices`` that pass the region's membership test.
+    is a finite union of polytope pieces {U : G U <= h}, so the supremum is
+    the largest norm over their corners: the solutions of n of a piece's
+    planes that meet all of its planes within REGION_TIE_TOL.
     """
-    box, member = _region_box_and_mask(model, region)
-    verts = _region_vertices(model, region, box)
-    verts = verts[member(verts)]
-    return float(_norm_batch(model, verts, norm).max())
+    corners = []
+    for G, h in _region_pieces(model, region):
+        for rows in map(list, itertools.combinations(range(h.size), model.n)):
+            try:
+                p = np.linalg.solve(G[rows], h[rows])
+            except np.linalg.LinAlgError:
+                continue
+            if np.all(G @ p <= h + REGION_TIE_TOL):
+                corners.append(p)
+    return float(_norm_batch(model, np.array(corners), norm).max())
 
 
 @dataclass(frozen=True)
@@ -281,22 +246,15 @@ def classify_omega(trajectory: PdeTrajectory, model: CompetitionModel) -> OmegaC
     keep = trajectory.times >= t_lo
     flat = float(trajectory.flatness()[keep].max())
 
-    scores = []
+    per_probe = []
     pkeep = trajectory.probe_times >= t_lo
     if int(pkeep.sum()) >= 200:
+        times = trajectory.probe_times[pkeep]
         for j in range(trajectory.probe_points.size):
-            for s in range(trajectory.probe_values.shape[1]):
-                trace = trajectory.probe_values[pkeep, s, j]
-                score, _ = periodicity_score(trajectory.probe_times[pkeep], trace)
-                scores.append((j, s, score))
-    per_probe = None
-    if scores:
-        by_probe = {}
-        for j, s, score in scores:
-            by_probe.setdefault(j, []).append(score)
-        # a probe is periodic if its non-constant components are; constants score 0
-        per_probe = [max(v) if max(v) == 0.0 else min(s for s in v if s > 0.0)
-                     for v in by_probe.values()]
+            scores = [periodicity_score(times, trajectory.probe_values[pkeep, s, j])[0]
+                      for s in range(model.n)]
+            # a probe is periodic if its non-constant components are; constants score 0
+            per_probe.append(min((x for x in scores if x > 0.0), default=0.0))
     min_score = min(per_probe) if per_probe else None
 
     eqs = equilibria(model)  # never empty: P_0 is always one

@@ -98,13 +98,22 @@ def _reference_model() -> CompetitionModel:
     return load_model({"n": 3, "a": REFERENCE_MATRIX, "d": REFERENCE_DIFFUSION})
 
 
+def _preset(value, where: str) -> str:
+    if value != "reference":
+        raise ConfigError(f'{where} must be "reference"')
+    return value
+
+
 _MODEL_FILE = {"file": (_string, REQUIRED)}
 
 
 def _model(spec, where: str) -> CompetitionModel:
-    """The reference preset, inline a/d arrays (n optional), or {"file": path}
-    naming a JSON file that holds such arrays; load_model checks both."""
-    if spec == "reference" or spec == {"preset": "reference"}:
+    """The reference preset ("reference" or {"preset": "reference"}), inline
+    a/d arrays (n optional), or {"file": path} naming a JSON file that holds
+    such arrays; load_model checks both."""
+    if isinstance(spec, dict) and "preset" in spec:
+        spec = _parse(spec, {"preset": (_preset, REQUIRED)}, where)["preset"]
+    if spec == "reference":
         return _reference_model()
     if isinstance(spec, dict) and "file" not in spec:
         return load_model(spec)
@@ -365,27 +374,26 @@ def _pde_outputs(model, traj, out: Path, *, svg: bool, decay_window=None):
               np.column_stack([traj.times, traj.flatness()]))
     write_csv(out / "final_field.csv", ["x"] + [f"u{i + 1}" for i in range(n)],
               np.column_stack([x, traj.fields[-1].T]))
-    if traj.probe_points is not None:
-        header = ["t"]
+    header = ["t"]
+    for i in range(n):
+        for xp in traj.probe_points:
+            header.append(f"u{i + 1}@x={xp:.6g}")
+    block = traj.probe_values.reshape(traj.probe_values.shape[0], -1)
+    write_csv(out / "probes.csv", header, np.column_stack([traj.probe_times, block]))
+    if svg:
+        series = []
         for i in range(n):
-            for xp in traj.probe_points:
-                header.append(f"u{i + 1}@x={xp:.6g}")
-        block = traj.probe_values.reshape(traj.probe_values.shape[0], -1)
-        write_csv(out / "probes.csv", header, np.column_stack([traj.probe_times, block]))
-        if svg:
-            series = []
-            for i in range(n):
-                for j, xp in enumerate(traj.probe_points):
-                    series.append(
-                        (f"u{i + 1}@x={xp:.3g}", traj.probe_times, traj.probe_values[:, i, j])
-                    )
-            svg_line_chart(
-                out / "probes.svg",
-                series,
-                title="Probe traces",
-                x_label="time t",
-                y_label="density",
-            )
+            for j, xp in enumerate(traj.probe_points):
+                series.append(
+                    (f"u{i + 1}@x={xp:.3g}", traj.probe_times, traj.probe_values[:, i, j])
+                )
+        svg_line_chart(
+            out / "probes.svg",
+            series,
+            title="Probe traces",
+            x_label="time t",
+            y_label="density",
+        )
     write_json(out / "classification.json", {
         "classification": classification,
         "solver": {"steps": traj.steps, "dt": traj.dt, "min_value": traj.min_value},
@@ -412,16 +420,11 @@ def _run_floquet(cfg: dict, out: Path):
         )
     verdict = orbital_stability(model, orbit, **_picked(cfg, "tol", "eigenvalues", "k_max", "L"))
 
-    header = ["mode_k", "kind", "index", "re", "im", "modulus"]
-    rows = []
-    for idx, mult in enumerate(verdict.base_multipliers):
-        rows.append([0, "base", idx, float(np.real(mult)), float(np.imag(mult)),
-                     float(np.abs(mult))])
-    for k in sorted(verdict.modal_multipliers):
-        for idx, mult in enumerate(verdict.modal_multipliers[k]):
-            rows.append([k, "modal", idx, float(np.real(mult)), float(np.imag(mult)),
-                         float(np.abs(mult))])
-    write_csv(out / "multipliers.csv", header, rows)
+    groups = [(0, "base", orbit.multipliers),
+              *((k, "modal", mults) for k, mults in verdict.modal_multipliers.items())]
+    rows = [[k, kind, idx, float(np.real(m)), float(np.imag(m)), float(np.abs(m))]
+            for k, kind, mults in groups for idx, m in enumerate(mults)]
+    write_csv(out / "multipliers.csv", ["mode_k", "kind", "index", "re", "im", "modulus"], rows)
     write_json(out / "floquet.json",
                {"model": model_to_dict(model), "U0": U0, **vars(orbit), **vars(verdict)})
 

@@ -363,22 +363,22 @@ def integrate(model: CompetitionModel, U0, t_end: float, tol: float = DEFAULT_TO
 class OrbitAnalysis:
     """Outcome of long-run orbit classification.
 
-    ``status`` is "periodic", "converged" or "undetermined".  For periodic
-    orbits the anchor lies on the cycle, and the monodromy matrix with its
-    multipliers is attached.  ``crossing_times`` keeps the raw section-return
+    ``status`` is "periodic", "converged" or "undetermined"; the fields a
+    status does not fill stay None.  For periodic orbits the anchor lies on
+    the cycle, and the monodromy matrix with its multipliers (by decreasing
+    modulus) is attached.  ``crossing_times`` keeps the raw section-return
     times for spread diagnostics.  ``solver`` maps each integration that ran
     ("transient", "section", "closure", "monodromy", in that order) to its
     counters.
     """
 
     status: str
-    periodic: bool
-    period: float | None
-    anchor: np.ndarray | None
-    monodromy: np.ndarray | None
-    multipliers: np.ndarray | None
-    converged_to: str | None
-    crossing_times: np.ndarray | None
+    period: float | None = None
+    anchor: np.ndarray | None = None
+    monodromy: np.ndarray | None = None
+    multipliers: np.ndarray | None = None
+    converged_to: str | None = None
+    crossing_times: np.ndarray | None = None
     solver: dict[str, SolverStats] = field(default_factory=dict)
 
 
@@ -430,14 +430,10 @@ def detect_limit_cycle(model: CompetitionModel, U0, max_time: float = DEFAULT_MA
     if transient.stats.min_state < -NEGATIVITY_TOL:
         raise InvariantViolation("transient left the nonnegative cone")
     anchor0 = transient.y[-1]
-
-    def outcome(status, converged_to=None, crossing_times=None):
-        return OrbitAnalysis(status, False, None, None, None, None,
-                             converged_to, crossing_times, solver)
-
     if _is_settled(model, transient.dense, t_half):
         label = _settled_equilibrium_label(model, anchor0)
-        return outcome("undetermined" if label is None else "converged", label)
+        return OrbitAnalysis("undetermined" if label is None else "converged",
+                             converged_to=label, solver=solver)
 
     velocity = reaction(model, anchor0)
     normal = velocity / np.linalg.norm(velocity)
@@ -473,14 +469,15 @@ def detect_limit_cycle(model: CompetitionModel, U0, max_time: float = DEFAULT_MA
         if np.linalg.norm(one_period.y[-1] - anchor) < RETURN_STATE_TOL:
             mono, solver["monodromy"] = _monodromy_matrix(model, anchor, period,
                                                           np.zeros(model.n), tol)
-            return OrbitAnalysis("periodic", True, period, anchor, mono, _multipliers(mono),
-                                 None, crossings, solver)
+            return OrbitAnalysis("periodic", period, anchor, mono, _multipliers(mono),
+                                 crossing_times=crossings, solver=solver)
 
     if _is_settled(model, run.dense, span):
         label = _settled_equilibrium_label(model, run.y[-1])
         if label is not None:
-            return outcome("converged", label)
-    return outcome("undetermined", crossing_times=t_cross if t_cross.size else None)
+            return OrbitAnalysis("converged", converged_to=label, solver=solver)
+    return OrbitAnalysis("undetermined", crossing_times=t_cross if t_cross.size else None,
+                         solver=solver)
 
 
 def _monodromy_matrix(model, anchor, period, lam_d, tol):
@@ -501,14 +498,10 @@ def _multipliers(mono):
 
 
 def _require_periodic(orbit):
-    if not (orbit.periodic and orbit.period is not None and orbit.anchor is not None):
+    """Raise ValueError unless the orbit is periodic with the fields the Floquet routines read."""
+    if orbit.status != "periodic" or any(
+            x is None for x in (orbit.period, orbit.anchor, orbit.multipliers)):
         raise ValueError("a periodic OrbitAnalysis is required")
-
-
-def monodromy(model: CompetitionModel, orbit: OrbitAnalysis, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Monodromy matrix of the kinetics linearized along one period of the orbit."""
-    _require_periodic(orbit)
-    return _monodromy_matrix(model, orbit.anchor, orbit.period, np.zeros(model.n), tol)[0]
 
 
 def modal_multipliers(model: CompetitionModel, orbit: OrbitAnalysis, lam: float,
@@ -530,10 +523,9 @@ def modal_multipliers(model: CompetitionModel, orbit: OrbitAnalysis, lam: float,
 
 @dataclass(frozen=True)
 class StabilityVerdict:
-    """Orbital stability assessment from base and modal Floquet multipliers."""
+    """Orbital stability assessment from the orbit's multipliers and the modal ones."""
 
     verdict: str  # 'stable' | 'unstable' | 'inconclusive'
-    base_multipliers: np.ndarray
     modal_multipliers: dict[int, np.ndarray]  # mode index k >= 1 -> multipliers
 
 
@@ -544,7 +536,7 @@ def orbital_stability(model: CompetitionModel, orbit: OrbitAnalysis, k_max: int 
 
     ``eigenvalues`` supplies the Laplacian eigenvalues for modes 1..k_max;
     alternatively pass an interval length ``L`` and ``k_max`` to use the
-    Neumann sequence (k pi / L)^2.  With neither, only the base multipliers
+    Neumann sequence (k pi / L)^2.  With neither, only ``orbit.multipliers``
     are judged (k_max = 0).  A trustworthy computation must exhibit the
     unit multiplier: if no simple multiplier sits within 1e-3 of 1 the
     verdict is "inconclusive" regardless of the other moduli.  Otherwise
@@ -574,14 +566,12 @@ def orbital_stability(model: CompetitionModel, orbit: OrbitAnalysis, k_max: int 
     if not (np.isfinite(eigenvalues[:k_max]).all() and (eigenvalues[:k_max] >= 0.0).all()):
         raise ValueError("Laplacian eigenvalues must be finite and nonnegative")
     base = orbit.multipliers
-    if base is None:
-        base = modal_multipliers(model, orbit, 0.0, tol)
     near_one = np.abs(base - 1.0) < TRIVIAL_MULTIPLIER_TOL
     unit_simple = int(near_one.sum()) == 1
     modal = {k: modal_multipliers(model, orbit, float(eigenvalues[k - 1]), tol)
              for k in range(1, k_max + 1)}
     if not unit_simple:
-        return StabilityVerdict("inconclusive", base, modal)
+        return StabilityVerdict("inconclusive", modal)
     moduli = list(np.abs(base[~near_one])) + [abs(m) for ms in modal.values() for m in ms]
     if any(m > 1.0 + MODULUS_MARGIN for m in moduli):
         verdict = "unstable"
@@ -589,4 +579,4 @@ def orbital_stability(model: CompetitionModel, orbit: OrbitAnalysis, k_max: int 
         verdict = "stable"
     else:
         verdict = "inconclusive"
-    return StabilityVerdict(verdict, base, modal)
+    return StabilityVerdict(verdict, modal)

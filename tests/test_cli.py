@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,13 +16,14 @@ import pytest
 from rdlab import cli, emit
 from rdlab.cli import main
 from rdlab.errors import ConfigError
+from rdlab.kinetics import OrbitAnalysis, StabilityVerdict
 from rdlab.model import load_model
 from rdlab.scalar import dirichlet_steady_profile, radial_shoot, time_map
 from test_emit import _csv_reference
 
 
 # the fields of kinetics.OrbitAnalysis, the keys of every cycle object
-ORBIT_KEYS = {"status", "periodic", "period", "anchor", "monodromy", "multipliers",
+ORBIT_KEYS = {"status", "period", "anchor", "monodromy", "multipliers",
               "converged_to", "crossing_times", "solver"}
 
 
@@ -164,7 +166,7 @@ class TestOde:
         rc, out = _run(tmp_path, "ode", payload)
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["cycle"]["periodic"] is True
+        assert report["cycle"]["status"] == "periodic"
         assert report["cycle"]["period"] == pytest.approx(207.76984226637737, rel=1e-5)
         assert report["final_region"] == "A"
         _, rows = _csv_rows(out / "trajectory.csv")
@@ -180,8 +182,8 @@ class TestOde:
         rc, out = _run(tmp_path, "ode", payload)
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["cycle"]["periodic"] is False
         assert report["cycle"]["status"] == "converged"
+        assert report["cycle"]["multipliers"] is None
         # the orbit settled after the transient leg, so only that leg ran
         solver = report["cycle"]["solver"]
         assert list(solver) == ["transient"]
@@ -270,11 +272,11 @@ class TestFloquet:
         assert report["period"] == pytest.approx(55.543542261712105, rel=1e-5)
         assert report["verdict"] == "inconclusive"
         # the detector's OrbitAnalysis and the StabilityVerdict, written whole
-        assert set(report) == {"model", "U0", *ORBIT_KEYS, "verdict", "base_multipliers",
-                               "modal_multipliers"}
+        assert {f.name for f in fields(OrbitAnalysis)} == ORBIT_KEYS
+        assert set(report) == {"model", "U0", *ORBIT_KEYS,
+                               *(f.name for f in fields(StabilityVerdict))}
         assert report["modal_multipliers"] == {}
-        assert report["base_multipliers"] == report["multipliers"]
-        assert len(report["base_multipliers"]) == 3
+        assert len(report["multipliers"]) == 3
         solver = report["solver"]
         assert set(solver) == {"transient", "section", "closure", "monodromy"}
         for leg in solver.values():
@@ -287,6 +289,24 @@ class TestFloquet:
         assert len(rows) == 3
         moduli = sorted(float(r[5]) for r in rows)
         assert moduli[-1] == pytest.approx(1.0, abs=1e-3)
+
+    def test_multiplier_rows_are_the_json_multipliers(self, tmp_path):
+        payload = {"model": CIRCULANT, "U0": [0.45, 0.3, 0.25], "max_time": 400.0,
+                   "k_max": 2, "L": 1.0}
+        rc, out = _run(tmp_path, "floquet", payload)
+        assert rc == 0
+        report = json.loads((out / "floquet.json").read_text())
+        _, rows = _csv_rows(out / "multipliers.csv")
+        groups = {}
+        for k, kind, index, real, imag, _ in rows:
+            groups.setdefault((int(k), kind), []).append((int(index), real, imag))
+        # the base rows are the orbit's multipliers, mode k's the verdict's
+        want = {(0, "base"): report["multipliers"]}
+        want.update({(int(k), "modal"): m for k, m in report["modal_multipliers"].items()})
+        assert list(groups) == [(0, "base"), (1, "modal"), (2, "modal")]
+        for key, mults in want.items():
+            assert groups[key] == [(i, format(m["re"], ".15g"), format(m["im"], ".15g"))
+                                   for i, m in enumerate(mults)]
 
 
 class TestChs:
@@ -350,7 +370,7 @@ class TestReproducePaper:
     def test_cycle_and_condition(self, reproduction_run):
         out = reproduction_run.out_dir
         cycle = json.loads((out / "cycle.json").read_text())
-        assert cycle["periodic"] is True
+        assert cycle["status"] == "periodic"
         assert cycle["period"] == pytest.approx(207.76984226637737, rel=1e-5)
         for leg in cycle["solver"].values():  # the detector's counters, leg by leg
             assert leg["nfev"] == 2 + 6 * (leg["accepted_steps"] + leg["rejected_steps"])
@@ -710,6 +730,7 @@ class TestConfigBoundary:
 
     @pytest.mark.parametrize("model, message", [
         ("referenc", "model must be a JSON object"),
+        ({"preset": "referenc"}, 'model.preset must be "reference"'),
         ("model.json", "model must be a JSON object"),
         ([[1.0]], "model must be a JSON object"),
         ({"file": "model.json", "n": 1}, "model has unknown keys: n"),
@@ -721,7 +742,7 @@ class TestConfigBoundary:
         # such a file exists; a file reference holds the key "file" alone
         monkeypatch.chdir(tmp_path)
         (tmp_path / "model.json").write_text(json.dumps({"a": [[1.0]], "d": [1.0]}))
-        if isinstance(model, dict) and model["file"] == "model.json":
+        if isinstance(model, dict) and model.get("file") == "model.json":
             model["file"] = str(tmp_path / "model.json")
         rc, out = _run(tmp_path, "equilibria", {"model": model})
         assert rc == 2
@@ -755,9 +776,12 @@ class TestConfigBoundary:
         assert report["equilibrium_count"] == 4
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_config_keys() -> dict[str, set[str]]:
     """README's "command | key | type | default" table: command -> the keys it lists."""
-    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    lines = README.read_text().splitlines()
     start = lines.index("| command | key | type | default |") + 2  # past the rule
     keys: dict[str, set[str]] = {}
     command = None
@@ -776,3 +800,15 @@ class TestReadme:
         assert set(documented) == set(cli._COMMANDS)
         for command, (_, _, schema) in cli._COMMANDS.items():
             assert documented[command] == set(schema), command
+
+    def test_library_tour_examples_run(self):
+        # the ```python blocks of the Library tour, in one namespace, as a
+        # reader would paste them; stale API fails here
+        text = README.read_text()
+        tour = text[text.index("## Library tour"):text.index("## CLI")]
+        blocks = [block.split("```", 1)[0] for block in tour.split("```python\n")[1:]]
+        assert len(blocks) == 2
+        namespace = {}
+        for block in blocks:
+            exec(compile(block, str(README), "exec"), namespace)
+        assert namespace["rep"].case == "periodic-attractor-candidate"

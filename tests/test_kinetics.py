@@ -1,5 +1,7 @@
 """Kinetic integration, limit-cycle detection and Floquet machinery."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson, solve_ivp
@@ -10,22 +12,24 @@ from rdlab.kinetics import (
     OrbitAnalysis,
     _dopri5,
     _kinetic_rhs,
+    _monodromy_matrix,
     _variational_rhs,
     detect_limit_cycle,
     integrate,
     modal_multipliers,
-    monodromy,
     orbital_stability,
 )
 from rdlab.model import condition_report, equilibria, jacobian, reaction
 
 
-def _fake_periodic_orbit(anchor, period, multipliers=None):
-    return OrbitAnalysis(
-        "periodic", True, period, np.asarray(anchor, dtype=float), None,
-        None if multipliers is None else np.asarray(multipliers, dtype=complex),
-        None, None,
-    )
+def _fake_periodic_orbit(anchor, period, multipliers=(1.0, 0.3, 0.001)):
+    return OrbitAnalysis("periodic", period, np.asarray(anchor, dtype=float),
+                         multipliers=np.asarray(multipliers, dtype=complex))
+
+
+def _monodromy(model, orbit, tol):
+    """The orbit's monodromy matrix recomputed at another tolerance."""
+    return _monodromy_matrix(model, orbit.anchor, orbit.period, np.zeros(model.n), tol)[0]
 
 
 def _no_integration(*args, **kwargs):
@@ -273,7 +277,6 @@ class TestLimitCycleDetection:
             tol=1e-7,
         )
         assert orbit.status == "periodic"
-        assert orbit.periodic
         assert orbit.period == pytest.approx(207.76984226637737, rel=1e-6)
         # section returns: relative spread of the last five return times
         returns = np.diff(orbit.crossing_times)[-5:]
@@ -315,8 +318,8 @@ class TestLimitCycleDetection:
             model, np.array([0.2, 0.5, 0.4]), max_time=400.0, tol=1e-10
         )
         assert orbit.status == "converged"
-        assert not orbit.periodic
         assert orbit.converged_to == "P_1"
+        assert orbit.period is None and orbit.multipliers is None
 
     def test_sink_with_loose_tolerance_never_fakes_a_cycle(self):
         # integrator noise around the sink sits above the settle threshold at
@@ -326,7 +329,7 @@ class TestLimitCycleDetection:
         model = CompetitionModel(a=a, d=np.ones(3))
         orbit = detect_limit_cycle(model, np.array([0.2, 0.5, 0.4]), max_time=400.0)
         assert orbit.status in ("converged", "undetermined")
-        assert not orbit.periodic
+        assert orbit.period is None and orbit.multipliers is None
 
     def test_tight_tolerance_slow_spiral_stays_undetermined(self, reference_kinetics):
         # far from convergence at this horizon: must not report a false cycle
@@ -351,11 +354,10 @@ class TestLimitCycleDetection:
 
 class TestMonodromy:
     def test_constant_orbit_reduces_to_matrix_exponential(self, reference_kinetics):
-        # a fake orbit pinned at the interior point: M = expm(J T) exactly
+        # the interior point is a constant orbit of any period T: M = expm(J T) exactly
         P1 = condition_report(reference_kinetics).interior_point
         T = 3.0
-        orbit = _fake_periodic_orbit(P1, T)
-        M = monodromy(reference_kinetics, orbit, tol=1e-12)
+        M = _monodromy_matrix(reference_kinetics, P1, T, np.zeros(3), tol=1e-12)[0]
         assert np.max(np.abs(M - expm(jacobian(reference_kinetics, P1) * T))) < 1e-9
 
     def test_unit_multiplier_present(self, circulant_cycle_model):
@@ -376,7 +378,7 @@ class TestMonodromy:
             [np.trace(jacobian(circulant_cycle_model, states[:, k])) for k in range(t.size)]
         )
         liouville = np.exp(simpson(traces, x=t))
-        M = monodromy(circulant_cycle_model, orbit, tol=1e-12)
+        M = _monodromy(circulant_cycle_model, orbit, tol=1e-12)
         assert abs(np.linalg.det(M) - liouville) < 1e-6
 
     def test_scalar_diffusion_factorization(self, circulant_cycle_model):
@@ -387,18 +389,23 @@ class TestMonodromy:
         d = float(circulant_cycle_model.d[0])
         lam = (2.0 * np.pi) ** 2
         direct = modal_multipliers(circulant_cycle_model, orbit, lam, tol=1e-12)
-        base = np.linalg.eigvals(monodromy(circulant_cycle_model, orbit, tol=1e-12))
+        base = np.linalg.eigvals(_monodromy(circulant_cycle_model, orbit, tol=1e-12))
         factored = np.exp(-d * lam * orbit.period) * base
         assert (
             np.max(np.abs(np.sort_complex(direct) - np.sort_complex(factored))) < 1e-6
         )
 
-    def test_monodromy_requires_periodic_orbit(self, reference_kinetics):
-        orbit = OrbitAnalysis(
-            "undetermined", False, None, None, None, None, None, None
-        )
-        with pytest.raises(ValueError):
-            monodromy(reference_kinetics, orbit)
+    @pytest.mark.parametrize("orbit", [
+        OrbitAnalysis("undetermined", crossing_times=np.array([1.0, 2.0])),
+        # every Floquet field set: the status alone marks it not periodic
+        replace(_fake_periodic_orbit(np.ones(3) * 0.2, 5.0), status="undetermined"),
+    ], ids=["bare", "with-floquet-fields"])
+    def test_monodromy_requires_periodic_orbit(self, reference_kinetics, monkeypatch, orbit):
+        monkeypatch.setattr(kinetics, "_dopri5", _no_integration)
+        with pytest.raises(ValueError, match="periodic OrbitAnalysis is required"):
+            modal_multipliers(reference_kinetics, orbit, 0.0)
+        with pytest.raises(ValueError, match="periodic OrbitAnalysis is required"):
+            orbital_stability(reference_kinetics, orbit)
 
 
 class TestOrbitalStability:
