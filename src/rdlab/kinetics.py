@@ -2,17 +2,18 @@
 
 Every adaptive integration in rdlab runs on ``_dopri5``, a Dormand-Prince
 5(4) loop with a quartic dense output and event location.  It gives scipy's
-RK45 numbers bit for bit, without scipy's structure: the tableau is written
+RK45 steps bit for bit, without scipy's structure: the tableau is written
 with scipy's float-literal quotients, and each floating-point operation
-(initial step, stage times and sums, RMS error norm, step control, event
-roots, interpolated samples) is the one scipy performs, so results do not
+(initial step, stage times and sums, RMS error norm, step control,
+interpolated samples) is the one scipy performs, so results do not
 depend on which of the two ran.  What it drops is bookkeeping: the wrapper
 layers around the right-hand side, an interpolant object per step,
 OdeSolution's sort of the sample times, and event handling on steps
-without a sign change.  Only an event root imports scipy
-(``scipy.optimize.brentq``), so importing this module, or integrating
-without events, loads numpy alone.  ``tests/test_kinetics.py`` holds the
-loop to that contract.
+without a sign change.  Events are affine in the state, so a root is a
+root of the step's own quartic, found by safeguarded Newton iteration; it
+agrees with solve_ivp's root to the rounding of the event over the step.
+No integration loads scipy.
+``tests/test_kinetics.py`` holds the loop to that contract.
 
 Periodic orbits are detected on a Poincare section anchored at a
 post-transient state with the local velocity as its normal; monodromy and
@@ -153,18 +154,20 @@ def _dopri5(rhs, y0, t_end, tol, *, densities=None, keep_from=math.inf, events=(
 
     ``rhs(t, y, out)`` writes f(t, y) into ``out`` and returns it.  The run
     matches scipy's RK45 at rtol = tol and atol = tol * 1e-2 operation for
-    operation, so its times, states, nfev, event roots and dense output
-    equal scipy's bit for bit.
+    operation, so its times, states, nfev and dense output equal scipy's
+    bit for bit, except the time and state a terminal root cuts the run at.
 
     - ``keep_from``: the dense output covers the steps ending at or after it
       (0 keeps all of them; the default keeps none).
-    - ``events``: ``(g, direction, terminal)`` triples with ``g(t, y) ->
-      float``, as scipy's event functions with those attributes.  A
-      step on which g changes sign in the given direction (> 0 upward, < 0
-      downward, 0 either way) has its root refined by brentq on the step's
-      quartic with xtol = rtol = 4 eps.  When a terminal event fires, the
-      step's roots are sorted and cut after the first terminal one, and the
-      run ends at that root.
+    - ``events``: ``(w, p, direction, terminal)`` tuples, each the affine
+      event g(y) = w . (y - p).  Its step-end values are those of scipy's
+      event function ``w.dot(y - p)``, so the same steps show a sign change
+      in the given direction (> 0 upward, < 0 downward, 0 either way).  On
+      such a step g is a quartic in the step fraction, whose root
+      ``_quartic_root`` finds; it agrees with solve_ivp's root to the
+      rounding of g over the step.  When a terminal event fires, the
+      step's roots are sorted by (time, event index) and cut after the
+      first terminal one, and the run ends at that root.
     - ``densities``: the number of leading components that ``min_state``
       covers (all by default).
 
@@ -183,7 +186,7 @@ def _dopri5(rhs, y0, t_end, tol, *, densities=None, keep_from=math.inf, events=(
     nfev, rejected_steps = 2, 0
     abs_y = np.abs(y)
     ts, ys, hs, kept = [t], [y], [], []
-    g = [event(t, y) for event, _, _ in events]
+    g = [float(w.dot(y - p)) for w, p, _, _ in events]
     t_events, y_events = [[] for _ in events], [[] for _ in events]
     terminate = False
 
@@ -226,19 +229,24 @@ def _dopri5(rhs, y0, t_end, tol, *, densities=None, keep_from=math.inf, events=(
         t_old, y_old = t, y
         t, y, abs_y = t_new, y_new, abs_new
         active = []
-        for i, (event, direction, _) in enumerate(events):
-            before, g[i] = g[i], event(t, y)
+        for i, (w, p, direction, _) in enumerate(events):
+            before, g[i] = g[i], float(w.dot(y - p))
             if (direction >= 0 and before <= 0 <= g[i]) or (direction <= 0 and before >= 0 >= g[i]):
-                active.append(i)
+                active.append((i, before))
         if active:
+            # on this step g = c0 + sum_k h (w . Q[:, k - 1]) theta^k, c0 its start value
             Q = K_E.dot(_P)
-
-            def sol(s):
-                return _interpolate(np.array([s]), t_old, h, Q, y_old)[:, 0]
-
-            root = _event_roots(events, active, sol, t_old, t, t_events, y_events)
-            if root is not None:
-                t, y, terminate = root, sol(root), True
+            roots = []
+            for i, before in active:
+                theta = _quartic_root(before, g[i], *(h * events[i][0].dot(Q)).tolist())
+                roots.append((t_old + theta * h, i))
+            for root, i in sorted(roots):
+                y_root = _interpolate(np.array([root]), t_old, h, Q, y_old)[:, 0]
+                t_events[i].append(root)
+                y_events[i].append(y_root)
+                if events[i][3]:
+                    t, y, terminate = root, y_root, True
+                    break
         ts.append(t)
         ys.append(y)
         if t >= keep_from:
@@ -256,22 +264,38 @@ def _dopri5(rhs, y0, t_end, tol, *, densities=None, keep_from=math.inf, events=(
                 [np.asarray(te) for te in t_events], [np.asarray(ye) for ye in y_events])
 
 
-def _event_roots(events, active, sol, t_old, t, t_events, y_events):
-    """Record the active events' roots on one step as scipy's handle_events does.
+def _quartic_root(c0, end, c1, c2, c3, c4):
+    """The step fraction theta in [0, 1] where c0 + c1 theta + ... + c4 theta^4 = 0.
 
-    Roots are taken in time order (ties by event index) up to the first
-    terminal one, which is returned; None when no terminal event fired.
+    c0 and ``end`` are the event's values at the step's two ends, of
+    opposite signs or zero; they, not the quartic at 1, bracket the root,
+    so a zero step-end value returns 1 even when the quartic rounds to the
+    other side there.  A Newton step that leaves the bracket is replaced by
+    bisection, and the iteration stops once a step moves theta by at most
+    4 eps.
     """
-    from scipy.optimize import brentq
-
-    roots = sorted((brentq(lambda s, g=events[i][0]: g(s, sol(s)), t_old, t,
-                           xtol=4 * _EPS, rtol=4 * _EPS), i) for i in active)
-    for root, i in roots:
-        t_events[i].append(root)
-        y_events[i].append(sol(root))
-        if events[i][2]:
-            return root
-    return None
+    if c0 == 0:
+        return 0.0
+    if end == 0:
+        return 1.0
+    positive_lo = c0 > 0
+    lo, hi = 0.0, 1.0
+    theta = c0 / (c0 - end)
+    while True:
+        value = c0 + theta * (c1 + theta * (c2 + theta * (c3 + theta * c4)))
+        if value == 0:
+            return theta
+        if (value > 0) == positive_lo:
+            lo = theta
+        else:
+            hi = theta
+        slope = c1 + theta * (2 * c2 + theta * (3 * c3 + theta * 4 * c4))
+        new = theta - value / slope if slope else math.nan
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - theta) <= 4 * _EPS:
+            return new
+        theta = new
 
 
 def _kinetic_rhs(model):
@@ -437,13 +461,9 @@ def detect_limit_cycle(model: CompetitionModel, U0, max_time: float = DEFAULT_MA
 
     velocity = reaction(model, anchor0)
     normal = velocity / np.linalg.norm(velocity)
-
-    def crossing(t, y):
-        return float(normal.dot(y - anchor0))
-
     span = max_time - t_half
     run = _dopri5(rhs, anchor0, span, tol, keep_from=span - SETTLE_SAMPLES,
-                  events=[(crossing, 1, False)])
+                  events=[(normal, anchor0, 1, False)])
     solver["section"] = run.stats
     t_cross = run.t_events[0]
     x_cross = run.y_events[0]

@@ -203,9 +203,10 @@ def radial_shoot(c: float, D: float, R: float, m: int = 2, samples: int = 1000) 
             out[1] = -u * (1.0 - u) / D - (m - 1) * up / r
         return out
 
+    u_axis = np.array([1.0, 0.0])
     events = [
-        (lambda r, y: y[0], -1, True),  # hit zero
-        (lambda r, y: y[0] - BLOWUP_THRESHOLD, 1, True),  # blow up
+        (u_axis, np.zeros(2), -1, True),  # hit zero
+        (u_axis, np.array([BLOWUP_THRESHOLD, 0.0]), 1, True),  # blow up
     ]
     # tol 1e-8 runs at rtol 1e-8 and atol 1e-10
     run = _dopri5(rhs, np.array([c, 0.0]), float(R), 1e-8, keep_from=0.0, events=events)

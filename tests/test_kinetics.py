@@ -59,8 +59,46 @@ def _assert_order_free_dense_output(dense, sol, t):
     assert np.array_equal(dense(middle), sol(middle))
 
 
+def _scipy_events(events):
+    """solve_ivp event functions for ``_dopri5``'s (w, p, direction, terminal) events."""
+    functions = []
+    for w, p, direction, terminal in events:
+        def g(t, y, w=w, p=p):
+            return float(w.dot(y - p))
+        g.direction, g.terminal = direction, terminal
+        functions.append(g)
+    return functions
+
+
+# A root may move by the rounding of g over its step, |dg| / |g'(root)| in
+# time, with dg = ROOT_ROUNDING eps sum_i |w_i| |y_i - p_i| at the larger
+# of the step's two end states.  brentq on solve_ivp's dense output is the
+# reference; the largest ratio seen in these cases is 7.4 (one ulp of time).
+ROOT_ROUNDING = 16
+
+
+def _assert_roots_match_scipy(run, ref, events, f):
+    """Root counts and order as solve_ivp's, each time within the rounding bound.
+
+    Each recorded state must be the reference dense output at its root, bit
+    for bit.  ``f(t, y)`` is the vector field, so g' = w . f.
+    """
+    assert [te.size for te in run.t_events] == [te.size for te in ref.t_events]
+    for (w, p, _, _), times, states, ref_times in zip(events, run.t_events, run.y_events,
+                                                     ref.t_events):
+        for t, y, t_ref in zip(times, states, ref_times):
+            k = min(np.searchsorted(run.t, t, side="right") - 1, run.t.size - 2)
+            size = max(np.abs(w).dot(np.abs(run.y[j] - p)) for j in (k, k + 1))
+            bound = ROOT_ROUNDING * np.finfo(float).eps * size / abs(w.dot(f(t, y)))
+            assert abs(t - t_ref) <= bound, (t, t_ref, bound)
+            assert np.array_equal(y, ref.sol(t))
+
+
 class TestDopri5MatchesScipy:
     """``_dopri5`` must reproduce solve_ivp's RK45 bit for bit (np.array_equal).
+
+    Event roots are the exception: they come from the step's quartic, not
+    from brentq, and agree with solve_ivp's within ``ROOT_ROUNDING``.
 
     The references run on the model's own ``reaction`` and ``jacobian``, so
     these cases also hold ``_kinetic_rhs`` and ``_variational_rhs`` to the
@@ -87,22 +125,18 @@ class TestDopri5MatchesScipy:
                              1e-7).y[:, -1]
         normal = reaction(reference_kinetics, anchor)
         normal = normal / np.linalg.norm(normal)
-
-        def crossing(y):
-            return float(normal @ (y - anchor))
-
-        def event(t, y):
-            return crossing(y)
-
-        event.direction = 1
+        events = [(normal, anchor, 1, False)]
         ref = _scipy_rk45(lambda y: reaction(reference_kinetics, y), 1500.0, anchor, 1e-7,
-                          events=[event], dense_output=True)
+                          events=_scipy_events(events), dense_output=True)
         run = _dopri5(_kinetic_rhs(reference_kinetics), anchor, 1500.0, 1e-7,
-                      keep_from=1490.0, events=[(event, 1, False)])
+                      keep_from=1490.0, events=events)
         assert ref.t_events[0].size >= 5
-        assert np.array_equal(run.t_events[0], ref.t_events[0])
-        assert np.array_equal(run.y_events[0], ref.y_events[0])
+        # the start lies on the section: g = 0 exactly, so the root is t = 0
+        assert run.t_events[0][0] == ref.t_events[0][0] == 0.0
+        _assert_roots_match_scipy(run, ref, events, lambda t, y: reaction(reference_kinetics, y))
+        assert np.array_equal(run.t, ref.t)
         assert np.array_equal(run.y, ref.y.T)
+        assert run.stats.nfev == ref.nfev
         # the tail interpolant kept for the settle check
         tail = np.linspace(1491.0, 1500.0, 10)
         assert np.array_equal(run.dense(tail), ref.sol(tail))
@@ -119,24 +153,20 @@ class TestDopri5MatchesScipy:
             out[:] = f(t, y)
             return out
 
-        def reach(t, y):
-            return y[0] - 6.0
-
-        def turning(t, y):
-            return y[1]
-
-        reach.terminal, reach.direction = True, 1
+        reach = (np.array([1.0, 0.0]), np.array([6.0, 0.0]), 1, True)
+        turning = (np.array([0.0, 1.0]), np.zeros(2), 0, False)
+        events = [reach, turning]
         ref = solve_ivp(f, (0.0, 50.0), [0.5, 0.0], method="RK45", rtol=1e-7, atol=1e-9,
-                        dense_output=True, events=[reach, turning])
-        run = _dopri5(rhs, np.array([0.5, 0.0]), 50.0, 1e-7, keep_from=0.0,
-                      events=[(reach, 1, True), (turning, 0, False)])
+                        dense_output=True, events=_scipy_events(events))
+        run = _dopri5(rhs, np.array([0.5, 0.0]), 50.0, 1e-7, keep_from=0.0, events=events)
         assert ref.status == 1 and ref.t_events[1].size >= 5
-        assert np.array_equal(run.t, ref.t)
-        assert np.array_equal(run.y, ref.y.T)
+        _assert_roots_match_scipy(run, ref, events, f)
+        # only the last time and state come from the terminal root
+        assert np.array_equal(run.t[:-1], ref.t[:-1])
+        assert np.array_equal(run.y[:-1], ref.y.T[:-1])
         assert run.stats.nfev == ref.nfev
-        for mine, theirs in zip(run.t_events + run.y_events, ref.t_events + ref.y_events):
-            assert np.array_equal(mine, theirs)
         assert run.t[-1] == run.t_events[0][0] < 50.0
+        assert np.array_equal(run.y[-1], ref.sol(run.t[-1]))
         # the cut last step is evaluated with the quartic of the full step
         t = np.linspace(run.t[-2], run.t[-1], 17)
         assert np.array_equal(run.dense(t), ref.sol(t))
@@ -150,25 +180,33 @@ class TestDopri5MatchesScipy:
             out[:] = 1.0
             return out
 
-        def level(c):
-            return lambda t, y: y[0] - c
+        def level(c, direction, terminal):
+            return np.ones(1), np.array([c]), direction, terminal
 
-        events = [(level(5.1), 1, False), (level(5.0), 1, True), (level(4.9), 1, False),
-                  (level(5.0), 1, False)]
-        scipy_events = []
-        for g, direction, terminal in events:
-            def event(t, y, g=g):
-                return g(t, y)
-            event.direction, event.terminal = direction, terminal
-            scipy_events.append(event)
+        events = [level(5.1, 1, False), level(5.0, 1, True), level(4.9, 1, False),
+                  level(5.0, 1, False)]
         ref = solve_ivp(lambda t, y: np.ones(1), (0.0, 10.0), [0.0], method="RK45", rtol=1e-7,
-                        atol=1e-9, events=scipy_events)
+                        atol=1e-9, dense_output=True, events=_scipy_events(events))
         run = _dopri5(rhs, np.zeros(1), 10.0, 1e-7, events=events)
         assert ref.status == 1
         assert [te.size for te in ref.t_events] == [0, 1, 1, 0]
-        assert np.array_equal(run.t, ref.t)
-        for mine, theirs in zip(run.t_events + run.y_events, ref.t_events + ref.y_events):
-            assert np.array_equal(mine, theirs)
+        _assert_roots_match_scipy(run, ref, events, lambda t, y: np.ones(1))
+        assert run.t_events[2][0] < run.t_events[1][0] == run.t[-1]
+        assert np.array_equal(run.t[:-1], ref.t[:-1])
+        assert run.stats.nfev == ref.nfev
+
+    def test_a_root_on_a_step_end_is_that_step_end(self, reference_kinetics):
+        # a section through the state at the end of step k: the event's value
+        # there is exactly 0, while the step's quartic at the step end may
+        # round to the other side of the section
+        rhs = _kinetic_rhs(reference_kinetics)
+        free = _dopri5(rhs, PINNED, 50.0, 1e-7)
+        for k in range(5, 60):
+            velocity = reaction(reference_kinetics, free.y[k])
+            events = [(velocity / np.linalg.norm(velocity), free.y[k], 1, False)]
+            run = _dopri5(rhs, PINNED, 50.0, 1e-7, events=events)
+            assert np.array_equal(run.t, free.t), k
+            assert free.t[k] in run.t_events[0], k
 
     def test_t_eval_samples(self, reference_kinetics):
         # the closure run of detect_limit_cycle samples its dense output where
@@ -209,6 +247,43 @@ class TestDopri5MatchesScipy:
         assert np.array_equal(run.t, ref.t)
         assert np.array_equal(run.y, ref.y.T)
         assert run.stats.nfev == ref.nfev
+
+
+class TestQuarticRoot:
+    def test_simple_roots_of_random_quartics(self):
+        rng = np.random.default_rng(3)
+        found = 0
+        while found < 200:
+            c = rng.normal(size=5) * 10.0 ** rng.uniform(-6, 2, size=5)
+            end = c.sum()
+            roots = np.roots(c[::-1])
+            inside = roots[(abs(roots.imag) < 1e-12) & (roots.real > 0) & (roots.real < 1)]
+            if c[0] * end >= 0 or inside.size != 1:
+                continue
+            found += 1
+            # the quartic's coefficients, as on a step, with its exact end values
+            theta = kinetics._quartic_root(c[0], end, *c[1:])
+            slope = np.polyval(np.polyder(c[::-1]), theta)
+            assert abs(theta - inside.real[0]) <= 1e-12 + 1e-9 * np.abs(c).sum() / abs(slope)
+
+    def test_zero_ends_are_the_roots(self):
+        # the end values, not the quartic's own, decide: a quartic that
+        # rounds to either side at 1 still has its root there
+        assert kinetics._quartic_root(0.0, 1.0, 1.0, 0.0, 0.0, 0.0) == 0.0
+        assert kinetics._quartic_root(-1.0, 0.0, 1.0, 0.0, 0.0, -3e-16) == 1.0
+        assert kinetics._quartic_root(-1.0, 0.0, 1.0, 0.0, 0.0, 3e-16) == 1.0
+        assert kinetics._quartic_root(0.0, 0.0, 0.0, 0.0, 0.0, 0.0) == 0.0
+
+    def test_newton_steps_out_of_the_bracket_bisect(self):
+        # g = -1e-6 + theta^4 is flat at the secant start (theta ~ 1e-6), so
+        # Newton's first step leaves [0, 1]
+        assert kinetics._quartic_root(-1e-6, 1.0 - 1e-6, 0.0, 0.0, 0.0, 1.0) == pytest.approx(
+            10.0 ** -1.5, rel=1e-14)
+
+    def test_triple_root(self):
+        # g = (theta - 0.3)^3: Newton converges linearly and still stops
+        theta = kinetics._quartic_root(-0.027, 0.343, 0.27, -0.9, 1.0, 0.0)
+        assert abs(theta - 0.3) < 1e-5
 
 
 class TestIntegrate:
@@ -289,6 +364,14 @@ class TestLimitCycleDetection:
         )
         assert orbit.status == "periodic"
         assert orbit.period == pytest.approx(55.543542261712105, rel=1e-5)
+
+    def test_section_run_records_its_start_crossing_at_zero(self, circulant_cycle_model):
+        # the section passes through the post-transient anchor, where
+        # g = normal . (y - anchor) is exactly 0
+        orbit = detect_limit_cycle(circulant_cycle_model, np.array([0.45, 0.3, 0.25]),
+                                   max_time=2000.0)
+        assert orbit.status == "periodic"
+        assert orbit.crossing_times[0] == 0.0
 
     def test_solver_counters_match_scipy(self, circulant_cycle_model):
         U0 = np.array([0.45, 0.3, 0.25])

@@ -42,8 +42,11 @@ _CONFIGS = {
 
 
 _INTEGRATING_CONFIGS = {
-    "ode": {"model": {"preset": "reference"}, "U0": [0.1, 0.2, 0.3], "t_end": 10.0},
     "timemap": {"D": 0.05, "L_target": 1.5},
+    # the section run records 16 crossings
+    "ode": {"model": {"preset": "reference"}, "U0": [0.1, 0.0095238, 0.0333333],
+            "t_end": 10.0, "detect_cycle": {"max_time": 2000.0}},
+    # the first zero is a terminal event root
     "shoot": {"D": 0.05, "c": 0.5, "r_max": 10.0},
     # the circulant model of tests/conftest.py, whose orbit closes within max_time
     "floquet": {
@@ -78,22 +81,15 @@ def test_commands_load_only_the_scipy_modules_they_use(tmp_path):
     assert not {"scipy.integrate", "scipy.optimize"} & set(loaded["pde"])
 
 
-def test_integrations_never_load_scipy_integrate(tmp_path):
-    # one process per command, so no command inherits another's modules
-    loaded = {command: _loaded_modules(tmp_path, {command: config})[command]
-              for command, config in _INTEGRATING_CONFIGS.items()}
-    # runs without events stay on numpy alone
-    assert loaded["ode"] == []
-    assert loaded["timemap"] == []
-    # event roots are refined by brentq
-    for command in ("shoot", "floquet"):
-        assert isinstance(loaded[command], list), loaded[command]
-        assert "scipy.optimize" in loaded[command], command
-        assert "scipy.integrate" not in loaded[command], command
+def test_integrations_load_no_scipy(tmp_path):
+    # one process per command, so no command inherits another's modules;
+    # event roots come from the step's quartic, not from scipy.optimize
+    for command, config in _INTEGRATING_CONFIGS.items():
+        assert _loaded_modules(tmp_path, {command: config})[command] == [], command
 
 
 def test_a_shot_that_stays_positive_loads_no_scipy(tmp_path):
-    # neither terminal event fires, so no root is refined by brentq
+    # neither terminal event fires
     config = {"D": 0.1, "c": 0.5, "r_max": 0.5}
     loaded = _loaded_modules(tmp_path, {"shoot": config})["shoot"]
     assert loaded == []
