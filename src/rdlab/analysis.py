@@ -156,11 +156,10 @@ def periodicity_score(times: np.ndarray, values: np.ndarray,
     decayed below 1/2, and the period is that lag.  Per-lag standardization
     keeps slowly drifting amplitudes from masking an otherwise clean cycle.
     All lags cost O(n log n) together: the window means and second moments
-    come from cumulative sums, the lagged products from one zero-padded FFT.
-    A (near) constant trace scores 0.  Returns (score, period | None).
+    come from cumulative sums, the lagged products from one numpy FFT of the
+    trace zero-padded to length 2n - 1, so no lag wraps around.  A (near)
+    constant trace scores 0.  Returns (score, period | None).
     """
-    from scipy.fft import irfft, next_fast_len, rfft
-
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape:
@@ -190,9 +189,9 @@ def periodicity_score(times: np.ndarray, values: np.ndarray,
     mean_b = (s1[n] - s1[lags]) / count
     var_a = np.maximum(s2[n - lags] / count - mean_a * mean_a, 0.0)
     var_b = np.maximum((s2[n] - s2[lags]) / count - mean_b * mean_b, 0.0)
-    size = next_fast_len(2 * n - 1, real=True)
-    spectrum = rfft(x, size)
-    lagged = irfft(spectrum * spectrum.conj(), size)[: max_lag + 1]
+    size = 2 * n - 1
+    spectrum = np.fft.rfft(x, size)
+    lagged = np.fft.irfft(spectrum * spectrum.conj(), size)[: max_lag + 1]
     cov = lagged / count - mean_a * mean_b
     denom = np.sqrt(var_a * var_b)
     corr = np.divide(cov, denom, out=np.zeros(max_lag + 1), where=denom >= floor * floor)

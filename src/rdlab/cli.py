@@ -214,6 +214,11 @@ def _eig_columns(n: int) -> list[str]:
 _DECAY_HEADER = ["t", "grad_norm", "fitted"]
 
 
+def _solver(traj) -> dict:
+    """The run's deterministic solver counters, as written to its artifacts."""
+    return {"steps": traj.steps, "dt": traj.dt, "min_value": traj.min_value}
+
+
 def _decay(traj, window, clip: bool):
     """The gradient decay fit (rate, amplitude) and its decay.csv rows.
 
@@ -396,7 +401,7 @@ def _pde_outputs(model, traj, out: Path, *, svg: bool, decay_window=None):
         )
     write_json(out / "classification.json", {
         "classification": classification,
-        "solver": {"steps": traj.steps, "dt": traj.dt, "min_value": traj.min_value},
+        "solver": _solver(traj),
     })
     if decay_window is not None:
         write_csv(out / "decay.csv", _DECAY_HEADER, decay_rows)
@@ -445,6 +450,7 @@ def _run_chs(cfg: dict, out: Path):
             "fitted_decay_rate": rate,
             "fitted_amplitude": amplitude,
             "rate_at_least_sigma": bool(rate >= rep.sigma - 1.0e-6),
+            "solver": _solver(traj),
         }
         write_csv(out / "decay.csv", _DECAY_HEADER, decay_rows)
     write_json(out / "chs.json", report)

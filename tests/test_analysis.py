@@ -265,22 +265,29 @@ def _periodicity_score_by_lag(times, values):
     return float(corr[best]), float(best * float(times[1] - times[0]))
 
 
+def _drifting_noisy_sine(rng, n):
+    t = np.linspace(0.0, rng.uniform(20.0, 200.0), n)
+    drift = rng.uniform(-0.5, 0.5) * t / t[-1]
+    values = ((1.0 + drift) * np.sin(2.0 * np.pi * t / rng.uniform(2.0, 30.0) + rng.uniform(0.0, 6.0))
+              + rng.uniform(0.0, 2.0) * t / t[-1] + rng.uniform(-5.0, 5.0)
+              + rng.uniform(0.0, 0.5) * rng.standard_normal(n))
+    return t, values
+
+
 def _drifting_noisy_sines(count):
     rng = np.random.default_rng(2011)
     for _ in range(count):
-        n = int(rng.integers(200, 3000))
-        t = np.linspace(0.0, rng.uniform(20.0, 200.0), n)
-        drift = rng.uniform(-0.5, 0.5) * t / t[-1]
-        values = ((1.0 + drift) * np.sin(2.0 * np.pi * t / rng.uniform(2.0, 30.0) + rng.uniform(0.0, 6.0))
-                  + rng.uniform(0.0, 2.0) * t / t[-1] + rng.uniform(-5.0, 5.0)
-                  + rng.uniform(0.0, 0.5) * rng.standard_normal(n))
-        yield t, values
+        yield _drifting_noisy_sine(rng, int(rng.integers(200, 3000)))
 
 
 class TestPeriodicityScore:
     def test_matches_brute_force_per_lag_correlation(self):
         t = np.linspace(0.0, 70.0, 1401)
-        cases = list(_drifting_noisy_sines(40)) + [
+        rng = np.random.default_rng(1999)
+        # the FFT length 2n - 1 is prime at these sizes (1501 is the pde-field
+        # window), so no fast length rounds it up
+        awkward = [_drifting_noisy_sine(rng, n) for n in (201, 1000, 1501, 4096)]
+        cases = list(_drifting_noisy_sines(40)) + awkward + [
             (t, np.full_like(t, 0.3)),
             # amplitude just above the variance floor of a unit-offset trace
             (t, 1.0 + 3e-12 * np.sin(2.0 * np.pi * t / 7.0)),

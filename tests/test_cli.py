@@ -340,6 +340,21 @@ class TestChs:
         assert report["threshold_d_origin"] == pytest.approx(origin_norm / np.pi**2, rel=1e-12)
         assert report["threshold_d_origin"] <= report["threshold_d"]
 
+    def test_run_records_the_solver_counters_of_the_same_pde_run(self, tmp_path):
+        phi = {"poly": [[0.5, 0.0, 0.03, -0.02], [0.25, 0.0, -0.03, 0.02]]}
+        run = {"phi": phi, "t_end": 2.0, "N": 16, "dt": 0.05, "window": [0.2, 1.0]}
+        rc, out = _run(tmp_path, "chs", {"model": TWO_SPECIES_SINK, "L": 1.0, "run": run})
+        assert rc == 0
+        solver = json.loads((out / "chs.json").read_text())["run"]["solver"]
+        assert solver["steps"] == 40 and solver["dt"] == 0.05
+        # the pde command on the same interval writes the same counters
+        pde = {"model": TWO_SPECIES_SINK, "phi": phi, "t_end": 2.0, "dt": 0.05,
+               "domain": {"kind": "interval", "length": 1.0, "N": 16, "bc": "neumann"}}
+        rc, out = _run(tmp_path, "pde", pde, out_name="pde")
+        assert rc == 0
+        assert solver == json.loads((out / "classification.json").read_text())["solver"]
+        assert 0.0 < solver["min_value"] <= 0.25
+
 
 class TestReproducePaper:
     def test_pinned_run_artifacts(self, reproduction_run):

@@ -40,6 +40,9 @@ _CONFIGS = {
     },
 }
 
+# t_end >= 50, so classify_omega scores the probe traces for periodicity
+_CLASSIFIED_PDE = dict(_CONFIGS["pde"], t_end=50.0)
+
 
 _INTEGRATING_CONFIGS = {
     "timemap": {"D": 0.05, "L_target": 1.5},
@@ -79,6 +82,15 @@ def test_commands_load_only_the_scipy_modules_they_use(tmp_path):
     assert isinstance(loaded["pde"], list), loaded["pde"]
     assert "scipy.linalg.lapack" in loaded["pde"]
     assert not {"scipy.integrate", "scipy.optimize"} & set(loaded["pde"])
+
+
+def test_a_classified_pde_run_loads_no_more_scipy(tmp_path):
+    # one process per config; periodicity scores run on numpy's FFT
+    plain = _loaded_modules(tmp_path, {"pde": _CONFIGS["pde"]})["pde"]
+    classified = _loaded_modules(tmp_path, {"pde": _CLASSIFIED_PDE})["pde"]
+    assert isinstance(classified, list), classified
+    assert not [m for m in classified if m.startswith("scipy.fft")]
+    assert classified == plain
 
 
 def test_integrations_load_no_scipy(tmp_path):
