@@ -216,7 +216,8 @@ _DECAY_HEADER = ["t", "grad_norm", "fitted"]
 
 def _solver(traj) -> dict:
     """The run's deterministic solver counters, as written to its artifacts."""
-    return {"steps": traj.steps, "dt": traj.dt, "min_value": traj.min_value}
+    return {"steps": traj.steps, "dt": traj.dt, "min_value": traj.min_value,
+            "diffusion_solves": traj.diffusion_solves}
 
 
 def _decay(traj, window, clip: bool):

@@ -6,16 +6,19 @@ ghost nodes, Dirichlet conditions pin the boundary values to zero, and the
 radial center node uses the regularized form m * u''(0).  Time stepping is
 Strang splitting: a Crank-Nicolson half step of diffusion, a full classical
 RK4 step of the pointwise kinetics, and a second diffusion half step; the
-scheme is second order in dt.  The species are stacked into one tridiagonal
-Crank-Nicolson system with no coupling between species blocks.  Since
-(I - cL)^-1 (I + cL) = 2 (I - cL)^-1 - I, each half step is a single solve
-over all species.  Row weights, computed per species block, make the
-halved matrix symmetric positive definite, so it is factored once per run
-with LAPACK ``dpttrf``; a half step is then a weighting, one ``dpttrs``
-solve and one subtraction.  Radial domains with m >= 3, where no such
-weights exist, factor the halved matrix with the pivoted LU
-``dgttrf``/``dgttrs``.  These four routines are imported from
-``scipy.linalg.lapack`` by ``_cn_half_step``, once per run, so importing
+scheme is second order in dt.  Between two recorded states, the closing
+half step of one step and the opening half step of the next are one
+Crank-Nicolson step of dt, once a run of split steps at the start has
+damped the stiff diffusion modes that one such step barely damps.  The
+species are stacked into one tridiagonal Crank-Nicolson system with no
+coupling between species blocks.  Since (I - cL)^-1 (I + cL) =
+2 (I - cL)^-1 - I, each half or whole step is a single solve over all
+species.  One row of weights makes both halved matrices symmetric positive
+definite, so each is factored once per run with LAPACK ``dpttrf``; a solve
+is then a weighting, one ``dpttrs`` and one subtraction.  Radial domains
+with m >= 3, where no such weights exist, factor the halved matrices with
+the pivoted LU ``dgttrf``/``dgttrs``.  These four routines are imported
+from ``scipy.linalg.lapack`` by ``_cn_steps``, once per run, so importing
 this module loads numpy alone.  The RK4 step works on buffers allocated
 once per run, with the stage sizes folded into the stage products: each
 stage's scaled rate c y (1 - a y) comes from one BLAS product of c [-a | 1]
@@ -24,6 +27,7 @@ stage state is one add, and the four scaled rates are combined by one dot.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -207,7 +211,8 @@ class PdeTrajectory:
     probe_values: np.ndarray  # shape (P, n_species, K)
     steps: int  # time steps taken
     dt: float  # the step actually used, t_end / steps
-    min_value: float  # smallest value of any state of the run, the initial one included
+    min_value: float  # smallest value of the initial state and of each step's last computed one
+    diffusion_solves: int  # tridiagonal solves: two per split step, one per merged step
 
     def snapshot(self, index: int) -> Field:
         return Field(self.domain, self.fields[index])
@@ -234,69 +239,115 @@ def default_dt(domain: Domain1D, model: CompetitionModel) -> float:
     return min(1e-2, h * h / (2.0 * float(model.d.max())) * 10.0)
 
 
-def _cn_half_step(domain: Domain1D, d: np.ndarray, dt: float):
-    """The Crank-Nicolson half step u -> (I - cL)^-1 (I + cL) u, c = d dt / 4.
+def _cn_steps(domain: Domain1D, d: np.ndarray, dt: float):
+    """The Crank-Nicolson solves of a step dt: (half step, whole step).
 
+    The half step is u -> (I - cL)^-1 (I + cL) u with c = d dt / 4, the whole
+    step the same map with c = d dt / 2; each matrix is factored here once.
     All species are stacked into one tridiagonal matrix T = I - cL of size
-    n (N + 2) with no coupling between species blocks, factored here once.
-    Since (I - cL)^-1 (I + cL) u = 2 T^-1 u - u, the returned function maps
-    an (n, N + 2) array to the next half step by one solve.  Couplings into
-    a pinned Dirichlet node (an identity row, whose value is 0) are dropped,
-    which is exact.  If then every remaining product lower_i upper_i is
-    positive, row weights w with w_i+1 lower_i = w_i upper_i make diag(w) T
-    symmetric.  It is positive definite, since L is self-adjoint in the
-    quadrature-weighted inner product with spectrum <= 0, so M = diag(w) T / 2
-    is factored by ``dpttrf`` and 2 T^-1 u = M^-1 (w u).  Each species block
-    has its own weights, 1 at its first node, so they stay within the
-    block's own range (about 1 to 1.6e4 on a radial m = 2, N = 2048 grid)
-    however many species there are.  The radial centre row has a zero
-    (m = 3) or negative (m >= 4) product; those domains factor T / 2 with
-    the pivoted LU ``dgttrf``/``dgttrs``.
+    n (N + 2) with no coupling between species blocks.  Since
+    (I - cL)^-1 (I + cL) u = 2 T^-1 u - u, each returned function maps an
+    (n, N + 2) array to the next state by one solve.  Couplings into a pinned
+    Dirichlet node (an identity row, whose value is 0) are dropped, which is
+    exact.  If then every remaining product lower_i upper_i is positive, row
+    weights w with w_i+1 lower_i = w_i upper_i make diag(w) T symmetric.  It
+    is positive definite, since L is self-adjoint in the quadrature-weighted
+    inner product with spectrum <= 0, so M = diag(w) T / 2 is factored by
+    ``dpttrf`` and 2 T^-1 u = M^-1 (w u).  The ratio upper_i / lower_i is
+    sup_i / sub_i, whatever c is, so one row of weights, 1 at the first
+    node, serves every species block and both matrices.  It is the running
+    product of the band ratios of the species with the largest d (the last
+    whose c would underflow), and spans about 1 to 1.6e4 on a radial m = 2,
+    N = 2048 grid, however many species there are.  The radial centre row
+    has a zero (m = 3) or negative (m >= 4) product; those domains factor
+    T / 2 with the pivoted LU ``dgttrf``/``dgttrs``.
     """
     from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
     sub, main, sup = _laplacian_diagonals(domain)
-    c = (np.asarray(d, dtype=float) * (dt / 4.0))[:, None]
-    shape = (c.shape[0], domain.N + 2)
-    diag = 0.5 - 0.5 * c * main
-    lower = -0.5 * c * sub[1:]  # lower[:, j] couples node j + 1 to node j
-    upper = -0.5 * c * sup[:-1]  # upper[:, j] couples node j to node j + 1
     pinned = (sub == 0.0) & (main == 0.0) & (sup == 0.0)
-    lower[:, pinned[:-1]] = 0.0
-    upper[:, pinned[1:]] = 0.0
+    d = np.asarray(d, dtype=float)
+    shape = (d.size, domain.N + 2)
+
+    def halved(c):  # the bands of T / 2 for the column of step sizes c
+        lower = -0.5 * c * sub[1:]  # lower[:, j] couples node j + 1 to node j
+        upper = -0.5 * c * sup[:-1]  # upper[:, j] couples node j to node j + 1
+        lower[:, pinned[:-1]] = 0.0
+        upper[:, pinned[1:]] = 0.0
+        return lower, 0.5 - 0.5 * c * main, upper
 
     def flat(band):  # one species block's band after another, zero between blocks
         return np.hstack((band, np.zeros((shape[0], 1)))).ravel()[:-1]
 
+    c = (d * (dt / 4.0))[:, None]
+    half_bands = halved(c)
+    lower, _, upper = half_bands
     product = lower * upper
     if np.all((product > 0.0) | ((lower == 0.0) & (upper == 0.0))):
-        weights = np.ones(shape)
-        np.cumprod(np.divide(upper, lower, out=np.ones_like(upper), where=product > 0.0),
-                   axis=1, out=weights[:, 1:])
-        factor_d, factor_e, info = dpttrf((weights * diag).ravel(), flat(weights[:, :-1] * upper))
-        if info != 0:
-            raise InvariantViolation(
-                f"Crank-Nicolson matrix is not positive definite (dpttrf info = {info})")
+        k = int(np.argmax(d))
+        weights = np.ones(shape[1])
+        np.cumprod(np.divide(upper[k], lower[k], out=np.ones(shape[1] - 1), where=product[k] > 0.0),
+                   out=weights[1:])
 
-        def half_step(values):
-            out = values * weights
-            dpttrs(factor_d, factor_e, out.reshape(-1), overwrite_b=1)  # solves in place
-            out -= values
-            return out
+        def solver(lower, diag, upper):
+            factor_d, factor_e, info = dpttrf((weights * diag).ravel(), flat(weights[:-1] * upper))
+            if info != 0:
+                raise InvariantViolation(
+                    f"Crank-Nicolson matrix is not positive definite (dpttrf info = {info})")
 
-        return half_step
+            def step(values):
+                out = values * weights
+                dpttrs(factor_d, factor_e, out.reshape(-1), overwrite_b=1)  # solves in place
+                out -= values
+                return out
 
-    *factors, info = dgttrf(flat(lower), diag.ravel(), flat(upper))
-    if info != 0:
-        raise InvariantViolation(f"Crank-Nicolson matrix is singular (dgttrf info = {info})")
+            return step
+    else:
+        def solver(lower, diag, upper):
+            *factors, info = dgttrf(flat(lower), diag.ravel(), flat(upper))
+            if info != 0:
+                raise InvariantViolation(
+                    f"Crank-Nicolson matrix is singular (dgttrf info = {info})")
 
-    def half_step(values):
-        solved, _ = dgttrs(*factors, values.ravel())
-        solved = solved.reshape(shape)
-        solved -= values
-        return solved
+            def step(values):
+                solved, _ = dgttrs(*factors, values.ravel())
+                solved = solved.reshape(shape)
+                solved -= values
+                return solved
 
-    return half_step
+            return step
+
+    return solver(*half_bands), solver(*halved(2.0 * c))
+
+
+# Steps merge once the split steps have damped the stiffest diffusion mode to
+# this fraction of its t = 0 amplitude.  For rough data, such as the O(0.1)
+# jump a pinned node makes, that leaves stiff modes of about 1e-9, below
+# the scheme's own error at that time: on a radial Dirichlet disk (N = 2048,
+# dt = 1e-3) the merged and split runs agree with a dt = 1e-4 run to two
+# digits from t = 0.01 through t = 1.
+STIFF_DAMPING = 1e-8
+
+
+def _split_steps(domain: Domain1D, d: np.ndarray, dt: float) -> int:
+    """How many steps evolve keeps split before it merges half steps.
+
+    Two CN half steps multiply a mode of z = dt d |lambda| by r^2, with
+    r = (1 - z/4) / (1 + z/4); one CN(dt) step multiplies it by
+    (1 - z/2) / (1 + z/2), which tends to -1 as z grows, so a merged step
+    barely damps the stiff modes that rough t = 0 data carries.  The run
+    stays split until r^2 to the power of the step count falls to
+    STIFF_DAMPING on the stiffest mode, whose z is bounded by Gershgorin:
+    z = dt max(d) max_i (|sub_i| + |main_i| + |sup_i|).
+    """
+    sub, main, sup = _laplacian_diagonals(domain)
+    z = dt * float(np.max(d)) * float(np.max(np.abs(sub) + np.abs(main) + np.abs(sup)))
+    r2 = ((1.0 - z / 4.0) / (1.0 + z / 4.0)) ** 2
+    if r2 == 0.0:  # z = 4: the half step annihilates the stiffest mode
+        return 0
+    if not r2 < 1.0:  # z below rounding, or overflowed: the mode is never damped
+        return sys.maxsize
+    return math.ceil(math.log(STIFF_DAMPING) / math.log(r2))
 
 
 def _rk4_reaction_step(a: np.ndarray, dt: float, shape):
@@ -346,11 +397,17 @@ def evolve(model: CompetitionModel, domain: Domain1D, phi: Field, t_end: float,
     """Evolve the reaction-diffusion system from the initial field phi.
 
     Strang splitting per step: Crank-Nicolson diffusion half steps around a
-    full RK4 kinetics step (pointwise, species-coupled).  The Crank-Nicolson
-    matrix of all species is factored once per call (symmetric positive
-    definite ``dpttrf`` after row weights, or pivoted LU on radial domains
-    with m >= 3), so each half step is one LAPACK tridiagonal solve over
-    every species at once between two elementwise passes.  The RK4 step runs
+    full RK4 kinetics step (pointwise, species-coupled).  A step whose state
+    is not recorded (no probe sample, no snapshot, not the last step) leaves
+    its closing half step to the next step, which does both in one
+    Crank-Nicolson solve of dt, except in the first ``_split_steps`` steps,
+    which damp the stiffest diffusion mode to STIFF_DAMPING of its t = 0
+    amplitude (78 steps for the reference model on an N = 2048 disk at
+    dt = 1e-3).  The half-step and whole-step matrices are factored once
+    per call (symmetric positive definite ``dpttrf`` after row weights, or
+    pivoted LU on radial domains with m >= 3), so each diffusion solve is
+    one LAPACK tridiagonal solve over every species at once between two
+    elementwise passes.  The RK4 step runs
     in place on buffers allocated once per call, with the stage sizes folded
     into the stage products: per stage, one product c [-a | 1] [y; 1] and
     one multiply give the scaled rate, and one add the next stage state.
@@ -360,13 +417,16 @@ def evolve(model: CompetitionModel, domain: Domain1D, phi: Field, t_end: float,
     the length by default) are recorded every ``probe_stride`` steps and at
     t_end; the bracketing node values are stored during the run and
     interpolated once at the end.  The trajectory also records the number
-    of steps, the dt used and the smallest value of any state of the run.
+    of steps, the dt used, the number of tridiagonal solves and
+    ``min_value``, the smallest value of the initial state and of each
+    step's last computed state: the end of a split step, and the state
+    after the kinetics of a step that merged its closing half step.
 
     ``t_end`` and ``dt`` must be finite and positive, ``snapshots`` and
     ``probe_stride`` at least 1, the probes inside the domain and phi finite
     and nonnegative; otherwise ValueError is raised.  Negative
-    excursions beyond -NEGATIVITY_TOL raise InvariantViolation; there is no
-    clamping during time stepping.
+    excursions beyond -NEGATIVITY_TOL in those same states raise
+    InvariantViolation; there is no clamping during time stepping.
     """
     if phi.domain != domain:
         raise ValueError("initial field was built on a different domain")
@@ -406,7 +466,8 @@ def evolve(model: CompetitionModel, domain: Domain1D, phi: Field, t_end: float,
     nsteps = max(1, round(t_end / dt))
     dt = t_end / nsteps
 
-    half_diffusion = _cn_half_step(domain, model.d, dt)
+    half_diffusion, diffusion = _cn_steps(domain, model.d, dt)
+    split_steps = _split_steps(domain, model.d, dt)
 
     if probes is None:
         probes = domain.length * np.asarray(DEFAULT_PROBE_FRACTIONS)
@@ -430,24 +491,34 @@ def evolve(model: CompetitionModel, domain: Domain1D, phi: Field, t_end: float,
     min_value = np.minimum.reduce(U, axis=None)
 
     reaction_step = _rk4_reaction_step(model.a, dt, U.shape)
+    merges = 0
+    deferred = False  # the previous step's closing half step is still to do
     for step in range(1, nsteps + 1):
-        U = half_diffusion(U)
+        U = diffusion(U) if deferred else half_diffusion(U)
         if include_reaction:
             reaction_step(U)
-        U = half_diffusion(U)
+        probed = step % probe_stride == 0 or step == nsteps
+        snapped = step % snap_every == 0 or step == nsteps
+        # past the split start, an unrecorded step leaves its closing half
+        # step to the next step, whose opening one joins it in one CN(dt) solve
+        deferred = step > split_steps and not (probed or snapped)
+        if deferred:
+            merges += 1
+        else:
+            U = half_diffusion(U)
         low = np.minimum.reduce(U, axis=None)
         if not low >= -NEGATIVITY_TOL:  # also true for NaN, which the solves pass through
             raise InvariantViolation(
                 f"field dipped to {low:.3e} at t = {step * dt:.6g}, below -{NEGATIVITY_TOL:g}")
         if low < min_value:
             min_value = low
-        if step % probe_stride == 0 or step == nsteps:
+        if probed:
             U.take(columns, 1, brackets[probe_row], "clip")
             probe_row += 1
-        if step % snap_every == 0 or step == nsteps:
+        if snapped:
             snaps[snap_row] = U
             snap_row += 1
 
     probe_values = brackets[..., :K] * (1.0 - frac) + brackets[..., K:] * frac
     return PdeTrajectory(domain, snap_steps * dt, snaps, probes, probe_steps * dt, probe_values,
-                         nsteps, dt, float(min_value))
+                         nsteps, dt, float(min_value), 2 * nsteps - merges)

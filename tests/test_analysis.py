@@ -176,7 +176,8 @@ def _synthetic_trajectory(u_of_tx, t_end=80.0, n_times=161, N=64, probe_count=3)
         ]
     )
     return PdeTrajectory(dom, times, fields, probe_x, probe_times, probe_values,
-                         n_times - 1, t_end / (n_times - 1), float(fields.min()))
+                         n_times - 1, t_end / (n_times - 1), float(fields.min()),
+                         2 * (n_times - 1))
 
 
 class TestDecayFit:

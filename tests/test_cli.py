@@ -236,6 +236,8 @@ class TestPde:
         assert report["classification"] is None
         solver = report["solver"]
         assert solver["steps"] == 50 and solver["dt"] == 0.01
+        # a probe sample every step: no half steps merge
+        assert solver["diffusion_solves"] == 100
         # paper-phi vanishes at x = 1, and no later state dips below that
         assert solver["min_value"] == 0.0
 
@@ -398,6 +400,8 @@ class TestReproducePaper:
         solver = json.loads((out / "classification.json").read_text())["solver"]
         assert solver["steps"] == 100_000 and solver["dt"] == 1e-3
         assert solver["min_value"] == 0.0
+        # 8 split steps, then probes every 10 steps: 89,992 steps merge
+        assert solver["diffusion_solves"] == 200_000 - (99_992 - 10_000)
         condition = json.loads((out / "condition.json").read_text())
         assert condition["condition"]["case"] == "periodic-attractor-candidate"
         sigma = json.loads((out / "sigma_report.json").read_text())
