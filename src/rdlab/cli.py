@@ -421,8 +421,9 @@ def _run_floquet(cfg: dict, out: Path):
     model, U0 = cfg["model"], cfg["U0"]
     orbit = detect_limit_cycle(model, np.array(U0), **_picked(cfg, "max_time", "tol"))
     if orbit.status != "periodic":
+        because = "" if orbit.reason is None else f", reason: {orbit.reason}"
         raise NoCycleError(
-            f"no periodic orbit from this initial point (detector status: {orbit.status})"
+            f"no periodic orbit from this initial point (detector status: {orbit.status}{because})"
         )
     verdict = orbital_stability(model, orbit, **_picked(cfg, "tol", "eigenvalues", "k_max", "L"))
 

@@ -15,6 +15,12 @@ agrees with solve_ivp's root to the rounding of the event over the step.
 No integration loads scipy.
 ``tests/test_kinetics.py`` holds the loop to that contract.
 
+A run keeps the steps its caller reads and no more.  ``integrate`` and
+the scalar shooting keep every step; the limit-cycle and Floquet legs keep
+at most the last SETTLE_SAMPLES time units and the final state, so their
+memory does not grow with ``max_time``.  The counters, the smallest
+density included, cover every accepted step.
+
 Periodic orbits are detected on a Poincare section anchored at a
 post-transient state with the local velocity as its normal; monodromy and
 diffusion-shifted modal systems are integrated directly alongside the orbit
@@ -76,7 +82,7 @@ class SolverStats:
     accepted_steps: int
     rejected_steps: int
     nfev: int
-    min_state: float  # smallest density over the accepted states, the start included
+    min_state: float  # smallest density over every accepted state, the start included
 
 
 def _interpolate(t, t_old, h, Q, y_old):
@@ -123,10 +129,17 @@ class _Interpolant:
 
 @dataclass(frozen=True)
 class _Run:
-    t: np.ndarray  # accepted times, from 0 to t_end or to a terminal root
-    y: np.ndarray  # accepted states, shape (len(t), m)
+    """One ``_dopri5`` run: the kept steps, the counters of all of them, and the roots.
+
+    ``t`` and ``y`` hold the boundaries of the steps that end at or after
+    ``keep_from``, and always the final time and state, which is t_end or a
+    terminal root; ``stats`` counts every step whatever was kept.
+    """
+
+    t: np.ndarray  # the kept steps' start times, then the final time
+    y: np.ndarray  # the states at those times, shape (len(t), m)
     stats: SolverStats
-    dense: _Interpolant | None  # over the steps ending at or after keep_from
+    dense: _Interpolant | None  # over the kept steps; None when none was kept
     t_events: list  # one array of roots per event
     y_events: list  # one array of states per event, shape (roots, m)
 
@@ -157,8 +170,13 @@ def _dopri5(rhs, y0, t_end, tol, *, densities=None, keep_from=math.inf, events=(
     operation, so its times, states, nfev and dense output equal scipy's
     bit for bit, except the time and state a terminal root cuts the run at.
 
-    - ``keep_from``: the dense output covers the steps ending at or after it
-      (0 keeps all of them; the default keeps none).
+    - ``keep_from``: only the steps ending at or after it are kept: their
+      times, states and stages, which ``_Run.t``, ``_Run.y`` and the dense
+      output hold.  0 keeps every step; the default keeps none, and then
+      ``_Run.t`` and ``_Run.y`` hold the final time and state alone.  So
+      memory grows with the kept span, not with t_end.  ``SolverStats``
+      does not depend on it: ``min_state`` is a running minimum over every
+      accepted state.
     - ``events``: ``(w, p, direction, terminal)`` tuples, each the affine
       event g(y) = w . (y - p).  Its step-end values are those of scipy's
       event function ``w.dot(y - p)``, so the same steps show a sign change
@@ -183,9 +201,10 @@ def _dopri5(rhs, y0, t_end, tol, *, densities=None, keep_from=math.inf, events=(
 
     t, y = 0.0, y0
     h_abs = _initial_step(rhs, y, rhs(t, y, K[0]), t_end, rtol, atol)
-    nfev, rejected_steps = 2, 0
+    nfev, accepted_steps, rejected_steps = 2, 0, 0
     abs_y = np.abs(y)
-    ts, ys, hs, kept = [t], [y], [], []
+    low = y0.copy()  # the running minimum of every accepted state, componentwise
+    ts, ys, hs, kept = [], [], [], []  # the start time and state, length and stages of kept steps
     g = [float(w.dot(y - p)) for w, p, _, _ in events]
     t_events, y_events = [[] for _ in events], [[] for _ in events]
     terminate = False
@@ -247,19 +266,22 @@ def _dopri5(rhs, y0, t_end, tol, *, densities=None, keep_from=math.inf, events=(
                 if events[i][3]:
                     t, y, terminate = root, y_root, True
                     break
-        ts.append(t)
-        ys.append(y)
+        accepted_steps += 1
+        np.minimum(low, y, out=low)
         if t >= keep_from:
-            kept.append(K.copy())
+            ts.append(t_old)
+            ys.append(y_old)
             hs.append(h)
+            kept.append(K.copy())
         K[0] = K[-1]  # the next step starts from this step's end derivative
 
+    ts.append(t)
+    ys.append(y)
     Y = np.array(ys)
-    stats = SolverStats(len(ts) - 1, rejected_steps, nfev, float(Y[:, :densities].min()))
+    stats = SolverStats(accepted_steps, rejected_steps, nfev, float(low[:densities].min()))
     dense = None
     if kept:
-        m = len(kept)
-        dense = _Interpolant(np.array(ts[-m - 1:]), np.array(hs), Y[-m - 1:-1], np.array(kept))
+        dense = _Interpolant(np.array(ts), np.array(hs), Y[:-1], np.array(kept))
     return _Run(np.array(ts), Y, stats, dense,
                 [np.asarray(te) for te in t_events], [np.asarray(ye) for ye in y_events])
 
@@ -364,6 +386,17 @@ def _checked_start(model, U0, span: float, span_name: str, tol: float) -> np.nda
     return U0
 
 
+def _nonnegative(run, what):
+    """The run, once its smallest density is at least -NEGATIVITY_TOL.
+
+    Otherwise InvariantViolation names ``what`` and the dip.
+    """
+    low = run.stats.min_state
+    if low < -NEGATIVITY_TOL:
+        raise InvariantViolation(f"{what} dipped to {low:.3e}, below -{NEGATIVITY_TOL:g}")
+    return run
+
+
 def integrate(model: CompetitionModel, U0, t_end: float, tol: float = DEFAULT_TOL) -> Trajectory:
     """Integrate the kinetics from U0 over [0, t_end].
 
@@ -376,10 +409,7 @@ def integrate(model: CompetitionModel, U0, t_end: float, tol: float = DEFAULT_TO
     U0 = _checked_start(model, U0, t_end, "t_end", tol)
     if np.any(U0 < 0.0):
         raise ValueError("initial state must be nonnegative")
-    run = _dopri5(_kinetic_rhs(model), U0, t_end, tol, keep_from=0.0)
-    low = run.stats.min_state
-    if low < -NEGATIVITY_TOL:
-        raise InvariantViolation(f"state dipped to {low:.3e}, below -{NEGATIVITY_TOL:g}")
+    run = _nonnegative(_dopri5(_kinetic_rhs(model), U0, t_end, tol, keep_from=0.0), "state")
     return Trajectory(run.t, np.maximum(run.y, 0.0), run.dense)
 
 
@@ -388,10 +418,15 @@ class OrbitAnalysis:
     """Outcome of long-run orbit classification.
 
     ``status`` is "periodic", "converged" or "undetermined"; the fields a
-    status does not fill stay None.  For periodic orbits the anchor lies on
-    the cycle, and the monodromy matrix with its multipliers (by decreasing
-    modulus) is attached.  ``crossing_times`` keeps the raw section-return
-    times for spread diagnostics.  ``solver`` maps each integration that ran
+    status does not fill stay None.  ``reason`` names the test that left an
+    orbit undetermined: "no-crossings" (fewer than 4 section crossings),
+    "returns-disagree" (no three consecutive returns agree),
+    "closure-failed" (one period from a matching triple misses its anchor)
+    or "settled-off-sink" (the orbit settled, but no sink lies within
+    1e-4).  For periodic orbits the anchor lies on the cycle, and the
+    monodromy matrix with its multipliers (by decreasing modulus) is
+    attached.  ``crossing_times`` keeps the raw section-return times for
+    spread diagnostics.  ``solver`` maps each integration that ran
     ("transient", "section", "closure", "monodromy", in that order) to its
     counters.
     """
@@ -402,6 +437,7 @@ class OrbitAnalysis:
     monodromy: np.ndarray | None = None
     multipliers: np.ndarray | None = None
     converged_to: str | None = None
+    reason: str | None = None
     crossing_times: np.ndarray | None = None
     solver: dict[str, SolverStats] = field(default_factory=dict)
 
@@ -439,36 +475,38 @@ def detect_limit_cycle(model: CompetitionModel, U0, max_time: float = DEFAULT_MA
     relative in return time (period = mean return time).  If instead
     ||f(U)|| stays below 1e-8 for 10 consecutive unit-spaced samples and a
     sink is nearby, the orbit has converged to it; a settle next to a
-    non-sink is left "undetermined", as are all remaining outcomes (this
-    routine reports rather than raises).  A U0 that is not finite, or a
-    ``max_time`` or ``tol`` that is not finite and positive, raises
-    ValueError.
+    non-sink is left "undetermined", as are all remaining outcomes, and
+    ``reason`` names the test that decided it (this routine reports rather
+    than raises).  Every leg raises InvariantViolation if a density dips
+    below -1e-8.  A U0 that is not finite, or a ``max_time`` or ``tol``
+    that is not finite and positive, raises ValueError.
     """
     U0 = _checked_start(model, U0, max_time, "max_time", tol)
     rhs = _kinetic_rhs(model)
     t_half = max_time / 2.0
     # _is_settled samples the last SETTLE_SAMPLES - 1 time units; one more
     # unit keeps the step that contains the first sample
-    transient = _dopri5(rhs, U0, t_half, tol, keep_from=t_half - SETTLE_SAMPLES)
+    transient = _nonnegative(_dopri5(rhs, U0, t_half, tol, keep_from=t_half - SETTLE_SAMPLES),
+                             "transient")
     solver = {"transient": transient.stats}
-    if transient.stats.min_state < -NEGATIVITY_TOL:
-        raise InvariantViolation("transient left the nonnegative cone")
     anchor0 = transient.y[-1]
     if _is_settled(model, transient.dense, t_half):
         label = _settled_equilibrium_label(model, anchor0)
-        return OrbitAnalysis("undetermined" if label is None else "converged",
-                             converged_to=label, solver=solver)
+        if label is None:
+            return OrbitAnalysis("undetermined", reason="settled-off-sink", solver=solver)
+        return OrbitAnalysis("converged", converged_to=label, solver=solver)
 
     velocity = reaction(model, anchor0)
     normal = velocity / np.linalg.norm(velocity)
     span = max_time - t_half
-    run = _dopri5(rhs, anchor0, span, tol, keep_from=span - SETTLE_SAMPLES,
-                  events=[(normal, anchor0, 1, False)])
+    run = _nonnegative(_dopri5(rhs, anchor0, span, tol, keep_from=span - SETTLE_SAMPLES,
+                               events=[(normal, anchor0, 1, False)]), "section")
     solver["section"] = run.stats
     t_cross = run.t_events[0]
     x_cross = run.y_events[0]
 
     hit = None
+    reason = "no-crossings" if t_cross.size < 4 else "returns-disagree"
     if t_cross.size >= 4:
         gaps = np.diff(t_cross)
         for k in range(len(gaps) - 1, 1, -1):
@@ -484,20 +522,22 @@ def detect_limit_cycle(model: CompetitionModel, U0, max_time: float = DEFAULT_MA
 
     if hit is not None:
         period, anchor, crossings = hit
-        one_period = _dopri5(rhs, anchor, period, tol)
+        one_period = _nonnegative(_dopri5(rhs, anchor, period, tol), "closure")
         solver["closure"] = one_period.stats
         if np.linalg.norm(one_period.y[-1] - anchor) < RETURN_STATE_TOL:
             mono, solver["monodromy"] = _monodromy_matrix(model, anchor, period,
                                                           np.zeros(model.n), tol)
             return OrbitAnalysis("periodic", period, anchor, mono, _multipliers(mono),
                                  crossing_times=crossings, solver=solver)
+        reason = "closure-failed"
 
     if _is_settled(model, run.dense, span):
         label = _settled_equilibrium_label(model, run.y[-1])
         if label is not None:
             return OrbitAnalysis("converged", converged_to=label, solver=solver)
-    return OrbitAnalysis("undetermined", crossing_times=t_cross if t_cross.size else None,
-                         solver=solver)
+        reason = "settled-off-sink"
+    return OrbitAnalysis("undetermined", reason=reason,
+                         crossing_times=t_cross if t_cross.size else None, solver=solver)
 
 
 def _monodromy_matrix(model, anchor, period, lam_d, tol):
@@ -507,7 +547,8 @@ def _monodromy_matrix(model, anchor, period, lam_d, tol):
     """
     n = model.n
     y0 = np.concatenate([anchor, np.eye(n).ravel()])
-    run = _dopri5(_variational_rhs(model, lam_d), y0, period, tol, densities=n)
+    run = _nonnegative(_dopri5(_variational_rhs(model, lam_d), y0, period, tol, densities=n),
+                       "monodromy")
     return run.y[-1, n:].reshape(n, n), run.stats
 
 

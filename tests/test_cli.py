@@ -23,7 +23,7 @@ from test_emit import _csv_reference
 
 
 # the fields of kinetics.OrbitAnalysis, the keys of every cycle object
-ORBIT_KEYS = {"status", "period", "anchor", "monodromy", "multipliers",
+ORBIT_KEYS = {"status", "period", "anchor", "monodromy", "multipliers", "reason",
               "converged_to", "crossing_times", "solver"}
 
 
@@ -291,6 +291,15 @@ class TestFloquet:
         assert len(rows) == 3
         moduli = sorted(float(r[5]) for r in rows)
         assert moduli[-1] == pytest.approx(1.0, abs=1e-3)
+
+    def test_no_cycle_names_the_reason(self, tmp_path, capsys):
+        # at this horizon the reference orbit crosses its section twice
+        payload = {"model": {"preset": "reference"}, "U0": [0.1, 0.0095238, 0.0333333],
+                   "max_time": 100.0}
+        rc, out = _run(tmp_path, "floquet", payload)
+        assert rc == 5
+        assert "(detector status: undetermined, reason: no-crossings)" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_multiplier_rows_are_the_json_multipliers(self, tmp_path):
         payload = {"model": CIRCULANT, "U0": [0.45, 0.3, 0.25], "max_time": 400.0,

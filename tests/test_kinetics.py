@@ -1,5 +1,6 @@
 """Kinetic integration, limit-cycle detection and Floquet machinery."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from scipy.integrate import simpson, solve_ivp
 from scipy.linalg import expm
 
-from rdlab import CompetitionModel, kinetics
+from rdlab import CompetitionModel, InvariantViolation, kinetics
 from rdlab.kinetics import (
     OrbitAnalysis,
     _dopri5,
@@ -37,6 +38,27 @@ def _no_integration(*args, **kwargs):
 
 
 PINNED = np.array([0.1, 0.0095238, 0.0333333])
+
+
+def _change_leg(monkeypatch, leg, change):
+    """Hand the caller ``change(run)`` in place of the run of the leg-th ``_dopri5`` call.
+
+    The detector's legs are calls 0 (transient), 1 (section), 2 (closure)
+    and 3 (monodromy); a ``modal_multipliers`` run is call 0.
+    """
+    calls = 0
+
+    def dopri5(*args, **kwargs):
+        nonlocal calls
+        run = _dopri5(*args, **kwargs)
+        calls += 1
+        return change(run) if calls == leg + 1 else run
+
+    monkeypatch.setattr(kinetics, "_dopri5", dopri5)
+
+
+def _dip(run):
+    return replace(run, stats=replace(run.stats, min_state=-1e-6))
 
 
 def _scipy_rk45(fun, t_end, y0, tol, **kw):
@@ -88,6 +110,7 @@ def _assert_roots_match_scipy(run, ref, events, f):
                                                      ref.t_events):
         for t, y, t_ref in zip(times, states, ref_times):
             k = min(np.searchsorted(run.t, t, side="right") - 1, run.t.size - 2)
+            assert run.t[k] <= t <= run.t[k + 1]  # the run kept the root's step
             size = max(np.abs(w).dot(np.abs(run.y[j] - p)) for j in (k, k + 1))
             bound = ROOT_ROUNDING * np.finfo(float).eps * size / abs(w.dot(f(t, y)))
             assert abs(t - t_ref) <= bound, (t, t_ref, bound)
@@ -130,12 +153,21 @@ class TestDopri5MatchesScipy:
                           events=_scipy_events(events), dense_output=True)
         run = _dopri5(_kinetic_rhs(reference_kinetics), anchor, 1500.0, 1e-7,
                       keep_from=1490.0, events=events)
+        # the roots do not depend on keep_from; the run that keeps every
+        # step locates each root's step for the rounding bound
+        full = _dopri5(_kinetic_rhs(reference_kinetics), anchor, 1500.0, 1e-7,
+                       keep_from=0.0, events=events)
+        assert np.array_equal(run.t_events[0], full.t_events[0])
+        assert np.array_equal(run.y_events[0], full.y_events[0])
         assert ref.t_events[0].size >= 5
         # the start lies on the section: g = 0 exactly, so the root is t = 0
         assert run.t_events[0][0] == ref.t_events[0][0] == 0.0
-        _assert_roots_match_scipy(run, ref, events, lambda t, y: reaction(reference_kinetics, y))
-        assert np.array_equal(run.t, ref.t)
-        assert np.array_equal(run.y, ref.y.T)
+        _assert_roots_match_scipy(full, ref, events, lambda t, y: reaction(reference_kinetics, y))
+        # the retained tail: the steps ending at or after 1490, from the
+        # first one's start
+        assert run.t[0] < 1490.0 <= run.t[1]
+        assert np.array_equal(run.t, ref.t[-run.t.size:])
+        assert np.array_equal(run.y, ref.y.T[-run.t.size:])
         assert run.stats.nfev == ref.nfev
         # the tail interpolant kept for the settle check
         tail = np.linspace(1491.0, 1500.0, 10)
@@ -187,7 +219,7 @@ class TestDopri5MatchesScipy:
                   level(5.0, 1, False)]
         ref = solve_ivp(lambda t, y: np.ones(1), (0.0, 10.0), [0.0], method="RK45", rtol=1e-7,
                         atol=1e-9, dense_output=True, events=_scipy_events(events))
-        run = _dopri5(rhs, np.zeros(1), 10.0, 1e-7, events=events)
+        run = _dopri5(rhs, np.zeros(1), 10.0, 1e-7, keep_from=0.0, events=events)
         assert ref.status == 1
         assert [te.size for te in ref.t_events] == [0, 1, 1, 0]
         _assert_roots_match_scipy(run, ref, events, lambda t, y: np.ones(1))
@@ -200,11 +232,11 @@ class TestDopri5MatchesScipy:
         # there is exactly 0, while the step's quartic at the step end may
         # round to the other side of the section
         rhs = _kinetic_rhs(reference_kinetics)
-        free = _dopri5(rhs, PINNED, 50.0, 1e-7)
+        free = _dopri5(rhs, PINNED, 50.0, 1e-7, keep_from=0.0)
         for k in range(5, 60):
             velocity = reaction(reference_kinetics, free.y[k])
             events = [(velocity / np.linalg.norm(velocity), free.y[k], 1, False)]
-            run = _dopri5(rhs, PINNED, 50.0, 1e-7, events=events)
+            run = _dopri5(rhs, PINNED, 50.0, 1e-7, keep_from=0.0, events=events)
             assert np.array_equal(run.t, free.t), k
             assert free.t[k] in run.t_events[0], k
 
@@ -229,7 +261,7 @@ class TestDopri5MatchesScipy:
         y0 = np.concatenate([PINNED, np.eye(n).ravel()])
         ref = _scipy_rk45(fun, 100.0, y0, 1e-7)
         run = _dopri5(_variational_rhs(model, np.pi**2 * model.d), y0, 100.0, 1e-7,
-                      densities=n)
+                      densities=n, keep_from=0.0)
         assert np.array_equal(run.t, ref.t)
         assert np.array_equal(run.y, ref.y.T)
         assert run.stats.nfev == ref.nfev
@@ -237,16 +269,43 @@ class TestDopri5MatchesScipy:
 
     def test_clipped_last_step(self, reference_kinetics):
         rhs = _kinetic_rhs(reference_kinetics)
-        free = _dopri5(rhs, PINNED, 300.0, 1e-7)
+        free = _dopri5(rhs, PINNED, 300.0, 1e-7, keep_from=0.0)
         k = free.t.size // 2
         t_end = 0.5 * (free.t[k] + free.t[k + 1])  # inside a step the free run takes
         ref = _scipy_rk45(lambda y: reaction(reference_kinetics, y), t_end, PINNED, 1e-7)
-        run = _dopri5(rhs, PINNED, t_end, 1e-7)
+        run = _dopri5(rhs, PINNED, t_end, 1e-7, keep_from=0.0)
         assert run.t[-1] == t_end
         assert run.t[-1] - run.t[-2] < free.t[k + 1] - free.t[k]
         assert np.array_equal(run.t, ref.t)
         assert np.array_equal(run.y, ref.y.T)
         assert run.stats.nfev == ref.nfev
+
+
+class TestKeptSteps:
+    """``keep_from`` decides what a run keeps, and nothing else."""
+
+    def test_counters_and_end_do_not_depend_on_keep_from(self, reference_kinetics):
+        rhs = _kinetic_rhs(reference_kinetics)
+        full = _dopri5(rhs, PINNED, 200.0, 1e-7, keep_from=0.0)
+        tail = _dopri5(rhs, PINNED, 200.0, 1e-7, keep_from=100.0)
+        none = _dopri5(rhs, PINNED, 200.0, 1e-7)
+        for run in (tail, none):
+            assert run.stats == full.stats
+            assert run.t[-1] == full.t[-1] == 200.0
+            assert np.array_equal(run.y[-1], full.y[-1])
+        # min_state covers the steps the tail and the bare run dropped (here
+        # the start)
+        assert none.stats.min_state == full.y.min() == PINNED.min() < tail.y.min()
+        # the tail is the same steps of the full run, bit for bit, from the
+        # start of the first step that ends at or after keep_from
+        m = tail.t.size
+        assert 1 < m < full.t.size and tail.t[0] < 100.0 <= tail.t[1]
+        assert np.array_equal(tail.t, full.t[-m:])
+        assert np.array_equal(tail.y, full.y[-m:])
+        t = np.linspace(tail.t[0], 200.0, 301)
+        assert np.array_equal(tail.dense(t), full.dense(t))
+        # keeping nothing leaves the final time and state alone
+        assert none.t.shape == (1,) and none.y.shape == (1, 3) and none.dense is None
 
 
 class TestQuarticRoot:
@@ -383,6 +442,22 @@ class TestLimitCycleDetection:
         assert transient.accepted_steps == ref.t.size - 1
         assert transient.min_state == ref.y.min()
 
+    def test_memory_does_not_grow_with_max_time(self, reference_kinetics):
+        # each leg keeps at most the last SETTLE_SAMPLES time units, so 4x
+        # the run adds only the section crossings (a few kB here); keeping
+        # every step added about 0.47 MB over the same span
+        def peak(max_time):
+            tracemalloc.start()
+            try:
+                detect_limit_cycle(reference_kinetics, PINNED * 1.003, max_time=max_time)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(500.0)  # first-call allocations, such as the equilibria, are not counted
+        short, long = peak(500.0), peak(2000.0)
+        assert long - short < 32 * 1024, (short, long)
+
     def test_circulant_conserved_quantity(self, circulant_cycle_model):
         # V = uvw / (u+v+w)^3 is a first integral of this circulant system
         traj = integrate(
@@ -433,6 +508,62 @@ class TestLimitCycleDetection:
             float(np.min(np.linalg.norm(states.T - p[None, :], axis=1))) for p in points
         )
         assert dmin > 1e-2
+
+
+class TestUndeterminedReason:
+    """``OrbitAnalysis.reason`` names the test that left an orbit undetermined."""
+
+    def test_settle_at_a_saddle(self, reference_kinetics):
+        # the single-species point (1/2, 0, 0) is a saddle and exactly stationary
+        orbit = detect_limit_cycle(reference_kinetics, np.array([0.5, 0.0, 0.0]), max_time=100.0)
+        assert (orbit.status, orbit.reason) == ("undetermined", "settled-off-sink")
+        assert list(orbit.solver) == ["transient"]
+
+    def test_too_few_crossings(self, reference_kinetics):
+        orbit = detect_limit_cycle(reference_kinetics, PINNED, max_time=100.0)
+        assert (orbit.status, orbit.reason) == ("undetermined", "no-crossings")
+        assert 0 < orbit.crossing_times.size < 4
+
+    def test_returns_that_disagree(self, reference_kinetics):
+        # the slow spiral of the reference kinetics: the returns still drift
+        orbit = detect_limit_cycle(reference_kinetics, PINNED, max_time=400.0)
+        assert (orbit.status, orbit.reason) == ("undetermined", "returns-disagree")
+        assert orbit.crossing_times.size >= 4
+        assert list(orbit.solver) == ["transient", "section"]
+
+    def test_failed_closure(self, circulant_cycle_model, monkeypatch):
+        # the circulant orbit is periodic at this horizon; a closure run that
+        # ends 1e-3 off its anchor fails the closure test
+        U0 = np.array([0.45, 0.3, 0.25])
+        assert detect_limit_cycle(circulant_cycle_model, U0, max_time=400.0).reason is None
+        _change_leg(monkeypatch, 2, lambda run: replace(run, y=run.y + 1e-3))
+        orbit = detect_limit_cycle(circulant_cycle_model, U0, max_time=400.0)
+        assert (orbit.status, orbit.reason) == ("undetermined", "closure-failed")
+        assert list(orbit.solver) == ["transient", "section", "closure"]
+
+    def test_no_reason_once_decided(self):
+        a = np.array([[1.0, 0.3, 0.3], [0.3, 1.0, 0.3], [0.3, 0.3, 1.0]])
+        model = CompetitionModel(a=a, d=np.ones(3))
+        orbit = detect_limit_cycle(model, np.array([0.2, 0.5, 0.4]), max_time=400.0, tol=1e-10)
+        assert (orbit.status, orbit.reason) == ("converged", None)
+
+
+class TestNegativityGuard:
+    """Every integration leg raises InvariantViolation on a density below -1e-8."""
+
+    @pytest.mark.parametrize("leg, name", enumerate(["transient", "section", "closure",
+                                                     "monodromy"]))
+    def test_each_detector_leg(self, circulant_cycle_model, monkeypatch, leg, name):
+        _change_leg(monkeypatch, leg, _dip)
+        with pytest.raises(InvariantViolation, match=f"{name} dipped to -1.000e-06"):
+            detect_limit_cycle(circulant_cycle_model, np.array([0.45, 0.3, 0.25]),
+                               max_time=400.0)
+
+    def test_modal_multipliers(self, reference_kinetics, monkeypatch):
+        P1 = condition_report(reference_kinetics).interior_point
+        _change_leg(monkeypatch, 0, _dip)
+        with pytest.raises(InvariantViolation, match="monodromy dipped"):
+            modal_multipliers(reference_kinetics, _fake_periodic_orbit(P1, 5.0), 1.0)
 
 
 class TestMonodromy:
