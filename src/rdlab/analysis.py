@@ -18,6 +18,7 @@ from .pde import PdeTrajectory, neumann_eigenvalue, spatial_average
 REGION_SIGMA_2SPECIES = "sigma-region-2species"
 REGION_A_3SPECIES = "region-A-3species"
 PERIODIC_SCORE = 0.9  # periodicity scores above it are periodic
+CLASSIFICATION_HORIZON = 50.0  # classify_omega needs a run at least this long
 
 
 def _region_pieces(model: CompetitionModel, region) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -239,8 +240,9 @@ def classify_omega(trajectory: PdeTrajectory, model: CompetitionModel) -> OmegaC
     (score > 0.9 at every probe).  Everything else is undetermined.
     """
     t_end = float(trajectory.times[-1])
-    if t_end < 50.0:
-        raise ValueError("classification needs a run of at least 50 time units")
+    if t_end < CLASSIFICATION_HORIZON:
+        raise ValueError(
+            f"classification needs a run of at least {CLASSIFICATION_HORIZON:g} time units")
     t_lo = 0.75 * t_end
     keep = trajectory.times >= t_lo
     flat = float(trajectory.flatness()[keep].max())

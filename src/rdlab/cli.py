@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .analysis import chs_report, classify_omega, decay_fit
+from .analysis import CLASSIFICATION_HORIZON, chs_report, classify_omega, decay_fit
 from .emit import svg_line_chart, write_csv, write_json, write_manifest
 from .errors import (
     OMIT,
@@ -368,7 +368,8 @@ def _pde_outputs(model, traj, out: Path, *, svg: bool, decay_window=None):
     n = model.n
     avgs = traj.spatial_averages()
 
-    classification = classify_omega(traj, model) if float(traj.times[-1]) >= 50.0 else None
+    long_enough = float(traj.times[-1]) >= CLASSIFICATION_HORIZON
+    classification = classify_omega(traj, model) if long_enough else None
     extras = None
     if decay_window is not None:
         rate, amplitude, decay_rows = _decay(traj, decay_window, clip=True)

@@ -371,16 +371,19 @@ class Trajectory:
 
 
 def _checked_start(model, U0, span: float, span_name: str, tol: float) -> np.ndarray:
-    """U0 as a float array, once it and the run parameters are finite.
+    """U0 as a float array, once it is nonnegative and the run parameters finite.
 
     A NaN or infinite time span, tolerance or state would keep the adaptive
-    integrator stepping forever, so each raises ValueError up front.
+    integrator stepping forever, and a negative density leaves the cone the
+    kinetics keep invariant, so each raises ValueError up front.
     """
     U0 = np.asarray(U0, dtype=float)
     if U0.shape != (model.n,):
         raise ValueError(f"initial state must have shape ({model.n},)")
     if not np.isfinite(U0).all():
         raise ValueError("initial state must be finite")
+    if np.any(U0 < 0.0):
+        raise ValueError("initial state must be nonnegative")
     _require_finite_positive(span_name, span)
     _require_finite_positive("tol", tol)
     return U0
@@ -407,8 +410,6 @@ def integrate(model: CompetitionModel, U0, t_end: float, tol: float = DEFAULT_TO
     reported states and in ``Trajectory.at`` only.
     """
     U0 = _checked_start(model, U0, t_end, "t_end", tol)
-    if np.any(U0 < 0.0):
-        raise ValueError("initial state must be nonnegative")
     run = _nonnegative(_dopri5(_kinetic_rhs(model), U0, t_end, tol, keep_from=0.0), "state")
     return Trajectory(run.t, np.maximum(run.y, 0.0), run.dense)
 
@@ -478,8 +479,8 @@ def detect_limit_cycle(model: CompetitionModel, U0, max_time: float = DEFAULT_MA
     non-sink is left "undetermined", as are all remaining outcomes, and
     ``reason`` names the test that decided it (this routine reports rather
     than raises).  Every leg raises InvariantViolation if a density dips
-    below -1e-8.  A U0 that is not finite, or a ``max_time`` or ``tol``
-    that is not finite and positive, raises ValueError.
+    below -1e-8.  A U0 that is not finite and nonnegative, or a ``max_time``
+    or ``tol`` that is not finite and positive, raises ValueError.
     """
     U0 = _checked_start(model, U0, max_time, "max_time", tol)
     rhs = _kinetic_rhs(model)

@@ -1,9 +1,11 @@
 """One-dimensional reaction-diffusion solver on intervals and radial disks.
 
-Space is discretized with second-order central differences on a uniform
-vertex grid including the boundary nodes.  Neumann conditions use mirror
-ghost nodes, Dirichlet conditions pin the boundary values to zero, and the
-radial center node uses the regularized form m * u''(0).  Time stepping is
+Space is discretized with second-order differences on a uniform vertex
+grid including the boundary nodes.  Neumann conditions use mirror ghost
+nodes, Dirichlet conditions pin the boundary values to zero, the radial
+center node uses the regularized form m * u''(0), and radial interior rows
+are in flux form over exact cell volumes (central differences at m = 2),
+so every coupling between neighbours is positive.  Time stepping is
 Strang splitting: a Crank-Nicolson half step of diffusion, a full classical
 RK4 step of the pointwise kinetics, and a second diffusion half step; the
 scheme is second order in dt.  Between two recorded states, the closing
@@ -14,16 +16,16 @@ species are stacked into one tridiagonal Crank-Nicolson system with no
 coupling between species blocks.  Since (I - cL)^-1 (I + cL) =
 2 (I - cL)^-1 - I, each half or whole step is a single solve over all
 species.  One row of weights makes both halved matrices symmetric positive
-definite, so each is factored once per run with LAPACK ``dpttrf``; a solve
-is then a weighting, one ``dpttrs`` and one subtraction.  Radial domains
-with m >= 3, where no such weights exist, factor the halved matrices with
-the pivoted LU ``dgttrf``/``dgttrs``.  These four routines are imported
-from ``scipy.linalg.lapack`` by ``_cn_steps``, once per run, so importing
-this module loads numpy alone.  The RK4 step works on buffers allocated
-once per run, with the stage sizes folded into the stage products: each
-stage's scaled rate c y (1 - a y) comes from one BLAS product of c [-a | 1]
-with the stage state stacked on a row of ones and one multiply, the next
-stage state is one add, and the four scaled rates are combined by one dot.
+definite on every domain, so each is factored once per run with LAPACK
+``dpttrf``; a solve is then a weighting, one ``dpttrs`` and one
+subtraction.  A radial grid whose weights leave the floating-point range
+raises ValueError.  Both routines are imported from ``scipy.linalg.lapack``
+by ``_cn_steps``, once per run, so importing this module loads numpy
+alone.  The RK4 step works on buffers allocated once per run, with the
+stage sizes folded into the stage products: each stage's scaled rate
+c y (1 - a y) comes from one BLAS product of c [-a | 1] with the stage
+state stacked on a row of ones and one multiply, the next stage state is
+one add, and the four scaled rates are combined by one dot.
 """
 
 import math
@@ -85,7 +87,11 @@ def _laplacian_diagonals(domain: Domain1D):
 
     Boundary rows encode the boundary handling: mirror-ghost rows for
     Neumann, zero rows for Dirichlet (those values are pinned), and the
-    regularized 2m(u1 - u0)/h^2 row at a radial center.
+    regularized 2m(u1 - u0)/h^2 row at a radial center (the flux form over
+    its half cell).  Radial interior rows are the flux through the cell
+    faces r_i -/+ h/2 over the exact cell volume: at m = 2 the central
+    differences 1/h^2 -/+ 1/(2 h r_i), and for every m second order, with
+    positive couplings, and self-adjoint in the volume-weighted product.
     """
     G = domain.N + 2
     h = domain.h
@@ -93,8 +99,8 @@ def _laplacian_diagonals(domain: Domain1D):
     main = np.zeros(G)
     sup = np.zeros(G)
     inv_h2 = 1.0 / (h * h)
-    main[1:-1] = -2.0 * inv_h2
     if domain.kind == "interval":
+        main[1:-1] = -2.0 * inv_h2
         sub[1:-1] = inv_h2
         sup[1:-1] = inv_h2
         if domain.bc == "neumann":
@@ -103,10 +109,16 @@ def _laplacian_diagonals(domain: Domain1D):
             main[-1] = -2.0 * inv_h2
             sub[-1] = 2.0 * inv_h2
     else:
-        r = domain.grid()[1:-1]
-        drift = (domain.m - 1) / (2.0 * h * r)
-        sub[1:-1] = inv_h2 - drift
-        sup[1:-1] = inv_h2 + drift
+        # sub_i = r_i-1/2^(m-1) / (h^2 V_i) and sup_i = r_i+1/2^(m-1) / (h^2 V_i),
+        # with the cell volume V_i = (r_i+1/2^m - r_i-1/2^m) / (m h).  With
+        # q = r_i-1/2 / r_i+1/2, V_i / r_i+1/2^(m-1) is the mean of q^k over
+        # k < m, (1 - q^m) / (m (1 - q)): expm1 of m ln q takes it with no
+        # cancelling subtraction, and no power of r leaves the float range
+        face = np.arange(1, domain.N + 1) + 0.5  # r_i+1/2 / h
+        mean = -np.expm1(domain.m * np.log1p(-1.0 / face)) * face / domain.m
+        sup[1:-1] = inv_h2 / mean
+        sub[1:-1] = ((face - 1.0) / face) ** (domain.m - 1) * sup[1:-1]
+        main[1:-1] = -(sub[1:-1] + sup[1:-1])
         # regular center: Laplacian(0) = m u''(0) ~= 2m (u1 - u0) / h^2
         main[0] = -2.0 * domain.m * inv_h2
         sup[0] = 2.0 * domain.m * inv_h2
@@ -249,75 +261,57 @@ def _cn_steps(domain: Domain1D, d: np.ndarray, dt: float):
     (I - cL)^-1 (I + cL) u = 2 T^-1 u - u, each returned function maps an
     (n, N + 2) array to the next state by one solve.  Couplings into a pinned
     Dirichlet node (an identity row, whose value is 0) are dropped, which is
-    exact.  If then every remaining product lower_i upper_i is positive, row
-    weights w with w_i+1 lower_i = w_i upper_i make diag(w) T symmetric.  It
-    is positive definite, since L is self-adjoint in the quadrature-weighted
-    inner product with spectrum <= 0, so M = diag(w) T / 2 is factored by
-    ``dpttrf`` and 2 T^-1 u = M^-1 (w u).  The ratio upper_i / lower_i is
-    sup_i / sub_i, whatever c is, so one row of weights, 1 at the first
-    node, serves every species block and both matrices.  It is the running
-    product of the band ratios of the species with the largest d (the last
-    whose c would underflow), and spans about 1 to 1.6e4 on a radial m = 2,
-    N = 2048 grid, however many species there are.  The radial centre row
-    has a zero (m = 3) or negative (m >= 4) product; those domains factor
-    T / 2 with the pivoted LU ``dgttrf``/``dgttrs``.
+    exact.  Both couplings of every other pair of neighbours are positive,
+    on every domain, so row weights w with w_i+1 sub_i+1 = w_i sup_i make
+    diag(w) T symmetric, and positive definite, since L is self-adjoint in
+    the w-weighted inner product with spectrum <= 0.  So M = diag(w) T / 2
+    is factored by ``dpttrf`` and 2 T^-1 u = M^-1 (w u).  The weights come
+    from L alone, so one row serves every species block and both matrices;
+    an exact power of two scales the largest below 1.  On a radial grid
+    they grow like the cell volumes, spanning about 1.6e4 at m = 2,
+    N = 2048, and (2N + 1)^m in general; where they or the factored bands
+    leave the normal float range (m = 150 at N = 64, m = 300 at N = 8)
+    ValueError is raised before any solve.
     """
-    from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
+    from scipy.linalg.lapack import dpttrf, dpttrs
 
     sub, main, sup = _laplacian_diagonals(domain)
     pinned = (sub == 0.0) & (main == 0.0) & (sup == 0.0)
     d = np.asarray(d, dtype=float)
     shape = (d.size, domain.N + 2)
-
-    def halved(c):  # the bands of T / 2 for the column of step sizes c
-        lower = -0.5 * c * sub[1:]  # lower[:, j] couples node j + 1 to node j
-        upper = -0.5 * c * sup[:-1]  # upper[:, j] couples node j to node j + 1
-        lower[:, pinned[:-1]] = 0.0
-        upper[:, pinned[1:]] = 0.0
-        return lower, 0.5 - 0.5 * c * main, upper
+    weights = np.ones(shape[1])
+    with np.errstate(all="ignore"):  # a weight out of range is 0, inf or NaN, checked below
+        np.cumprod(np.divide(sup[:-1], sub[1:], out=np.ones(shape[1] - 1),
+                             where=~(pinned[:-1] | pinned[1:])), out=weights[1:])
+    # scaled by a power of two, which is exact, to below 1: no weighted state overflows
+    weights = np.ldexp(weights, -np.frexp(weights.max())[1])
 
     def flat(band):  # one species block's band after another, zero between blocks
         return np.hstack((band, np.zeros((shape[0], 1)))).ravel()[:-1]
 
+    def solver(c):  # the solve for the column of step sizes c, of M = diag(w) T / 2
+        upper = -0.5 * c * sup[:-1]  # upper[:, j] couples node j to node j + 1
+        upper[:, pinned[1:]] = 0.0
+        with np.errstate(over="ignore"):
+            diag = (weights * (0.5 - 0.5 * c * main)).ravel()
+        if not np.all((diag >= np.finfo(float).tiny) & (diag < np.inf)):
+            raise ValueError(f"the diffusion matrix of a {domain.kind} grid with m = {domain.m} "
+                             f"and N = {domain.N} leaves the floating-point range")
+        factor_d, factor_e, info = dpttrf(diag, flat(weights[:-1] * upper))
+        if info != 0:
+            raise InvariantViolation(
+                f"Crank-Nicolson matrix is not positive definite (dpttrf info = {info})")
+
+        def step(values):
+            out = values * weights
+            dpttrs(factor_d, factor_e, out.reshape(-1), overwrite_b=1)  # solves in place
+            out -= values
+            return out
+
+        return step
+
     c = (d * (dt / 4.0))[:, None]
-    half_bands = halved(c)
-    lower, _, upper = half_bands
-    product = lower * upper
-    if np.all((product > 0.0) | ((lower == 0.0) & (upper == 0.0))):
-        k = int(np.argmax(d))
-        weights = np.ones(shape[1])
-        np.cumprod(np.divide(upper[k], lower[k], out=np.ones(shape[1] - 1), where=product[k] > 0.0),
-                   out=weights[1:])
-
-        def solver(lower, diag, upper):
-            factor_d, factor_e, info = dpttrf((weights * diag).ravel(), flat(weights[:-1] * upper))
-            if info != 0:
-                raise InvariantViolation(
-                    f"Crank-Nicolson matrix is not positive definite (dpttrf info = {info})")
-
-            def step(values):
-                out = values * weights
-                dpttrs(factor_d, factor_e, out.reshape(-1), overwrite_b=1)  # solves in place
-                out -= values
-                return out
-
-            return step
-    else:
-        def solver(lower, diag, upper):
-            *factors, info = dgttrf(flat(lower), diag.ravel(), flat(upper))
-            if info != 0:
-                raise InvariantViolation(
-                    f"Crank-Nicolson matrix is singular (dgttrf info = {info})")
-
-            def step(values):
-                solved, _ = dgttrs(*factors, values.ravel())
-                solved = solved.reshape(shape)
-                solved -= values
-                return solved
-
-            return step
-
-    return solver(*half_bands), solver(*halved(2.0 * c))
+    return solver(c), solver(2.0 * c)
 
 
 # Steps merge once the split steps have damped the stiffest diffusion mode to
@@ -404,13 +398,13 @@ def evolve(model: CompetitionModel, domain: Domain1D, phi: Field, t_end: float,
     which damp the stiffest diffusion mode to STIFF_DAMPING of its t = 0
     amplitude (78 steps for the reference model on an N = 2048 disk at
     dt = 1e-3).  The half-step and whole-step matrices are factored once
-    per call (symmetric positive definite ``dpttrf`` after row weights, or
-    pivoted LU on radial domains with m >= 3), so each diffusion solve is
-    one LAPACK tridiagonal solve over every species at once between two
-    elementwise passes.  The RK4 step runs
-    in place on buffers allocated once per call, with the stage sizes folded
-    into the stage products: per stage, one product c [-a | 1] [y; 1] and
-    one multiply give the scaled rate, and one add the next stage state.
+    per call (symmetric positive definite ``dpttrf`` after row weights, on
+    every domain), so each diffusion solve is one LAPACK tridiagonal solve
+    over every species at once between two elementwise passes.  The RK4
+    step runs in place on buffers allocated once per call, with the stage
+    sizes folded into the stage products: per stage, one product
+    c [-a | 1] [y; 1] and one multiply give the scaled rate, and one add
+    the next stage state.
     ``dt`` defaults to min(1e-2, h^2 / (2 max d) * 10); it is rounded so
     t_end is an integer number of steps.  About ``snapshots`` full-field
     snapshots are kept; probe traces at ``probes`` (fractions 0.1/0.5/0.9 of
@@ -424,7 +418,8 @@ def evolve(model: CompetitionModel, domain: Domain1D, phi: Field, t_end: float,
 
     ``t_end`` and ``dt`` must be finite and positive, ``snapshots`` and
     ``probe_stride`` at least 1, the probes inside the domain and phi finite
-    and nonnegative; otherwise ValueError is raised.  Negative
+    and nonnegative; otherwise ValueError is raised, as it is for a radial
+    grid whose row weights leave the float range (m = 150 at N = 64).  Negative
     excursions beyond -NEGATIVITY_TOL in those same states raise
     InvariantViolation; there is no clamping during time stepping.
     """

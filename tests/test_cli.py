@@ -713,6 +713,11 @@ class TestConfigBoundary:
                          "k_max": 1, "L": 0}, "L"),
             ("floquet", {"model": CIRCULANT, "U0": [0.45, 0.3, 0.25], "max_time": 400.0,
                          "k_max": 1, "L": float("nan")}, "L"),
+            ("floquet", {"model": {"preset": "reference"}, "U0": [-0.1, 0.1, 0.1]},
+             "initial state must be nonnegative"),
+            ("pde", {**DIRICHLET_BUMP, "phi": {"constant": [0.5]},
+                     "domain": {"kind": "radial", "length": 1.0, "N": 64, "bc": "neumann",
+                                "m": 150}}, "m = 150 and N = 64 leaves the floating-point range"),
             ("chs", {"model": TWO_SPECIES_SINK, "L": 1.0,
                      "run": {"phi": {"constant": [0.5, 0.5]}, "t_end": float("inf")}},
              "run.t_end"),

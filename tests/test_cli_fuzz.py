@@ -1,8 +1,9 @@
 """Property test of the CLI config boundary: every mutated config ends in a documented exit.
 
-One small valid config per command is mutated once or twice (a nested value
-replaced from a fixed pool, a key deleted, or an unknown key added) and run
-through ``main``.  Whatever the input, the run must return 0, 2, 3, 4 or 5
+One small valid config per command (two for ``pde``: an interval and a
+radial domain) is mutated once or twice (a nested value replaced from a
+fixed pool, a key deleted, or an unknown key added) and run through
+``main``.  Whatever the input, the run must return 0, 2, 3, 4 or 5
 without raising and print exactly one stderr line.  A successful run leaves a
 manifest that lists exactly the files on disk with matching checksums, and no
 artifact holding a NaN or an Infinity; a failed run leaves no manifest, and a
@@ -44,6 +45,11 @@ BASE_CONFIGS = {
             "domain": {"kind": "interval", "length": 1.0, "N": 8, "bc": "dirichlet"},
             "phi": {"poly": [[0.0, 1.0, -1.0]]}, "t_end": 1.0, "dt": 0.05, "snapshots": 16,
             "probes": [0.5], "probe_stride": 2, "decay_window": [0.2, 0.9], "svg": True},
+    # a case named "<command>-<variant>" runs <command>
+    "pde-radial": {"model": {"a": [[1.0]], "d": [0.5]},
+                   "domain": {"kind": "radial", "length": 1.0, "N": 8, "bc": "neumann", "m": 3},
+                   "phi": {"poly": [[0.5, 0.0, 0.75, -0.5]]}, "t_end": 1.0, "dt": 0.05,
+                   "snapshots": 16, "probes": [0.5], "probe_stride": 2, "svg": True},
     "floquet": {"model": CIRCULANT, "U0": [0.45, 0.3, 0.25], "max_time": 400.0, "k_max": 1,
                 "L": 2.0, "eigenvalues": [1.0]},
     "chs": {"model": TWO_SPECIES, "L": 1.0, "norm": "operator",
@@ -84,11 +90,12 @@ def _mutate(config: dict, data) -> None:
         container[key] = copy.deepcopy(data.draw(st.sampled_from(POOL)))
 
 
-@pytest.mark.parametrize("command", sorted(BASE_CONFIGS))
+@pytest.mark.parametrize("case", sorted(BASE_CONFIGS))
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
-def test_mutated_config_ends_in_a_documented_exit(command, data):
-    config = copy.deepcopy(BASE_CONFIGS[command])
+def test_mutated_config_ends_in_a_documented_exit(case, data):
+    command = case.split("-")[0]
+    config = copy.deepcopy(BASE_CONFIGS[case])
     for _ in range(data.draw(st.integers(1, 2))):
         _mutate(config, data)
     with tempfile.TemporaryDirectory() as tmp:

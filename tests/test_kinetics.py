@@ -403,6 +403,11 @@ class TestLimitCycleDetection:
         with pytest.raises(ValueError):
             detect_limit_cycle(reference_kinetics, U0, max_time=max_time, tol=tol)
 
+    def test_negative_start_rejected_before_integration(self, reference_kinetics, monkeypatch):
+        monkeypatch.setattr(kinetics, "_dopri5", _no_integration)
+        with pytest.raises(ValueError, match="initial state must be nonnegative"):
+            detect_limit_cycle(reference_kinetics, np.array([-0.1, 0.1, 0.1]))
+
     def test_reference_orbit_is_periodic(self, reference_kinetics):
         orbit = detect_limit_cycle(
             reference_kinetics,

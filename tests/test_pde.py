@@ -67,17 +67,22 @@ class TestLaplacian:
         ratio = defects[0] / defects[1]
         assert 3.5 < ratio < 4.5
 
-    def test_radial_mode_h_convergence(self):
-        # first radial eigenfunction J0(j0 r / R) of the disk, m = 2
-        from scipy.special import j0, jn_zeros
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_radial_mode_h_convergence(self, m):
+        # first Dirichlet eigenfunction J_nu(z r) / r^nu of the unit m-ball,
+        # nu = m/2 - 1 and z the first zero of J_nu; its value at r = 0 is the
+        # limit (z/2)^nu / Gamma(nu + 1)
+        from scipy.special import gamma, jn_zeros, jv
 
-        j0_1 = jn_zeros(0, 1)[0]
+        nu = m / 2.0 - 1.0
+        z = {2: jn_zeros(0, 1)[0], 3: np.pi, 4: jn_zeros(1, 1)[0]}[m]
         defects = []
         for N in (64, 128):
-            dom = Domain1D(kind="radial", length=1.0, N=N, bc="dirichlet", m=2)
+            dom = Domain1D(kind="radial", length=1.0, N=N, bc="dirichlet", m=m)
             r = dom.grid()
-            lam = j0_1**2
-            defects.append(_eigenfunction_defect(dom, j0(j0_1 * r), lam))
+            u = np.full(r.size, (z / 2.0) ** nu / gamma(nu + 1.0))
+            u[1:] = jv(nu, z * r[1:]) / r[1:] ** nu
+            defects.append(_eigenfunction_defect(dom, u, z**2))
         ratio = defects[0] / defects[1]
         assert 3.5 < ratio < 4.5
 
@@ -284,6 +289,20 @@ class TestEvolveAccuracy:
                 evolve(model, dom, Field(dom, box[None, :]), 1.0, dt=0.1,
                        include_reaction=False)
 
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_radial_centre_spike_stays_nonnegative(self, m):
+        # at a diffusion number near 1e-4, CN keeps a nonnegative field
+        # nonnegative only if every coupling between neighbours is positive,
+        # which the nondivergence stencil's (3 - m)/(2 h^2) at node 1 is not
+        model = CompetitionModel(a=np.array([[1.0]]), d=np.array([0.1]))
+        dom = Domain1D(kind="radial", length=1.0, N=64, bc="neumann", m=m)
+        spike = np.zeros((1, dom.N + 2))
+        spike[0, 0] = 1.0
+        with pytest.warns(UserWarning, match="boundary slope"):
+            traj = evolve(model, dom, Field(dom, spike), 1e-5, dt=1e-6, include_reaction=False)
+        assert traj.min_value >= 0.0
+        assert traj.fields[-1, 0, 1] > 0.0
+
     def test_dirichlet_boundary_stays_pinned_at_large_diffusion_number(self):
         # c / h^2 > 1 here; the pinned boundary nodes must stay exactly 0, or
         # the logistic growth amplifies their rounding error like e^t
@@ -318,8 +337,8 @@ class TestCrankNicolsonSolve:
                                          ("radial", 4)])
     def test_stacked_solve_matches_dense_per_species(self, kind, m, bc, n):
         # distinct d per species: a coupling across species blocks would show.
-        # Radial m = 3 and 4 have a zero and a negative centre off-diagonal
-        # product, so they run the pivoted LU path; the others the symmetric one
+        # Every case runs the one symmetric path; radial m = 3 and 4 check its
+        # row weights where the flux form differs from the disk's stencil
         d = np.array([0.05, 0.4, 1.3])[:n]
         model = CompetitionModel(a=np.eye(n) + 0.1, d=d)
         dom = Domain1D(kind=kind, length=1.5, N=24, bc=bc, m=m)
@@ -358,6 +377,25 @@ class TestCrankNicolsonSolve:
             reference = solve_banded((1, 1), bands, rhs)
             assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
 
+    @pytest.mark.parametrize("N, m, runs", [(64, 150, 128), (8, 300, 200)])
+    def test_out_of_range_radial_grid_is_rejected_before_any_step(self, monkeypatch, N, m,
+                                                                 runs):
+        # the row weights span about (2N + 1)^m: 129^150 and 17^300 leave the
+        # float range, 129^128 and 17^200 do not
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(pde, "_rk4_reaction_step", no_step)
+        model = CompetitionModel(a=np.array([[1.0]]), d=np.array([0.1]))
+        dom = Domain1D(kind="radial", length=1.0, N=N, bc="neumann", m=m)
+        phi = Field(dom, np.ones((1, N + 2)))
+        with pytest.raises(ValueError, match=f"m = {m} and N = {N} leaves the floating-point"):
+            evolve(model, dom, phi, 0.01, dt=1e-3)
+        dom = Domain1D(kind="radial", length=1.0, N=N, bc="neumann", m=runs)
+        half, whole = _cn_steps(dom, model.d, 1e-3)
+        for solve in (half, whole):
+            assert np.max(np.abs(solve(phi.values) - 1.0)) <= 1e-12
+
     def test_weights_are_per_species_block(self):
         # one weight product across all blocks would overflow on this disk
         # at about 75 species, and the step would return NaN
@@ -368,37 +406,10 @@ class TestCrankNicolsonSolve:
         traj = evolve(model, dom, phi, 1e-3, dt=1e-3, include_reaction=False)
         assert np.max(np.abs(traj.fields[-1] - 1.0)) <= 1e-12
 
-    @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
-    @pytest.mark.parametrize("m", [3, 4])
-    def test_lu_half_step_of_the_halved_matrix_is_exact(self, m, bc):
-        # factoring (I - cL) / 2 in place of I - cL scales by a power of two,
-        # so the half step equals the unhalved 2 (I - cL)^-1 u - u bit for bit
-        from scipy.linalg.lapack import dgttrf, dgttrs
-
-        d = np.array([0.05, 0.4, 1.3])
-        dt = 0.02
-        dom = Domain1D(kind="radial", length=1.5, N=40, bc=bc, m=m)
-        values = _vanishing_field(dom, 3, seed=6).values
-        sub, main, sup = _laplacian_diagonals(dom)
-        c = (d * (dt / 4.0))[:, None]
-        G = dom.N + 2
-        lower = -(c * sub).ravel()[1:]
-        upper = -(c * sup).ravel()[:-1]
-        lower[G - 1::G] = 0.0
-        upper[G - 1::G] = 0.0
-        pinned = np.flatnonzero(np.tile((sub == 0.0) & (main == 0.0) & (sup == 0.0), 3))
-        lower[pinned[pinned < lower.size]] = 0.0
-        upper[pinned[pinned > 0] - 1] = 0.0
-        *factors, info = dgttrf(lower, (1.0 - c * main).ravel(), upper)
-        assert info == 0
-        solved, _ = dgttrs(*factors, values.ravel())
-        expected = 2.0 * solved.reshape(values.shape) - values
-        assert np.array_equal(_cn_steps(dom, d, dt)[0](values), expected)
-
     @pytest.mark.parametrize("kind, m, bc", [("interval", 1, "neumann"), ("radial", 2, "dirichlet"),
                                              ("radial", 3, "neumann"), ("radial", 4, "dirichlet")])
     def test_whole_step_is_crank_nicolson_of_dt(self, kind, m, bc):
-        # the merged solve, on the symmetric (m <= 2) and the pivoted LU path
+        # the merged solve, on each kind of domain and boundary row
         d = np.array([0.05, 0.4, 1.3])
         dt = 0.02
         dom = Domain1D(kind=kind, length=1.5, N=40, bc=bc, m=m)
