@@ -598,10 +598,11 @@ def orbital_stability(model: CompetitionModel, orbit: OrbitAnalysis, k_max: int 
 
     ``eigenvalues`` supplies the Laplacian eigenvalues for modes 1..k_max;
     alternatively pass an interval length ``L`` and ``k_max`` to use the
-    Neumann sequence (k pi / L)^2.  With neither, only ``orbit.multipliers``
-    are judged (k_max = 0).  A trustworthy computation must exhibit the
-    unit multiplier: if no simple multiplier sits within 1e-3 of 1 the
-    verdict is "inconclusive" regardless of the other moduli.  Otherwise
+    Neumann sequence (k pi / L)^2; passing both raises ValueError.  With
+    neither, only ``orbit.multipliers`` are judged (k_max = 0).  A
+    trustworthy computation must exhibit the unit multiplier: if no simple
+    multiplier sits within 1e-3 of 1 the verdict is "inconclusive"
+    regardless of the other moduli.  Otherwise
     "stable" needs every remaining modulus below 1 - 1e-6 and "unstable"
     needs some modulus above 1 + 1e-6; borderline moduli are
     "inconclusive".  ``L`` must be finite and positive and the eigenvalues
@@ -611,13 +612,13 @@ def orbital_stability(model: CompetitionModel, orbit: OrbitAnalysis, k_max: int 
     _require_periodic(orbit)
     if L is not None:
         _require_finite_positive("interval length L", L)
-    if eigenvalues is None:
-        if L is not None:
-            if k_max is None or k_max < 0:
-                raise ValueError("k_max must accompany an interval length")
-            eigenvalues = [neumann_eigenvalue(L, k) for k in range(1, k_max + 1)]
-        else:
-            eigenvalues = []
+        if eigenvalues is not None:
+            raise ValueError("give the Laplacian eigenvalues or an interval length L, not both")
+        if k_max is None or k_max < 0:
+            raise ValueError("k_max must accompany an interval length")
+        eigenvalues = [neumann_eigenvalue(L, k) for k in range(1, k_max + 1)]
+    elif eigenvalues is None:
+        eigenvalues = []
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     if k_max is None:
         k_max = eigenvalues.shape[0]

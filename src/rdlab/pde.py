@@ -1,31 +1,38 @@
 """One-dimensional reaction-diffusion solver on intervals and radial disks.
 
 Space is discretized with second-order differences on a uniform vertex
-grid including the boundary nodes.  Neumann conditions use mirror ghost
-nodes, Dirichlet conditions pin the boundary values to zero, the radial
-center node uses the regularized form m * u''(0), and radial interior rows
-are in flux form over exact cell volumes (central differences at m = 2),
-so every coupling between neighbours is positive.  Time stepping is
-Strang splitting: a Crank-Nicolson half step of diffusion, a full classical
-RK4 step of the pointwise kinetics, and a second diffusion half step; the
-scheme is second order in dt.  Between two recorded states, the closing
-half step of one step and the opening half step of the next are one
-Crank-Nicolson step of dt, once a run of split steps at the start has
-damped the stiff diffusion modes that one such step barely damps.  The
-species are stacked into one tridiagonal Crank-Nicolson system with no
-coupling between species blocks.  Since (I - cL)^-1 (I + cL) =
-2 (I - cL)^-1 - I, each half or whole step is a single solve over all
-species.  One row of weights makes both halved matrices symmetric positive
-definite on every domain, so each is factored once per run with LAPACK
-``dpttrf``; a solve is then a weighting, one ``dpttrs`` and one
-subtraction.  A radial grid whose weights leave the floating-point range
-raises ValueError.  Both routines are imported from ``scipy.linalg.lapack``
-by ``_cn_steps``, once per run, so importing this module loads numpy
-alone.  The RK4 step works on buffers allocated once per run, with the
-stage sizes folded into the stage products: each stage's scaled rate
-c y (1 - a y) comes from one BLAS product of c [-a | 1] with the stage
-state stacked on a row of ones and one multiply, the next stage state is
-one add, and the four scaled rates are combined by one dot.
+grid including the boundary nodes.  The grid has one cell geometry,
+``_cells``: a volume for each node's cell and an area for each face
+between neighbours (the trapezoid on an interval, exact shell volumes and
+r^(m-1) faces on a radial grid).  Every Laplacian row is the flux through
+its cell's faces over its volume, so Neumann conditions become mirror
+ghost nodes, the radial center the regularized form m * u''(0), and every
+coupling between neighbours is positive; Dirichlet conditions pin the
+boundary values to zero.  The same volumes weight every spatial average,
+which is therefore the quantity the scheme conserves, and the same areas
+weight gradient norms.
+
+Time stepping is Strang splitting: a Crank-Nicolson half step of
+diffusion, a full classical RK4 step of the pointwise kinetics, and a
+second diffusion half step; the scheme is second order in dt.  Between two
+recorded states, the closing half step of one step and the opening half
+step of the next are one Crank-Nicolson step of dt, once a run of split
+steps at the start has damped the stiff diffusion modes that one such step
+barely damps.  The species are stacked into one tridiagonal Crank-Nicolson
+system with no coupling between species blocks.  Since
+(I - cL)^-1 (I + cL) = 2 (I - cL)^-1 - I, each half or whole step is a
+single solve over all species.  Weighting its rows by the cell volumes
+makes both halved matrices symmetric positive definite on every domain, so
+each is factored once per run with LAPACK ``dpttrf``; a solve is then a
+weighting, one ``dpttrs`` and one subtraction.  A radial grid whose cell
+volumes leave the floating-point range raises ValueError in ``_cells``,
+the one range guard.  Both routines are imported from
+``scipy.linalg.lapack`` by ``_cn_steps``, once per run, so importing this
+module loads numpy alone.  The RK4 step works on buffers allocated once
+per run, with the stage sizes folded into the stage products: each stage's
+scaled rate c y (1 - a y) comes from one BLAS product of c [-a | 1] with
+the stage state stacked on a row of ones and one multiply, the next stage
+state is one add, and the four scaled rates are combined by one dot.
 """
 
 import math
@@ -82,50 +89,63 @@ class Domain1D:
         return np.linspace(0.0, self.length, self.N + 2)
 
 
+def _cells(domain: Domain1D):
+    """The grid's one cell geometry: (volumes, areas, rim).
+
+    ``areas[k]`` is r^(m-1) at the face r_k+1/2 between nodes k and k + 1,
+    and ``volumes[i]`` the measure over h of node i's cell between its
+    faces, both relative to the rim face r_N+1/2, whose physical r^(m-1) is
+    ``rim`` (inf where it overflows).  An interval has unit areas and the
+    trapezoid volumes [1/2, 1, ..., 1, 1/2].  Radial volumes are exact,
+    the centre's a half cell, and the rim's areas[N] / 2, as the
+    mirror-ghost Neumann row implies.  Powers are of ratios to the rim, so
+    none leaves the float range; where the volumes' span, about
+    2m (2N + 1)^(m-1), does (m = 150 at N = 64), ValueError is raised
+    before m is converted to a float.
+    """
+    N, m = domain.N, domain.m
+    if domain.kind == "interval":
+        volumes = np.ones(N + 2)
+        volumes[[0, -1]] = 0.5
+        return volumes, np.ones(N + 1), 1.0
+    # the centre's volume 1 / (2m (2N + 1)^(m-1)) stays above 2^-1025, losing
+    # at most 3 bits to subnormals, while log2 m + (m - 1) log2(2N + 1) < 1024,
+    # which compares m as an int
+    if m - 1 >= (1024.0 - math.log2(m)) / math.log2(2 * N + 1):
+        raise ValueError(f"the cell geometry of a radial grid with m = {m} and N = {N} "
+                         "leaves the floating-point range")
+    face = np.arange(N + 1) + 0.5  # r_k+1/2 / h
+    areas = (face / face[-1]) ** (m - 1)
+    volumes = np.empty(N + 2)
+    volumes[0] = areas[0] * 0.5 / m
+    # V_i / r_i+1/2^(m-1) is the mean of q^k over k < m, q = r_i-1/2 / r_i+1/2:
+    # expm1 of m ln q takes (1 - q^m) / (m (1 - q)) with no cancelling subtraction
+    volumes[1:-1] = areas[1:] * (-np.expm1(m * np.log1p(-1.0 / face[1:])) * face[1:] / m)
+    volumes[-1] = 0.5 * areas[-1]
+    with np.errstate(over="ignore"):
+        rim = (domain.h * face[-1]) ** (m - 1)
+    return volumes, areas, rim
+
+
 def _laplacian_diagonals(domain: Domain1D):
     """(sub, main, super) diagonals of the discrete Laplacian on the full grid.
 
-    Boundary rows encode the boundary handling: mirror-ghost rows for
-    Neumann, zero rows for Dirichlet (those values are pinned), and the
-    regularized 2m(u1 - u0)/h^2 row at a radial center (the flux form over
-    its half cell).  Radial interior rows are the flux through the cell
-    faces r_i -/+ h/2 over the exact cell volume: at m = 2 the central
-    differences 1/h^2 -/+ 1/(2 h r_i), and for every m second order, with
-    positive couplings, and self-adjoint in the volume-weighted product.
+    One flux form over ``_cells`` for every domain: sub_i = A_i-1/2 / (h^2 V_i),
+    sup_i = A_i+1/2 / (h^2 V_i) and main_i = -(sub_i + sup_i).  That gives
+    the mirror-ghost Neumann rows, the regularized radial centre row
+    2m (u1 - u0) / h^2, and interior rows second order with positive
+    couplings, self-adjoint in the volume-weighted product.  Dirichlet
+    boundary rows are zero: those values are pinned.
     """
-    G = domain.N + 2
-    h = domain.h
-    sub = np.zeros(G)
-    main = np.zeros(G)
-    sup = np.zeros(G)
-    inv_h2 = 1.0 / (h * h)
-    if domain.kind == "interval":
-        main[1:-1] = -2.0 * inv_h2
-        sub[1:-1] = inv_h2
-        sup[1:-1] = inv_h2
-        if domain.bc == "neumann":
-            main[0] = -2.0 * inv_h2
-            sup[0] = 2.0 * inv_h2
-            main[-1] = -2.0 * inv_h2
-            sub[-1] = 2.0 * inv_h2
-    else:
-        # sub_i = r_i-1/2^(m-1) / (h^2 V_i) and sup_i = r_i+1/2^(m-1) / (h^2 V_i),
-        # with the cell volume V_i = (r_i+1/2^m - r_i-1/2^m) / (m h).  With
-        # q = r_i-1/2 / r_i+1/2, V_i / r_i+1/2^(m-1) is the mean of q^k over
-        # k < m, (1 - q^m) / (m (1 - q)): expm1 of m ln q takes it with no
-        # cancelling subtraction, and no power of r leaves the float range
-        face = np.arange(1, domain.N + 1) + 0.5  # r_i+1/2 / h
-        mean = -np.expm1(domain.m * np.log1p(-1.0 / face)) * face / domain.m
-        sup[1:-1] = inv_h2 / mean
-        sub[1:-1] = ((face - 1.0) / face) ** (domain.m - 1) * sup[1:-1]
-        main[1:-1] = -(sub[1:-1] + sup[1:-1])
-        # regular center: Laplacian(0) = m u''(0) ~= 2m (u1 - u0) / h^2
-        main[0] = -2.0 * domain.m * inv_h2
-        sup[0] = 2.0 * domain.m * inv_h2
-        if domain.bc == "neumann":
-            main[-1] = -2.0 * inv_h2
-            sub[-1] = 2.0 * inv_h2
-    # Dirichlet boundary rows stay zero: boundary values are pinned at 0.
+    volumes, areas, _ = _cells(domain)
+    inv_h2 = 1.0 / (domain.h * domain.h)
+    faces = np.concatenate(([0.0], areas, [0.0]))  # no flux beyond the ends
+    sub = inv_h2 * (faces[:-1] / volumes)
+    sup = inv_h2 * (faces[1:] / volumes)
+    main = -(sub + sup)
+    if domain.bc == "dirichlet":
+        pinned = [-1] if domain.kind == "radial" else [0, -1]
+        sub[pinned] = main[pinned] = sup[pinned] = 0.0
     return sub, main, sup
 
 
@@ -158,20 +178,9 @@ class Field:
         return self.values.shape[0]
 
 
-def _quadrature_weights(domain: Domain1D) -> np.ndarray:
-    # trapezoid weights; radial domains carry the r^(m-1) volume factor
-    G = domain.N + 2
-    w = np.full(G, domain.h)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    if domain.kind == "radial":
-        w = w * domain.grid() ** (domain.m - 1)
-    return w
-
-
 def _average(domain: Domain1D, values: np.ndarray) -> np.ndarray:
     # over the last axis, so one field (n, G) or a stack of them (S, n, G)
-    w = _quadrature_weights(domain)
+    w = _cells(domain)[0] * domain.h
     return values @ w / w.sum()
 
 
@@ -181,7 +190,10 @@ def _oscillation(values: np.ndarray) -> np.ndarray:
 
 
 def spatial_average(field: Field) -> np.ndarray:
-    """Measure-normalized spatial average of each species (exact on constants)."""
+    """Average of each species weighted by the ``_cells`` volumes (exact on constants).
+
+    On a Neumann domain it is the quantity pure diffusion conserves.
+    """
     return _average(field.domain, field.values)
 
 
@@ -192,12 +204,9 @@ def flatness(field: Field) -> float:
 
 def _grad_sq_sum(domain: Domain1D, values: np.ndarray) -> np.ndarray:
     # over the last two axes, so one field (n, G) or a stack of them (S, n, G)
-    h = domain.h
-    g = np.diff(values, axis=-1) / h
-    w = np.full(g.shape[-1], h)
-    if domain.kind == "radial":
-        mid = 0.5 * (domain.grid()[1:] + domain.grid()[:-1])
-        w = w * mid ** (domain.m - 1)
+    _, areas, rim = _cells(domain)
+    g = np.diff(values, axis=-1) / domain.h
+    w = areas * (domain.h * rim)
     # each field is summed as one contiguous row, whatever the stack's shape
     return (g * g * w).reshape(values.shape[:-2] + (-1,)).sum(axis=-1)
 
@@ -205,8 +214,8 @@ def _grad_sq_sum(domain: Domain1D, values: np.ndarray) -> np.ndarray:
 def grad_l2_norm(field: Field) -> float:
     """Discrete L2 norm of the spatial gradient over all species.
 
-    Forward differences live on cell midpoints; radial cells carry the
-    midpoint volume factor r^(m-1).
+    Forward differences live on the faces, weighted by h times the
+    ``_cells`` face area (r^(m-1) on a radial grid).
     """
     return float(np.sqrt(_grad_sq_sum(field.domain, field.values)))
 
@@ -261,49 +270,34 @@ def _cn_steps(domain: Domain1D, d: np.ndarray, dt: float):
     (I - cL)^-1 (I + cL) u = 2 T^-1 u - u, each returned function maps an
     (n, N + 2) array to the next state by one solve.  Couplings into a pinned
     Dirichlet node (an identity row, whose value is 0) are dropped, which is
-    exact.  Both couplings of every other pair of neighbours are positive,
-    on every domain, so row weights w with w_i+1 sub_i+1 = w_i sup_i make
-    diag(w) T symmetric, and positive definite, since L is self-adjoint in
-    the w-weighted inner product with spectrum <= 0.  So M = diag(w) T / 2
-    is factored by ``dpttrf`` and 2 T^-1 u = M^-1 (w u).  The weights come
-    from L alone, so one row serves every species block and both matrices;
-    an exact power of two scales the largest below 1.  On a radial grid
-    they grow like the cell volumes, spanning about 1.6e4 at m = 2,
-    N = 2048, and (2N + 1)^m in general; where they or the factored bands
-    leave the normal float range (m = 150 at N = 64, m = 300 at N = 8)
-    ValueError is raised before any solve.
+    exact.  L is in flux form over the cell volumes V of ``_cells``, so
+    V_i sup_i = V_i+1 sub_i+1 is the area of the face between them over h^2:
+    diag(V) T is symmetric, and positive definite, since L is self-adjoint
+    in the V-weighted inner product with spectrum <= 0.  So
+    M = diag(V) T / 2 is factored by ``dpttrf`` and 2 T^-1 u = M^-1 (V u);
+    the one row V, at most 1, serves every species block and both matrices.
     """
     from scipy.linalg.lapack import dpttrf, dpttrs
 
     sub, main, sup = _laplacian_diagonals(domain)
-    pinned = (sub == 0.0) & (main == 0.0) & (sup == 0.0)
+    volumes = _cells(domain)[0]
     d = np.asarray(d, dtype=float)
     shape = (d.size, domain.N + 2)
-    weights = np.ones(shape[1])
-    with np.errstate(all="ignore"):  # a weight out of range is 0, inf or NaN, checked below
-        np.cumprod(np.divide(sup[:-1], sub[1:], out=np.ones(shape[1] - 1),
-                             where=~(pinned[:-1] | pinned[1:])), out=weights[1:])
-    # scaled by a power of two, which is exact, to below 1: no weighted state overflows
-    weights = np.ldexp(weights, -np.frexp(weights.max())[1])
 
     def flat(band):  # one species block's band after another, zero between blocks
         return np.hstack((band, np.zeros((shape[0], 1)))).ravel()[:-1]
 
-    def solver(c):  # the solve for the column of step sizes c, of M = diag(w) T / 2
-        upper = -0.5 * c * sup[:-1]  # upper[:, j] couples node j to node j + 1
-        upper[:, pinned[1:]] = 0.0
-        with np.errstate(over="ignore"):
-            diag = (weights * (0.5 - 0.5 * c * main)).ravel()
-        if not np.all((diag >= np.finfo(float).tiny) & (diag < np.inf)):
-            raise ValueError(f"the diffusion matrix of a {domain.kind} grid with m = {domain.m} "
-                             f"and N = {domain.N} leaves the floating-point range")
-        factor_d, factor_e, info = dpttrf(diag, flat(weights[:-1] * upper))
+    def solver(c):  # the solve for the column of step sizes c, of M = diag(V) T / 2
+        upper = volumes[:-1] * (-0.5 * c * sup[:-1])  # upper[:, j] couples node j to node j + 1
+        upper[:, sub[1:] == 0.0] = 0.0  # node j + 1 is pinned
+        diag = (volumes * (0.5 - 0.5 * c * main)).ravel()
+        factor_d, factor_e, info = dpttrf(diag, flat(upper))
         if info != 0:
             raise InvariantViolation(
                 f"Crank-Nicolson matrix is not positive definite (dpttrf info = {info})")
 
         def step(values):
-            out = values * weights
+            out = values * volumes
             dpttrs(factor_d, factor_e, out.reshape(-1), overwrite_b=1)  # solves in place
             out -= values
             return out
@@ -398,9 +392,10 @@ def evolve(model: CompetitionModel, domain: Domain1D, phi: Field, t_end: float,
     which damp the stiffest diffusion mode to STIFF_DAMPING of its t = 0
     amplitude (78 steps for the reference model on an N = 2048 disk at
     dt = 1e-3).  The half-step and whole-step matrices are factored once
-    per call (symmetric positive definite ``dpttrf`` after row weights, on
-    every domain), so each diffusion solve is one LAPACK tridiagonal solve
-    over every species at once between two elementwise passes.  The RK4
+    per call (symmetric positive definite ``dpttrf`` after weighting rows by
+    the cell volumes, on every domain), so each diffusion solve is one
+    LAPACK tridiagonal solve over every species at once between two
+    elementwise passes.  The RK4
     step runs in place on buffers allocated once per call, with the stage
     sizes folded into the stage products: per stage, one product
     c [-a | 1] [y; 1] and one multiply give the scaled rate, and one add
@@ -419,8 +414,8 @@ def evolve(model: CompetitionModel, domain: Domain1D, phi: Field, t_end: float,
     ``t_end`` and ``dt`` must be finite and positive, ``snapshots`` and
     ``probe_stride`` at least 1, the probes inside the domain and phi finite
     and nonnegative; otherwise ValueError is raised, as it is for a radial
-    grid whose row weights leave the float range (m = 150 at N = 64).  Negative
-    excursions beyond -NEGATIVITY_TOL in those same states raise
+    grid whose cell volumes leave the float range (m = 150 at N = 64).
+    Negative excursions beyond -NEGATIVITY_TOL in those same states raise
     InvariantViolation; there is no clamping during time stepping.
     """
     if phi.domain != domain:

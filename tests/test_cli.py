@@ -19,6 +19,7 @@ from rdlab.errors import ConfigError
 from rdlab.kinetics import OrbitAnalysis, StabilityVerdict
 from rdlab.model import load_model
 from rdlab.scalar import dirichlet_steady_profile, radial_shoot, time_map
+from test_cli_fuzz import BASE_CONFIGS
 from test_emit import _csv_reference
 
 
@@ -259,6 +260,22 @@ class TestPde:
         )
         assert (out / "decay.csv").exists()
 
+    @pytest.mark.parametrize("length", [1000.0, 0.001])
+    def test_radial_grid_at_large_m_runs_at_any_radius(self, tmp_path, length):
+        # r^(m-1) at m = 120 leaves the float range on these radii; the cell
+        # geometry takes its powers relative to the rim face
+        payload = {
+            "model": {"a": [[1.0]], "d": [0.1]},
+            "domain": {"kind": "radial", "length": length, "N": 64, "bc": "neumann", "m": 120},
+            "phi": {"constant": [0.5]},
+            "t_end": 0.01,
+            "dt": 1e-3,
+        }
+        rc, out = _run(tmp_path, "pde", payload)
+        assert rc == 0
+        _, rows = _csv_rows(out / "averages.csv")
+        assert np.all(np.isfinite(np.array(rows, dtype=float)))
+
 
 class TestFloquet:
     def test_circulant_cycle_base_only(self, tmp_path):
@@ -425,10 +442,18 @@ class TestReproducePaper:
 
 
 class TestDeterminism:
-    def test_identical_bytes_across_reruns(self, tmp_path):
-        payload = {"D": 0.1, "mu": {"start": 0.01, "stop": 0.9, "count": 10}, "svg": True}
-        _, out1 = _run(tmp_path, "timemap", payload, out_name="run1")
-        _, out2 = _run(tmp_path, "timemap", payload, out_name="run2")
+    @pytest.mark.parametrize("command, payload", [
+        ("timemap", {"D": 0.1, "mu": {"start": 0.01, "stop": 0.9, "count": 10}, "svg": True}),
+        ("pde", {"model": {"a": [[1.0, 0.5], [0.5, 1.0]], "d": [0.1, 0.02]},
+                 "domain": {"kind": "radial", "length": 1.0, "N": 32, "bc": "neumann", "m": 3},
+                 "phi": {"poly": [[0.5, 0.0, 0.3, -0.2], [0.25, 0.0, -0.3, 0.2]]}, "t_end": 0.5,
+                 "dt": 0.01, "snapshots": 10, "svg": True}),
+        ("floquet", BASE_CONFIGS["floquet"]),
+    ])
+    def test_identical_bytes_across_reruns(self, tmp_path, command, payload):
+        rc, out1 = _run(tmp_path, command, payload, out_name="run1")
+        assert rc == 0
+        _, out2 = _run(tmp_path, command, payload, out_name="run2")
         files1 = sorted(p.name for p in out1.iterdir())
         assert files1 == sorted(p.name for p in out2.iterdir())
         for name in files1:
@@ -724,6 +749,13 @@ class TestConfigBoundary:
             ("equilibria", {"model": {"a": [[1.0, 0.5], [0.5, 1.0]], "d": {}}}, "model.d"),
             ("equilibria", {"model": {"a": [[1.0, 0.5], [0.5]], "d": [1.0, 1.0]}},
              "model: interaction matrix"),
+            ("floquet", {"model": CIRCULANT, "U0": [0.45, 0.3, 0.25], "max_time": 400.0,
+                         "k_max": 1, "L": 2.0, "eigenvalues": [1.0]}, "not both"),
+            # m = 10**400 converts to no float, and m = 10**300 to one far out of range
+            *(("pde", {**DIRICHLET_BUMP, "phi": {"constant": [0.5]},
+                       "domain": {"kind": "radial", "length": 1.0, "N": 64, "bc": "neumann",
+                                  "m": m}}, "leaves the floating-point range")
+              for m in (10**400, 10**300)),
         ],
     )
     def test_rejected_config_leaves_output_empty(self, tmp_path, capsys, command, payload, key):

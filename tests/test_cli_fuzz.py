@@ -51,7 +51,7 @@ BASE_CONFIGS = {
                    "phi": {"poly": [[0.5, 0.0, 0.75, -0.5]]}, "t_end": 1.0, "dt": 0.05,
                    "snapshots": 16, "probes": [0.5], "probe_stride": 2, "svg": True},
     "floquet": {"model": CIRCULANT, "U0": [0.45, 0.3, 0.25], "max_time": 400.0, "k_max": 1,
-                "L": 2.0, "eigenvalues": [1.0]},
+                "eigenvalues": [1.0]},
     "chs": {"model": TWO_SPECIES, "L": 1.0, "norm": "operator",
             "run": {"phi": {"poly": [[0.5, 0.0, 0.03, -0.02], [0.25, 0.0, -0.03, 0.02]]},
                     "t_end": 2.0, "N": 8, "dt": 0.05, "window": [0.2, 1.0]}},

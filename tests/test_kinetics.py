@@ -660,6 +660,8 @@ class TestOrbitalStability:
             orbital_stability(circulant_cycle_model, orbit, k_max=3, eigenvalues=[1.0])
         with pytest.raises(ValueError):
             orbital_stability(circulant_cycle_model, orbit, k_max=2)
+        with pytest.raises(ValueError, match="not both"):
+            orbital_stability(circulant_cycle_model, orbit, k_max=1, L=2.0, eigenvalues=[1.0])
 
     @pytest.mark.parametrize("L", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_interval_length_rejected_before_integration(self, reference_kinetics,

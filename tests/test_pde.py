@@ -127,9 +127,33 @@ class TestFieldDiagnostics:
         snaps = [traj.snapshot(i) for i in range(len(traj.times))]
         assert np.array_equal(traj.spatial_averages(), [spatial_average(f) for f in snaps])
         assert np.array_equal(traj.flatness(), [flatness(f) for f in snaps])
+        norms = [grad_l2_norm(f) for f in snaps]
+        assert np.array_equal(traj.grad_l2_norms(), norms)
+        # the first-written weights take r^(m-1) at the face midpoint directly,
+        # so on a radial grid they round differently from the cells' areas
         reference = [_grad_l2_norm_reference(f) for f in snaps]
-        assert np.array_equal([grad_l2_norm(f) for f in snaps], reference)
-        assert np.array_equal(traj.grad_l2_norms(), reference)
+        assert np.allclose(norms, reference, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_radial_average_converges_at_order_2(self, m):
+        # the average of r^2 over the unit m-ball is m / (m + 2)
+        errors = []
+        for N in (63, 127, 255):
+            dom = Domain1D(kind="radial", length=1.0, N=N, bc="neumann", m=m)
+            field = Field(dom, dom.grid() ** 2)
+            errors.append(abs(spatial_average(field)[0] - m / (m + 2.0)))
+        ratios = np.array(errors[:-1]) / np.array(errors[1:])
+        assert np.all((3.5 < ratios) & (ratios < 4.5))
+
+    def test_radial_average_does_not_depend_on_the_length(self):
+        # the cell volumes are ratios to the rim face, so r^(m-1) never
+        # overflows (length 1000) or underflows (length 0.001) at m = 120
+        values = 1.0 + np.cos(np.linspace(0.0, 3.0, 66)) ** 2
+        averages = [spatial_average(Field(Domain1D(kind="radial", length=length, N=64,
+                                                   bc="neumann", m=120), values))
+                    for length in (1.0, 1000.0, 0.001)]
+        assert np.all(np.isfinite(averages))
+        assert np.allclose(averages, averages[0], rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("kind, m", [("interval", 1), ("radial", 2)])
     def test_omitted_space_dimension_follows_the_kind(self, kind, m):
@@ -377,11 +401,13 @@ class TestCrankNicolsonSolve:
             reference = solve_banded((1, 1), bands, rhs)
             assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
 
-    @pytest.mark.parametrize("N, m, runs", [(64, 150, 128), (8, 300, 200)])
+    @pytest.mark.parametrize("N, m, runs", [(64, 150, 128), (8, 300, 200), (8, 300, 249),
+                                            (64, 150, 146), (2048, 96, 85)])
     def test_out_of_range_radial_grid_is_rejected_before_any_step(self, monkeypatch, N, m,
                                                                  runs):
-        # the row weights span about (2N + 1)^m: 129^150 and 17^300 leave the
-        # float range, 129^128 and 17^200 do not
+        # the cell volumes span about 2m (2N + 1)^(m-1): at m = 150, N = 64,
+        # m = 300, N = 8 and m = 96, N = 2048 that leaves the float range; the
+        # last three cases' ``runs`` are the largest m that run at their N
         def no_step(*args):
             raise AssertionError("a step ran")
 
@@ -421,13 +447,19 @@ class TestCrankNicolsonSolve:
             expected = np.linalg.solve(np.eye(G) - c * lap, (np.eye(G) + c * lap) @ u)
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
-    def test_diffusion_conserves_neumann_interval_average(self):
+    @pytest.mark.parametrize("kind, m, N, bound", [("interval", 1, 128, 1e-13),
+                                                   ("radial", 2, 64, 1e-11),
+                                                   ("radial", 3, 64, 1e-11),
+                                                   ("radial", 5, 64, 1e-11)])
+    def test_diffusion_conserves_neumann_interval_average(self, kind, m, N, bound):
+        # the average weights each node by its cell volume, the quantity the
+        # flux-form scheme conserves
         model = CompetitionModel(a=np.eye(3) * 2.0 + 0.1, d=np.array([0.3, 0.05, 1.0]))
-        dom = _interval(128)
+        dom = Domain1D(kind=kind, length=1.0, N=N, bc="neumann", m=m)
         phi = Field(dom, reference_phi_values(dom.grid()))
         traj = evolve(model, dom, phi, 1.0, dt=0.01, include_reaction=False)
         drift = np.abs(spatial_average(traj.final) - spatial_average(phi))
-        assert np.max(drift) < 1e-13
+        assert np.max(drift) < bound
 
 
 def _rk4_reference(a, dt, U):
