@@ -26,7 +26,7 @@ makes both halved matrices symmetric positive definite on every domain, so
 each is factored once per run with LAPACK ``dpttrf``; a solve is then a
 weighting, one ``dpttrs`` and one subtraction.  A radial grid whose cell
 volumes leave the floating-point range raises ValueError in ``_cells``,
-the one range guard.  Both routines are imported from
+the grid's one range guard.  Both routines are imported from
 ``scipy.linalg.lapack`` by ``_cn_steps``, once per run, so importing this
 module loads numpy alone.  The RK4 step works on buffers allocated once
 per run, with the stage sizes folded into the stage products: each stage's
@@ -127,7 +127,7 @@ def _cells(domain: Domain1D):
     return volumes, areas, rim
 
 
-def _laplacian_diagonals(domain: Domain1D):
+def _laplacian_diagonals(domain: Domain1D, cells=None):
     """(sub, main, super) diagonals of the discrete Laplacian on the full grid.
 
     One flux form over ``_cells`` for every domain: sub_i = A_i-1/2 / (h^2 V_i),
@@ -137,7 +137,7 @@ def _laplacian_diagonals(domain: Domain1D):
     couplings, self-adjoint in the volume-weighted product.  Dirichlet
     boundary rows are zero: those values are pinned.
     """
-    volumes, areas, _ = _cells(domain)
+    volumes, areas, _ = _cells(domain) if cells is None else cells
     inv_h2 = 1.0 / (domain.h * domain.h)
     faces = np.concatenate(([0.0], areas, [0.0]))  # no flux beyond the ends
     sub = inv_h2 * (faces[:-1] / volumes)
@@ -273,14 +273,16 @@ def _cn_steps(domain: Domain1D, d: np.ndarray, dt: float):
     exact.  L is in flux form over the cell volumes V of ``_cells``, so
     V_i sup_i = V_i+1 sub_i+1 is the area of the face between them over h^2:
     diag(V) T is symmetric, and positive definite, since L is self-adjoint
-    in the V-weighted inner product with spectrum <= 0.  So
-    M = diag(V) T / 2 is factored by ``dpttrf`` and 2 T^-1 u = M^-1 (V u);
-    the one row V, at most 1, serves every species block and both matrices.
+    in the V-weighted inner product with spectrum <= 0.  So M = diag(V) T / 2
+    is factored by ``dpttrf`` and 2 T^-1 u = M^-1 (V u); the one row V, at
+    most 1, serves every species block and both matrices.  A step so large
+    that M overflows raises ValueError.
     """
     from scipy.linalg.lapack import dpttrf, dpttrs
 
-    sub, main, sup = _laplacian_diagonals(domain)
-    volumes = _cells(domain)[0]
+    cells = _cells(domain)  # one evaluation weights both the Laplacian and its rows
+    sub, main, sup = _laplacian_diagonals(domain, cells)
+    volumes = cells[0]
     d = np.asarray(d, dtype=float)
     shape = (d.size, domain.N + 2)
 
@@ -288,9 +290,12 @@ def _cn_steps(domain: Domain1D, d: np.ndarray, dt: float):
         return np.hstack((band, np.zeros((shape[0], 1)))).ravel()[:-1]
 
     def solver(c):  # the solve for the column of step sizes c, of M = diag(V) T / 2
+        with np.errstate(over="ignore"):  # an overflowed diagonal is checked below
+            diag = (volumes * (0.5 - 0.5 * c * main)).ravel()
+        if not np.all(np.isfinite(diag)):  # then |sup| <= |main| keeps upper finite too
+            raise ValueError(f"the Crank-Nicolson matrix of step {dt} leaves the float range")
         upper = volumes[:-1] * (-0.5 * c * sup[:-1])  # upper[:, j] couples node j to node j + 1
         upper[:, sub[1:] == 0.0] = 0.0  # node j + 1 is pinned
-        diag = (volumes * (0.5 - 0.5 * c * main)).ravel()
         factor_d, factor_e, info = dpttrf(diag, flat(upper))
         if info != 0:
             raise InvariantViolation(
@@ -395,11 +400,10 @@ def evolve(model: CompetitionModel, domain: Domain1D, phi: Field, t_end: float,
     per call (symmetric positive definite ``dpttrf`` after weighting rows by
     the cell volumes, on every domain), so each diffusion solve is one
     LAPACK tridiagonal solve over every species at once between two
-    elementwise passes.  The RK4
-    step runs in place on buffers allocated once per call, with the stage
-    sizes folded into the stage products: per stage, one product
-    c [-a | 1] [y; 1] and one multiply give the scaled rate, and one add
-    the next stage state.
+    elementwise passes.  The RK4 step runs in place on buffers allocated
+    once per call, with the stage sizes folded into the stage products: per
+    stage, one product c [-a | 1] [y; 1] and one multiply give the scaled
+    rate, and one add the next stage state.
     ``dt`` defaults to min(1e-2, h^2 / (2 max d) * 10); it is rounded so
     t_end is an integer number of steps.  About ``snapshots`` full-field
     snapshots are kept; probe traces at ``probes`` (fractions 0.1/0.5/0.9 of
@@ -413,8 +417,8 @@ def evolve(model: CompetitionModel, domain: Domain1D, phi: Field, t_end: float,
 
     ``t_end`` and ``dt`` must be finite and positive, ``snapshots`` and
     ``probe_stride`` at least 1, the probes inside the domain and phi finite
-    and nonnegative; otherwise ValueError is raised, as it is for a radial
-    grid whose cell volumes leave the float range (m = 150 at N = 64).
+    and nonnegative; otherwise ValueError is raised, as it is where the cell
+    volumes (m = 150 at N = 64) or the CN matrices leave the float range.
     Negative excursions beyond -NEGATIVITY_TOL in those same states raise
     InvariantViolation; there is no clamping during time stepping.
     """
@@ -441,8 +445,7 @@ def evolve(model: CompetitionModel, domain: Domain1D, phi: Field, t_end: float,
     if domain.bc == "dirichlet":
         if np.max(np.abs(U[:, [0, -1]])) > 1e-12:
             warnings.warn("Dirichlet initial field was nonzero on the boundary; pinned to 0")
-        U[:, 0] = 0.0
-        U[:, -1] = 0.0
+        U[:, [0, -1]] = 0.0
     else:
         lo = np.abs(-1.5 * U[:, 0] + 2.0 * U[:, 1] - 0.5 * U[:, 2]) / h
         hi = np.abs(1.5 * U[:, -1] - 2.0 * U[:, -2] + 0.5 * U[:, -3]) / h

@@ -19,7 +19,6 @@ from rdlab.errors import ConfigError
 from rdlab.kinetics import OrbitAnalysis, StabilityVerdict
 from rdlab.model import load_model
 from rdlab.scalar import dirichlet_steady_profile, radial_shoot, time_map
-from test_cli_fuzz import BASE_CONFIGS
 from test_emit import _csv_reference
 
 
@@ -448,7 +447,11 @@ class TestDeterminism:
                  "domain": {"kind": "radial", "length": 1.0, "N": 32, "bc": "neumann", "m": 3},
                  "phi": {"poly": [[0.5, 0.0, 0.3, -0.2], [0.25, 0.0, -0.3, 0.2]]}, "t_end": 0.5,
                  "dt": 0.01, "snapshots": 10, "svg": True}),
-        ("floquet", BASE_CONFIGS["floquet"]),
+        # the fuzz suite's floquet base config
+        ("floquet", {"model": {"a": [[1.0, 1.2, 0.8], [0.8, 1.0, 1.2], [1.2, 0.8, 1.0]],
+                               "d": [0.01, 0.02, 0.01]},
+                     "U0": [0.45, 0.3, 0.25], "max_time": 400.0, "k_max": 1,
+                     "eigenvalues": [1.0]}),
     ])
     def test_identical_bytes_across_reruns(self, tmp_path, command, payload):
         rc, out1 = _run(tmp_path, command, payload, out_name="run1")
@@ -756,6 +759,9 @@ class TestConfigBoundary:
                        "domain": {"kind": "radial", "length": 1.0, "N": 64, "bc": "neumann",
                                   "m": m}}, "leaves the floating-point range")
               for m in (10**400, 10**300)),
+            ("pde", {"model": {"a": [[1.0]], "d": [16.0]}, "phi": {"constant": [0.5]},
+                     "domain": {"kind": "interval", "length": 1.0, "N": 8, "bc": "neumann"},
+                     "t_end": 1e307, "dt": 1e307}, "Crank-Nicolson matrix of step 1e+307"),
         ],
     )
     def test_rejected_config_leaves_output_empty(self, tmp_path, capsys, command, payload, key):
