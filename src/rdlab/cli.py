@@ -332,17 +332,18 @@ def _run_ode(cfg: dict, out: Path):
     model, U0, t_end, tol = cfg["model"], cfg["U0"], cfg["t_end"], cfg["tol"]
     if cfg["samples"] < 2:
         raise ConfigError("samples must be at least 2")
-    traj = integrate(model, np.array(U0), t_end, tol=tol)
     t = np.linspace(0.0, t_end, cfg["samples"])
-    states = traj.at(t)
+    traj = integrate(model, np.array(U0), t, tol=tol)
+    states = traj.states
 
-    final = states[:, -1]
+    final = states[-1]
     report: dict = {
         "model": model_to_dict(model),
         "U0": U0,
         "t_end": t_end,
         "tol": tol,
         "final_state": [float(v) for v in final],
+        "solver": traj.stats,
     }
     if model.n in (2, 3):
         report["final_region"] = region_membership(model, final)
@@ -350,12 +351,12 @@ def _run_ode(cfg: dict, out: Path):
         report["cycle"] = detect_limit_cycle(model, np.array(U0), **cfg["detect_cycle"])
 
     write_csv(out / "trajectory.csv", ["t"] + [f"u{i + 1}" for i in range(model.n)],
-              np.column_stack([t, states.T]))
+              np.column_stack([t, states]))
     write_json(out / "report.json", report)
     if cfg["svg"]:
         svg_line_chart(
             out / "trajectory.svg",
-            [(f"u{i + 1}", t, states[i]) for i in range(model.n)],
+            [(f"u{i + 1}", t, states[:, i]) for i in range(model.n)],
             title="Kinetic trajectory",
             x_label="time t",
             y_label="density",
@@ -465,7 +466,6 @@ def _run_reproduce(cfg: dict, out: Path):
     P = REPRODUCTION
     U0 = np.array(P["ode_initial_point"])
     orbit = detect_limit_cycle(model, U0, max_time=P["max_time"], tol=P["tol"])
-    traj_ode = integrate(model, U0, P["t_end"], tol=P["tol"])
     domain = Domain1D(kind="interval", length=1.0, N=P["N"], bc="neumann")
     phi = _phi_field("paper-phi", domain, model.n)
     traj_pde = evolve(
@@ -480,15 +480,15 @@ def _run_reproduce(cfg: dict, out: Path):
     cond = condition_report(model)
     sigma_rep = chs_report(model, 1.0)
     t = np.linspace(0.0, P["t_end"], 2001)
-    states = traj_ode.at(t)
-    # side-by-side comparison on the snapshot grid
+    states = integrate(model, U0, t, tol=P["tol"]).states
+    # side-by-side comparison on the snapshot grid, whose last time is t_end
     avgs = traj_pde.spatial_averages()
-    ode_at_snaps = traj_ode.at(traj_pde.times).T
+    ode_at_snaps = integrate(model, U0, traj_pde.times, tol=P["tol"]).states
     diff = np.abs(avgs - ode_at_snaps).max(axis=1)
 
     _pde_outputs(model, traj_pde, out, svg=svg)
     write_json(out / "condition.json", {"model": model_to_dict(model), "condition": cond})
-    write_csv(out / "ode_run.csv", ["t", "u1", "u2", "u3"], np.column_stack([t, states.T]))
+    write_csv(out / "ode_run.csv", ["t", "u1", "u2", "u3"], np.column_stack([t, states]))
     write_json(out / "cycle.json", {"U0": [float(v) for v in U0], **vars(orbit)})
     write_csv(
         out / "comparison.csv",

@@ -15,11 +15,12 @@ agrees with solve_ivp's root to the rounding of the event over the step.
 No integration loads scipy.
 ``tests/test_kinetics.py`` holds the loop to that contract.
 
-A run keeps the steps its caller reads and no more.  ``integrate`` and
-the scalar shooting keep every step; the limit-cycle and Floquet legs keep
-at most the last SETTLE_SAMPLES time units and the final state, so their
-memory does not grow with ``max_time``.  The counters, the smallest
-density included, cover every accepted step.
+Every caller names the times it reads before the run starts, as
+solve_ivp's ``t_eval``, and each step is sampled as it is accepted, so a
+run keeps no step: ``integrate`` samples its ``times``, the limit-cycle
+legs the SETTLE_SAMPLES times the settle check reads and the Floquet legs
+nothing, and no run's memory grows with its span.  The counters, the
+smallest density included, cover every accepted step.
 
 Periodic orbits are detected on a Poincare section anchored at a
 post-transient state with the local velocity as its normal; monodromy and
@@ -94,54 +95,16 @@ def _interpolate(t, t_old, h, Q, y_old):
     return y
 
 
-class _Interpolant:
-    """Piecewise quartic dense output over consecutive accepted steps.
-
-    A time on a step boundary belongs to the step on its left, as in
-    scipy's OdeSolution; a step's coefficient matrix Q = K^T P is formed
-    only when the step is evaluated.  A segment cut at a terminal root keeps
-    the quartic of its full step.
-    """
-
-    def __init__(self, ts, hs, y_old, K):
-        self.ts = ts  # segment boundaries, shape (m + 1,)
-        self._hs = hs  # step lengths, shape (m,)
-        self._y_old = y_old  # shape (m, n)
-        self._K = K  # stage derivatives, shape (m, stages + 1, n)
-
-    def __call__(self, t):
-        """State(s) at t: shape (n,) for a scalar, (n, len(t)) for a 1-D array.
-
-        All the times on one step are evaluated in one product, whatever
-        their order: ``Q @ p`` does not give the same bits for every column
-        count, and scipy evaluates a step's times together.
-        """
-        times = np.atleast_1d(t)
-        steps = np.clip(np.searchsorted(self.ts, times, side="left") - 1, 0, len(self._hs) - 1)
-        order = np.argsort(steps, kind="stable")
-        y = np.empty((self._y_old.shape[1], times.size))
-        for group in np.split(order, np.flatnonzero(np.diff(steps[order])) + 1):
-            i = steps[group[0]]
-            y[:, group] = _interpolate(times[group], self.ts[i], self._hs[i],
-                                       self._K[i].T.dot(_P), self._y_old[i])
-        return y[:, 0] if np.ndim(t) == 0 else y
-
-
 @dataclass(frozen=True)
 class _Run:
-    """One ``_dopri5`` run: the kept steps, the counters of all of them, and the roots.
+    """One ``_dopri5`` run: where it ended, the counters, the samples and the roots."""
 
-    ``t`` and ``y`` hold the boundaries of the steps that end at or after
-    ``keep_from``, and always the final time and state, which is t_end or a
-    terminal root; ``stats`` counts every step whatever was kept.
-    """
-
-    t: np.ndarray  # the kept steps' start times, then the final time
-    y: np.ndarray  # the states at those times, shape (len(t), m)
+    t: float  # the final time, t_end or a terminal root
+    y: np.ndarray  # the final state
     stats: SolverStats
-    dense: _Interpolant | None  # over the kept steps; None when none was kept
+    samples: np.ndarray  # the states at the requested times, shape (n, len(t_eval))
     t_events: list  # one array of roots per event
-    y_events: list  # one array of states per event, shape (roots, m)
+    y_events: list  # one array of states per event, shape (roots, n)
 
 
 def _initial_step(rhs, y0, f0, t_end, rtol, atol):
@@ -162,21 +125,21 @@ def _initial_step(rhs, y0, f0, t_end, rtol, atol):
     return float(min(100 * h0, h1, t_end))
 
 
-def _dopri5(rhs, y0, t_end, tol, *, densities=None, keep_from=math.inf, events=()) -> _Run:
+def _dopri5(rhs, y0, t_end, tol, *, t_eval=(), densities=None, events=()) -> _Run:
     """Integrate y' = f(t, y) from y0 over [0, t_end].
 
     ``rhs(t, y, out)`` writes f(t, y) into ``out`` and returns it.  The run
     matches scipy's RK45 at rtol = tol and atol = tol * 1e-2 operation for
-    operation, so its times, states, nfev and dense output equal scipy's
-    bit for bit, except the time and state a terminal root cuts the run at.
+    operation, so its times, states, nfev and samples equal scipy's bit for
+    bit, except the time and state a terminal root cuts the run at.
 
-    - ``keep_from``: only the steps ending at or after it are kept: their
-      times, states and stages, which ``_Run.t``, ``_Run.y`` and the dense
-      output hold.  0 keeps every step; the default keeps none, and then
-      ``_Run.t`` and ``_Run.y`` hold the final time and state alone.  So
-      memory grows with the kept span, not with t_end.  ``SolverStats``
-      does not depend on it: ``min_state`` is a running minimum over every
-      accepted state.
+    - ``t_eval``: the sorted times to sample, as solve_ivp's ``t_eval``.
+      Each accepted step evaluates its quartic at the times it covers, in
+      one product; a time on a step end belongs to the step on its left,
+      and the last step, full or cut by a terminal root, takes every time
+      left over.  ``_Run.samples`` holds them, so a run keeps no step and
+      its memory does not grow with t_end.  ``SolverStats.min_state`` is a
+      running minimum over every accepted state.
     - ``events``: ``(w, p, direction, terminal)`` tuples, each the affine
       event g(y) = w . (y - p).  Its step-end values are those of scipy's
       event function ``w.dot(y - p)``, so the same steps show a sign change
@@ -204,7 +167,9 @@ def _dopri5(rhs, y0, t_end, tol, *, densities=None, keep_from=math.inf, events=(
     nfev, accepted_steps, rejected_steps = 2, 0, 0
     abs_y = np.abs(y)
     low = y0.copy()  # the running minimum of every accepted state, componentwise
-    ts, ys, hs, kept = [], [], [], []  # the start time and state, length and stages of kept steps
+    t_eval = np.asarray(t_eval, dtype=float)
+    samples = np.empty((n, t_eval.size))
+    sampled = 0  # the samples evaluated so far
     g = [float(w.dot(y - p)) for w, p, _, _ in events]
     t_events, y_events = [[] for _ in events], [[] for _ in events]
     terminate = False
@@ -266,23 +231,18 @@ def _dopri5(rhs, y0, t_end, tol, *, densities=None, keep_from=math.inf, events=(
                 if events[i][3]:
                     t, y, terminate = root, y_root, True
                     break
+        last = terminate or t >= t_end
+        if sampled < t_eval.size and (last or t_eval[sampled] <= t):
+            end = t_eval.size if last else np.searchsorted(t_eval, t, side="right")
+            samples[:, sampled:end] = _interpolate(t_eval[sampled:end], t_old, h,
+                                                   K_E.dot(_P), y_old)
+            sampled = end
         accepted_steps += 1
         np.minimum(low, y, out=low)
-        if t >= keep_from:
-            ts.append(t_old)
-            ys.append(y_old)
-            hs.append(h)
-            kept.append(K.copy())
         K[0] = K[-1]  # the next step starts from this step's end derivative
 
-    ts.append(t)
-    ys.append(y)
-    Y = np.array(ys)
     stats = SolverStats(accepted_steps, rejected_steps, nfev, float(low[:densities].min()))
-    dense = None
-    if kept:
-        dense = _Interpolant(np.array(ts), np.array(hs), Y[:-1], np.array(kept))
-    return _Run(np.array(ts), Y, stats, dense,
+    return _Run(t, y, stats, samples,
                 [np.asarray(te) for te in t_events], [np.asarray(ye) for ye in y_events])
 
 
@@ -356,18 +316,11 @@ def _variational_rhs(model, lam_d):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Integrated kinetic trajectory with a dense interpolant."""
+    """Integrated kinetic trajectory, sampled at the times it was asked for."""
 
     times: np.ndarray
     states: np.ndarray  # shape (len(times), n)
-    dense: object  # callable t -> state(s), the integrator's interpolant
-
-    def at(self, t) -> np.ndarray:
-        """The dense interpolant at t, clamped at zero as ``states`` is.
-
-        Returns shape (n,) for a scalar t and (n, len(t)) for a 1-D array.
-        """
-        return np.maximum(self.dense(t), 0.0)
+    stats: SolverStats
 
 
 def _checked_start(model, U0, span: float, span_name: str, tol: float) -> np.ndarray:
@@ -400,18 +353,23 @@ def _nonnegative(run, what):
     return run
 
 
-def integrate(model: CompetitionModel, U0, t_end: float, tol: float = DEFAULT_TOL) -> Trajectory:
-    """Integrate the kinetics from U0 over [0, t_end].
+def integrate(model: CompetitionModel, U0, times, tol: float = DEFAULT_TOL) -> Trajectory:
+    """Integrate the kinetics from U0 over [0, times[-1]], sampled at ``times``.
 
-    U0 must be finite and nonnegative, ``t_end`` and ``tol`` finite and
+    ``times`` must be a nonempty, nondecreasing 1-D array from t >= 0 to a
+    finite positive end, U0 finite and nonnegative and ``tol`` finite and
     positive; otherwise ValueError is raised.  Nonnegativity is enforced as
     an invariant check, not a projection: an excursion below -1e-8 raises
     InvariantViolation; smaller round-off dips are clamped to zero in the
-    reported states and in ``Trajectory.at`` only.
+    reported states only.  ``Trajectory.stats`` counts the run's steps.
     """
-    U0 = _checked_start(model, U0, t_end, "t_end", tol)
-    run = _nonnegative(_dopri5(_kinetic_rhs(model), U0, t_end, tol, keep_from=0.0), "state")
-    return Trajectory(run.t, np.maximum(run.y, 0.0), run.dense)
+    times = np.asarray(times, dtype=float)
+    ordered = times.ndim == 1 and times.size > 0 and bool(np.all(np.diff(times) >= 0.0))
+    if not (ordered and times[0] >= 0.0):  # also false for a NaN
+        raise ValueError("times must be a nonempty, nondecreasing 1-D array from t >= 0")
+    U0 = _checked_start(model, U0, times[-1], "the last time", tol)
+    run = _nonnegative(_dopri5(_kinetic_rhs(model), U0, times[-1], tol, t_eval=times), "state")
+    return Trajectory(times, np.maximum(run.samples.T, 0.0), run.stats)
 
 
 @dataclass(frozen=True)
@@ -443,10 +401,14 @@ class OrbitAnalysis:
     solver: dict[str, SolverStats] = field(default_factory=dict)
 
 
-def _is_settled(model, dense, t_hi):
-    ts = np.linspace(max(0.0, t_hi - (SETTLE_SAMPLES - 1)), t_hi, SETTLE_SAMPLES)
-    states = dense(ts)
-    norms = np.linalg.norm(reaction(model, states), axis=0)
+def _settle_times(t_hi):
+    """The SETTLE_SAMPLES unit-spaced times up to t_hi that ``_is_settled`` reads."""
+    return np.linspace(max(0.0, t_hi - (SETTLE_SAMPLES - 1)), t_hi, SETTLE_SAMPLES)
+
+
+def _is_settled(model, run):
+    """Whether ||f|| stays below SETTLE_TOL at the run's ``_settle_times`` samples."""
+    norms = np.linalg.norm(reaction(model, run.samples), axis=0)
     return bool(np.all(norms < SETTLE_TOL))
 
 
@@ -485,13 +447,11 @@ def detect_limit_cycle(model: CompetitionModel, U0, max_time: float = DEFAULT_MA
     U0 = _checked_start(model, U0, max_time, "max_time", tol)
     rhs = _kinetic_rhs(model)
     t_half = max_time / 2.0
-    # _is_settled samples the last SETTLE_SAMPLES - 1 time units; one more
-    # unit keeps the step that contains the first sample
-    transient = _nonnegative(_dopri5(rhs, U0, t_half, tol, keep_from=t_half - SETTLE_SAMPLES),
+    transient = _nonnegative(_dopri5(rhs, U0, t_half, tol, t_eval=_settle_times(t_half)),
                              "transient")
     solver = {"transient": transient.stats}
-    anchor0 = transient.y[-1]
-    if _is_settled(model, transient.dense, t_half):
+    anchor0 = transient.y
+    if _is_settled(model, transient):
         label = _settled_equilibrium_label(model, anchor0)
         if label is None:
             return OrbitAnalysis("undetermined", reason="settled-off-sink", solver=solver)
@@ -500,7 +460,7 @@ def detect_limit_cycle(model: CompetitionModel, U0, max_time: float = DEFAULT_MA
     velocity = reaction(model, anchor0)
     normal = velocity / np.linalg.norm(velocity)
     span = max_time - t_half
-    run = _nonnegative(_dopri5(rhs, anchor0, span, tol, keep_from=span - SETTLE_SAMPLES,
+    run = _nonnegative(_dopri5(rhs, anchor0, span, tol, t_eval=_settle_times(span),
                                events=[(normal, anchor0, 1, False)]), "section")
     solver["section"] = run.stats
     t_cross = run.t_events[0]
@@ -525,15 +485,15 @@ def detect_limit_cycle(model: CompetitionModel, U0, max_time: float = DEFAULT_MA
         period, anchor, crossings = hit
         one_period = _nonnegative(_dopri5(rhs, anchor, period, tol), "closure")
         solver["closure"] = one_period.stats
-        if np.linalg.norm(one_period.y[-1] - anchor) < RETURN_STATE_TOL:
+        if np.linalg.norm(one_period.y - anchor) < RETURN_STATE_TOL:
             mono, solver["monodromy"] = _monodromy_matrix(model, anchor, period,
                                                           np.zeros(model.n), tol)
             return OrbitAnalysis("periodic", period, anchor, mono, _multipliers(mono),
                                  crossing_times=crossings, solver=solver)
         reason = "closure-failed"
 
-    if _is_settled(model, run.dense, span):
-        label = _settled_equilibrium_label(model, run.y[-1])
+    if _is_settled(model, run):
+        label = _settled_equilibrium_label(model, run.y)
         if label is not None:
             return OrbitAnalysis("converged", converged_to=label, solver=solver)
         reason = "settled-off-sink"
@@ -550,7 +510,7 @@ def _monodromy_matrix(model, anchor, period, lam_d, tol):
     y0 = np.concatenate([anchor, np.eye(n).ravel()])
     run = _nonnegative(_dopri5(_variational_rhs(model, lam_d), y0, period, tol, densities=n),
                        "monodromy")
-    return run.y[-1, n:].reshape(n, n), run.stats
+    return run.y[n:].reshape(n, n), run.stats
 
 
 def _multipliers(mono):

@@ -90,14 +90,16 @@ class Domain1D:
 
 
 def _cells(domain: Domain1D):
-    """The grid's one cell geometry: (volumes, areas, rim).
+    """The grid's one cell geometry: (volumes, areas, root_rim).
 
     ``areas[k]`` is r^(m-1) at the face r_k+1/2 between nodes k and k + 1,
     and ``volumes[i]`` the measure over h of node i's cell between its
     faces, both relative to the rim face r_N+1/2, whose physical r^(m-1) is
-    ``rim`` (inf where it overflows).  An interval has unit areas and the
-    trapezoid volumes [1/2, 1, ..., 1, 1/2].  Radial volumes are exact,
-    the centre's a half cell, and the rim's areas[N] / 2, as the
+    ``root_rim`` squared.  ``root_rim`` is taken directly as the power
+    (m - 1) / 2, so it stays finite wherever a gradient norm, about
+    r^((m-1)/2), does, even where r^(m-1) overflows.  An interval has unit
+    areas and the trapezoid volumes [1/2, 1, ..., 1, 1/2].  Radial volumes
+    are exact, the centre's a half cell, and the rim's areas[N] / 2, as the
     mirror-ghost Neumann row implies.  Powers are of ratios to the rim, so
     none leaves the float range; where the volumes' span, about
     2m (2N + 1)^(m-1), does (m = 150 at N = 64), ValueError is raised
@@ -123,8 +125,8 @@ def _cells(domain: Domain1D):
     volumes[1:-1] = areas[1:] * (-np.expm1(m * np.log1p(-1.0 / face[1:])) * face[1:] / m)
     volumes[-1] = 0.5 * areas[-1]
     with np.errstate(over="ignore"):
-        rim = (domain.h * face[-1]) ** (m - 1)
-    return volumes, areas, rim
+        root_rim = (domain.h * face[-1]) ** ((m - 1) / 2)
+    return volumes, areas, root_rim
 
 
 def _laplacian_diagonals(domain: Domain1D, cells=None):
@@ -135,10 +137,15 @@ def _laplacian_diagonals(domain: Domain1D, cells=None):
     the mirror-ghost Neumann rows, the regularized radial centre row
     2m (u1 - u0) / h^2, and interior rows second order with positive
     couplings, self-adjoint in the volume-weighted product.  Dirichlet
-    boundary rows are zero: those values are pinned.
+    boundary rows are zero: those values are pinned.  A spacing h whose
+    1 / h^2 leaves the float range raises ValueError.
     """
     volumes, areas, _ = _cells(domain) if cells is None else cells
-    inv_h2 = 1.0 / (domain.h * domain.h)
+    h2 = domain.h * domain.h
+    if not h2 * sys.float_info.max >= 1.0:  # 1 / h^2 would overflow, or h^2 is 0
+        raise ValueError(f"the grid spacing h = {domain.h:g} is too small: "
+                         "1 / h^2 leaves the float range")
+    inv_h2 = 1.0 / h2
     faces = np.concatenate(([0.0], areas, [0.0]))  # no flux beyond the ends
     sub = inv_h2 * (faces[:-1] / volumes)
     sup = inv_h2 * (faces[1:] / volumes)
@@ -202,13 +209,14 @@ def flatness(field: Field) -> float:
     return float(_oscillation(field.values))
 
 
-def _grad_sq_sum(domain: Domain1D, values: np.ndarray) -> np.ndarray:
+def _grad_norm(domain: Domain1D, values: np.ndarray) -> np.ndarray:
     # over the last two axes, so one field (n, G) or a stack of them (S, n, G)
-    _, areas, rim = _cells(domain)
+    _, areas, root_rim = _cells(domain)
     g = np.diff(values, axis=-1) / domain.h
-    w = areas * (domain.h * rim)
-    # each field is summed as one contiguous row, whatever the stack's shape
-    return (g * g * w).reshape(values.shape[:-2] + (-1,)).sum(axis=-1)
+    w = areas * domain.h
+    # each field is summed as one contiguous row, whatever the stack's shape;
+    # the rim factor is applied outside the sum, as its square root
+    return np.sqrt((g * g * w).reshape(values.shape[:-2] + (-1,)).sum(axis=-1)) * root_rim
 
 
 def grad_l2_norm(field: Field) -> float:
@@ -217,7 +225,7 @@ def grad_l2_norm(field: Field) -> float:
     Forward differences live on the faces, weighted by h times the
     ``_cells`` face area (r^(m-1) on a radial grid).
     """
-    return float(np.sqrt(_grad_sq_sum(field.domain, field.values)))
+    return float(_grad_norm(field.domain, field.values))
 
 
 @dataclass(frozen=True)
@@ -252,7 +260,7 @@ class PdeTrajectory:
 
     def grad_l2_norms(self) -> np.ndarray:
         """grad_l2_norm of every snapshot, shape (S,)."""
-        return np.sqrt(_grad_sq_sum(self.domain, self.fields))
+        return _grad_norm(self.domain, self.fields)
 
 
 def default_dt(domain: Domain1D, model: CompetitionModel) -> float:
@@ -260,8 +268,17 @@ def default_dt(domain: Domain1D, model: CompetitionModel) -> float:
     return min(1e-2, h * h / (2.0 * float(model.d.max())) * 10.0)
 
 
+# Steps merge once the split steps have damped the stiffest diffusion mode to
+# this fraction of its t = 0 amplitude.  For rough data, such as the O(0.1)
+# jump a pinned node makes, that leaves stiff modes of about 1e-9, below
+# the scheme's own error at that time: on a radial Dirichlet disk (N = 2048,
+# dt = 1e-3) the merged and split runs agree with a dt = 1e-4 run to two
+# digits from t = 0.01 through t = 1.
+STIFF_DAMPING = 1e-8
+
+
 def _cn_steps(domain: Domain1D, d: np.ndarray, dt: float):
-    """The Crank-Nicolson solves of a step dt: (half step, whole step).
+    """The Crank-Nicolson solves of a step dt and the split start: (half, whole, split).
 
     The half step is u -> (I - cL)^-1 (I + cL) u with c = d dt / 4, the whole
     step the same map with c = d dt / 2; each matrix is factored here once.
@@ -277,6 +294,15 @@ def _cn_steps(domain: Domain1D, d: np.ndarray, dt: float):
     is factored by ``dpttrf`` and 2 T^-1 u = M^-1 (V u); the one row V, at
     most 1, serves every species block and both matrices.  A step so large
     that M overflows raises ValueError.
+
+    ``split`` is how many steps evolve keeps split before it merges half
+    steps.  Two CN half steps multiply a mode of z = dt d |lambda| by r^2,
+    with r = (1 - z/4) / (1 + z/4); one CN(dt) step multiplies it by
+    (1 - z/2) / (1 + z/2), which tends to -1 as z grows, so a merged step
+    barely damps the stiff modes that rough t = 0 data carries.  The run
+    stays split until r^2 to the power of the step count falls to
+    STIFF_DAMPING on the stiffest mode, whose z is bounded by Gershgorin:
+    z = dt max(d) max_i (|sub_i| + |main_i| + |sup_i|).
     """
     from scipy.linalg.lapack import dpttrf, dpttrs
 
@@ -310,37 +336,15 @@ def _cn_steps(domain: Domain1D, d: np.ndarray, dt: float):
         return step
 
     c = (d * (dt / 4.0))[:, None]
-    return solver(c), solver(2.0 * c)
-
-
-# Steps merge once the split steps have damped the stiffest diffusion mode to
-# this fraction of its t = 0 amplitude.  For rough data, such as the O(0.1)
-# jump a pinned node makes, that leaves stiff modes of about 1e-9, below
-# the scheme's own error at that time: on a radial Dirichlet disk (N = 2048,
-# dt = 1e-3) the merged and split runs agree with a dt = 1e-4 run to two
-# digits from t = 0.01 through t = 1.
-STIFF_DAMPING = 1e-8
-
-
-def _split_steps(domain: Domain1D, d: np.ndarray, dt: float) -> int:
-    """How many steps evolve keeps split before it merges half steps.
-
-    Two CN half steps multiply a mode of z = dt d |lambda| by r^2, with
-    r = (1 - z/4) / (1 + z/4); one CN(dt) step multiplies it by
-    (1 - z/2) / (1 + z/2), which tends to -1 as z grows, so a merged step
-    barely damps the stiff modes that rough t = 0 data carries.  The run
-    stays split until r^2 to the power of the step count falls to
-    STIFF_DAMPING on the stiffest mode, whose z is bounded by Gershgorin:
-    z = dt max(d) max_i (|sub_i| + |main_i| + |sup_i|).
-    """
-    sub, main, sup = _laplacian_diagonals(domain)
     z = dt * float(np.max(d)) * float(np.max(np.abs(sub) + np.abs(main) + np.abs(sup)))
     r2 = ((1.0 - z / 4.0) / (1.0 + z / 4.0)) ** 2
     if r2 == 0.0:  # z = 4: the half step annihilates the stiffest mode
-        return 0
-    if not r2 < 1.0:  # z below rounding, or overflowed: the mode is never damped
-        return sys.maxsize
-    return math.ceil(math.log(STIFF_DAMPING) / math.log(r2))
+        split = 0
+    elif not r2 < 1.0:  # z below rounding, or overflowed: the mode is never damped
+        split = sys.maxsize
+    else:
+        split = math.ceil(math.log(STIFF_DAMPING) / math.log(r2))
+    return solver(c), solver(2.0 * c), split
 
 
 def _rk4_reaction_step(a: np.ndarray, dt: float, shape):
@@ -393,12 +397,12 @@ def evolve(model: CompetitionModel, domain: Domain1D, phi: Field, t_end: float,
     full RK4 kinetics step (pointwise, species-coupled).  A step whose state
     is not recorded (no probe sample, no snapshot, not the last step) leaves
     its closing half step to the next step, which does both in one
-    Crank-Nicolson solve of dt, except in the first ``_split_steps`` steps,
-    which damp the stiffest diffusion mode to STIFF_DAMPING of its t = 0
-    amplitude (78 steps for the reference model on an N = 2048 disk at
-    dt = 1e-3).  The half-step and whole-step matrices are factored once
-    per call (symmetric positive definite ``dpttrf`` after weighting rows by
-    the cell volumes, on every domain), so each diffusion solve is one
+    Crank-Nicolson solve of dt, except in the split start that ``_cn_steps``
+    counts, whose steps damp the stiffest diffusion mode to STIFF_DAMPING of
+    its t = 0 amplitude (78 steps for the reference model on an N = 2048
+    disk at dt = 1e-3).  The half-step and whole-step matrices are factored
+    once per call (symmetric positive definite ``dpttrf`` after weighting rows
+    by the cell volumes, on every domain), so each diffusion solve is one
     LAPACK tridiagonal solve over every species at once between two
     elementwise passes.  The RK4 step runs in place on buffers allocated
     once per call, with the stage sizes folded into the stage products: per
@@ -459,8 +463,7 @@ def evolve(model: CompetitionModel, domain: Domain1D, phi: Field, t_end: float,
     nsteps = max(1, round(t_end / dt))
     dt = t_end / nsteps
 
-    half_diffusion, diffusion = _cn_steps(domain, model.d, dt)
-    split_steps = _split_steps(domain, model.d, dt)
+    half_diffusion, diffusion, split_steps = _cn_steps(domain, model.d, dt)
 
     if probes is None:
         probes = domain.length * np.asarray(DEFAULT_PROBE_FRACTIONS)

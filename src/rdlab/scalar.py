@@ -155,8 +155,8 @@ def dirichlet_steady_profile(L: float, D: float) -> SteadyProfile | None:
 
     half = np.linspace(0.0, L / 2.0, (PROFILE_POINTS + 1) // 2)
     # tol 1e-10 runs at rtol 1e-10 and atol 1e-12
-    run = _dopri5(rhs, np.array([mu_star, 0.0]), L / 2.0, 1e-10, keep_from=0.0)
-    right, right_slope = run.dense(half)
+    right, right_slope = _dopri5(rhs, np.array([mu_star, 0.0]), L / 2.0, 1e-10,
+                                 t_eval=half).samples
     u = np.concatenate([right[:0:-1], right])
     u[0] = 0.0
     u[-1] = 0.0
@@ -183,9 +183,10 @@ def radial_shoot(c: float, D: float, R: float, m: int = 2, samples: int = 1000) 
     The removable singularity at the center is handled by the regularized
     limit u''(0) = -c(1-c)/(m D).  Integration stops at the first zero of u
     (outcome 'hit-zero' with the event radius), when u reaches 1e6
-    ('blow-up'), or at radius R ('stayed-positive').  ``c``, ``D`` and ``R``
-    must be finite and positive and ``samples`` at least 2; otherwise
-    ValueError is raised.
+    ('blow-up'), or at radius R ('stayed-positive').  The profile is
+    sampled at ``samples`` radii from 0 to that stop by a second run, which
+    takes the same steps.  ``c``, ``D`` and ``R`` must be finite and
+    positive and ``samples`` at least 2; otherwise ValueError is raised.
     """
     for name, value in (("center amplitude c", c), ("D", D), ("R", R)):
         _require_finite_positive(name, value)
@@ -208,9 +209,11 @@ def radial_shoot(c: float, D: float, R: float, m: int = 2, samples: int = 1000) 
         (u_axis, np.zeros(2), -1, True),  # hit zero
         (u_axis, np.array([BLOWUP_THRESHOLD, 0.0]), 1, True),  # blow up
     ]
-    # tol 1e-8 runs at rtol 1e-8 and atol 1e-10
-    run = _dopri5(rhs, np.array([c, 0.0]), float(R), 1e-8, keep_from=0.0, events=events)
-    zero_events, blow_events = run.t_events
+    def shoot(t_eval=()):
+        # tol 1e-8 runs at rtol 1e-8 and atol 1e-10
+        return _dopri5(rhs, np.array([c, 0.0]), float(R), 1e-8, t_eval=t_eval, events=events)
+
+    zero_events, blow_events = shoot().t_events
     if blow_events.size:
         outcome, first_zero = "blow-up", None
         r_stop = float(blow_events[0])
@@ -220,6 +223,8 @@ def radial_shoot(c: float, D: float, R: float, m: int = 2, samples: int = 1000) 
     else:
         outcome, first_zero = "stayed-positive", None
         r_stop = R
+    # where the run stops is known only once it has run: a second run takes
+    # the same steps and roots and samples them
     rr = np.linspace(0.0, r_stop, samples)
-    uu, up = run.dense(rr)
+    uu, up = shoot(rr).samples
     return ShootResult(outcome, first_zero, rr, uu, up)

@@ -16,7 +16,7 @@ import pytest
 from rdlab import cli, emit
 from rdlab.cli import main
 from rdlab.errors import ConfigError
-from rdlab.kinetics import OrbitAnalysis, StabilityVerdict
+from rdlab.kinetics import OrbitAnalysis, StabilityVerdict, integrate
 from rdlab.model import load_model
 from rdlab.scalar import dirichlet_steady_profile, radial_shoot, time_map
 from test_emit import _csv_reference
@@ -171,6 +171,12 @@ class TestOde:
         assert report["final_region"] == "A"
         _, rows = _csv_rows(out / "trajectory.csv")
         assert len(rows) == 501
+        # the trajectory leg's counters, as the library reports them (tol 1e-9)
+        traj = integrate(cli._reference_model(), payload["U0"], np.linspace(0.0, 50.0, 501),
+                         tol=1e-9)
+        assert report["solver"] == vars(traj.stats)
+        assert report["solver"]["nfev"] == 2 + 6 * (traj.stats.accepted_steps
+                                                    + traj.stats.rejected_steps)
 
     def test_converging_orbit_still_exits_zero(self, tmp_path):
         payload = {
@@ -192,7 +198,7 @@ class TestOde:
 
     def test_round_off_dips_are_clamped_in_the_trajectory(self, tmp_path):
         # u2 wins, u1 dies out, and the interpolant between steps dips below
-        # zero by round-off; the samples are clamped as Trajectory.states is
+        # zero by round-off; the samples are clamped, as integrate clamps them
         payload = {"model": {"a": [[1, 2], [0.5, 1]], "d": [1, 1]}, "U0": [0.5, 0.5],
                    "t_end": 200}
         rc, out = _run(tmp_path, "ode", payload)
@@ -274,6 +280,22 @@ class TestPde:
         assert rc == 0
         _, rows = _csv_rows(out / "averages.csv")
         assert np.all(np.isfinite(np.array(rows, dtype=float)))
+
+    def test_radial_gradient_norm_at_large_m_and_radius_is_finite(self, tmp_path):
+        # r^(m-1) overflows at the rim, but the norm, about r^((m-1)/2), does not
+        payload = {
+            "model": {"a": [[1.0]], "d": [0.1]},
+            "domain": {"kind": "radial", "length": 1000.0, "N": 64, "bc": "neumann", "m": 120},
+            "phi": {"poly": [[0.5, 0.0, 3e-8, -2e-11]]},  # zero slope at 0 and 1000
+            "t_end": 0.01,
+            "dt": 1e-3,
+            "decay_window": [0.0, 0.01],
+        }
+        rc, out = _run(tmp_path, "pde", payload)
+        assert rc == 0
+        _, rows = _csv_rows(out / "decay.csv")
+        grads = np.array(rows, dtype=float)[:, 1]
+        assert grads.size > 0 and np.all(np.isfinite(grads)) and np.all(grads > 1e150)
 
 
 class TestFloquet:
@@ -762,6 +784,11 @@ class TestConfigBoundary:
             ("pde", {"model": {"a": [[1.0]], "d": [16.0]}, "phi": {"constant": [0.5]},
                      "domain": {"kind": "interval", "length": 1.0, "N": 8, "bc": "neumann"},
                      "t_end": 1e307, "dt": 1e307}, "Crank-Nicolson matrix of step 1e+307"),
+            # h^2 underflows to 0 at this length, on an interval and on a disk
+            *(("pde", {"model": {"a": [[1.0]], "d": [0.1]}, "phi": {"constant": [0.5]},
+                       "domain": {"kind": kind, "length": 1e-170, "N": 64, "bc": "neumann"},
+                       "t_end": 0.01, "dt": 1e-3}, "1 / h^2 leaves the float range")
+              for kind in ("interval", "radial")),
         ],
     )
     def test_rejected_config_leaves_output_empty(self, tmp_path, capsys, command, payload, key):

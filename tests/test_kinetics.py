@@ -67,20 +67,6 @@ def _scipy_rk45(fun, t_end, y0, tol, **kw):
                      rtol=tol, atol=tol * 1e-2, **kw)
 
 
-def _assert_order_free_dense_output(dense, sol, t):
-    """The dense output equals scipy's on a shuffled copy of t and at one scalar.
-
-    t holds many times per step.  They are not contiguous in a shuffled
-    copy, so this holds the interpolant to evaluating each step's times
-    together, in one product, and to returning them in input order.
-    """
-    shuffled = np.random.default_rng(0).permutation(t)
-    assert np.array_equal(dense(shuffled), sol(shuffled))
-    middle = float(t[t.size // 2])
-    assert dense(middle).shape == sol(middle).shape
-    assert np.array_equal(dense(middle), sol(middle))
-
-
 def _scipy_events(events):
     """solve_ivp event functions for ``_dopri5``'s (w, p, direction, terminal) events."""
     functions = []
@@ -103,15 +89,16 @@ def _assert_roots_match_scipy(run, ref, events, f):
     """Root counts and order as solve_ivp's, each time within the rounding bound.
 
     Each recorded state must be the reference dense output at its root, bit
-    for bit.  ``f(t, y)`` is the vector field, so g' = w . f.
+    for bit.  ``f(t, y)`` is the vector field, so g' = w . f.  The bound
+    reads the root's step ends from ``ref``: the parity contract makes
+    scipy's steps the run's own.
     """
     assert [te.size for te in run.t_events] == [te.size for te in ref.t_events]
     for (w, p, _, _), times, states, ref_times in zip(events, run.t_events, run.y_events,
                                                      ref.t_events):
         for t, y, t_ref in zip(times, states, ref_times):
-            k = min(np.searchsorted(run.t, t, side="right") - 1, run.t.size - 2)
-            assert run.t[k] <= t <= run.t[k + 1]  # the run kept the root's step
-            size = max(np.abs(w).dot(np.abs(run.y[j] - p)) for j in (k, k + 1))
+            k = min(np.searchsorted(ref.t, t, side="right") - 1, ref.t.size - 2)
+            size = max(np.abs(w).dot(np.abs(ref.y[:, j] - p)) for j in (k, k + 1))
             bound = ROOT_ROUNDING * np.finfo(float).eps * size / abs(w.dot(f(t, y)))
             assert abs(t - t_ref) <= bound, (t, t_ref, bound)
             assert np.array_equal(y, ref.sol(t))
@@ -120,6 +107,10 @@ def _assert_roots_match_scipy(run, ref, events, f):
 class TestDopri5MatchesScipy:
     """``_dopri5`` must reproduce solve_ivp's RK45 bit for bit (np.array_equal).
 
+    A run returns its final time and state, its counters, its roots and
+    its samples; the samples are compared with solve_ivp's dense output at
+    scipy's own step ends, between them and inside a last step cut by a
+    terminal root, so every step's time, length, state and stages enter.
     Event roots are the exception: they come from the step's quartic, not
     from brentq, and agree with solve_ivp's within ``ROOT_ROUNDING``.
 
@@ -131,17 +122,16 @@ class TestDopri5MatchesScipy:
     def test_plain_run(self, reference_kinetics):
         ref = _scipy_rk45(lambda y: reaction(reference_kinetics, y), 300.0, PINNED, 1e-7,
                           dense_output=True)
-        run = _dopri5(_kinetic_rhs(reference_kinetics), PINNED, 300.0, 1e-7, keep_from=0.0)
-        assert np.array_equal(run.t, ref.t)
-        assert np.array_equal(run.y, ref.y.T)
+        # step ends and times between them, many per step
+        t = np.sort(np.concatenate([np.linspace(0.0, 300.0, 2001), ref.t, [150.0]]))
+        run = _dopri5(_kinetic_rhs(reference_kinetics), PINNED, 300.0, 1e-7, t_eval=t)
+        assert run.t == ref.t[-1] == 300.0
+        assert np.array_equal(run.y, ref.y[:, -1])
         assert run.stats.nfev == ref.nfev
         assert run.stats.accepted_steps == ref.t.size - 1
         assert run.stats.rejected_steps > 0
         assert run.stats.min_state == ref.y.min()
-        # the dense output, at step boundaries and in between
-        t = np.concatenate([np.linspace(0.0, 300.0, 2001), ref.t, [150.0]])
-        assert np.array_equal(run.dense(t), ref.sol(t))
-        assert np.array_equal(run.dense(150.0), ref.sol(150.0))
+        assert np.array_equal(run.samples, ref.sol(t))
 
     def test_section_events(self, reference_kinetics):
         anchor = _scipy_rk45(lambda y: reaction(reference_kinetics, y), 600.0, PINNED,
@@ -151,28 +141,18 @@ class TestDopri5MatchesScipy:
         events = [(normal, anchor, 1, False)]
         ref = _scipy_rk45(lambda y: reaction(reference_kinetics, y), 1500.0, anchor, 1e-7,
                           events=_scipy_events(events), dense_output=True)
-        run = _dopri5(_kinetic_rhs(reference_kinetics), anchor, 1500.0, 1e-7,
-                      keep_from=1490.0, events=events)
-        # the roots do not depend on keep_from; the run that keeps every
-        # step locates each root's step for the rounding bound
-        full = _dopri5(_kinetic_rhs(reference_kinetics), anchor, 1500.0, 1e-7,
-                       keep_from=0.0, events=events)
-        assert np.array_equal(run.t_events[0], full.t_events[0])
-        assert np.array_equal(run.y_events[0], full.y_events[0])
+        # the detector's settle times, and a finer tail with many times per step
+        for tail in (np.linspace(1491.0, 1500.0, 10), np.linspace(1491.0, 1500.0, 501)):
+            run = _dopri5(_kinetic_rhs(reference_kinetics), anchor, 1500.0, 1e-7, t_eval=tail,
+                          events=events)
+            assert np.array_equal(run.samples, ref.sol(tail))
         assert ref.t_events[0].size >= 5
         # the start lies on the section: g = 0 exactly, so the root is t = 0
         assert run.t_events[0][0] == ref.t_events[0][0] == 0.0
-        _assert_roots_match_scipy(full, ref, events, lambda t, y: reaction(reference_kinetics, y))
-        # the retained tail: the steps ending at or after 1490, from the
-        # first one's start
-        assert run.t[0] < 1490.0 <= run.t[1]
-        assert np.array_equal(run.t, ref.t[-run.t.size:])
-        assert np.array_equal(run.y, ref.y.T[-run.t.size:])
+        _assert_roots_match_scipy(run, ref, events, lambda t, y: reaction(reference_kinetics, y))
+        assert run.t == 1500.0
+        assert np.array_equal(run.y, ref.y[:, -1])
         assert run.stats.nfev == ref.nfev
-        # the tail interpolant kept for the settle check
-        tail = np.linspace(1491.0, 1500.0, 10)
-        assert np.array_equal(run.dense(tail), ref.sol(tail))
-        _assert_order_free_dense_output(run.dense, ref.sol, np.linspace(1491.0, 1500.0, 501))
 
     def test_non_autonomous_run_with_terminal_event(self):
         # a resonantly forced oscillator: the amplitude grows until the
@@ -190,20 +170,24 @@ class TestDopri5MatchesScipy:
         events = [reach, turning]
         ref = solve_ivp(f, (0.0, 50.0), [0.5, 0.0], method="RK45", rtol=1e-7, atol=1e-9,
                         dense_output=True, events=_scipy_events(events))
-        run = _dopri5(rhs, np.array([0.5, 0.0]), 50.0, 1e-7, keep_from=0.0, events=events)
+        first = _dopri5(rhs, np.array([0.5, 0.0]), 50.0, 1e-7, events=events)
         assert ref.status == 1 and ref.t_events[1].size >= 5
+        assert first.t == first.t_events[0][0] < 50.0
+        # a second run samples up to where the first stopped: inside the cut
+        # last step, evaluated with the quartic of the full step, and across
+        # the steps before it; the cut step also takes the times past the
+        # root, as OdeSolution's last segment does
+        cut = np.linspace(ref.t[-2], first.t, 17)
+        past = first.t + np.array([1e-3, 0.1])
+        t = np.sort(np.concatenate([cut, np.linspace(ref.t[-12], first.t, 501), past]))
+        run = _dopri5(rhs, np.array([0.5, 0.0]), 50.0, 1e-7, t_eval=t, events=events)
+        assert ref.t[-2] < cut[1] and cut[-1] == run.t == first.t
+        assert np.array_equal(run.samples, ref.sol(t))
         _assert_roots_match_scipy(run, ref, events, f)
         # only the last time and state come from the terminal root
-        assert np.array_equal(run.t[:-1], ref.t[:-1])
-        assert np.array_equal(run.y[:-1], ref.y.T[:-1])
         assert run.stats.nfev == ref.nfev
-        assert run.t[-1] == run.t_events[0][0] < 50.0
-        assert np.array_equal(run.y[-1], ref.sol(run.t[-1]))
-        # the cut last step is evaluated with the quartic of the full step
-        t = np.linspace(run.t[-2], run.t[-1], 17)
-        assert np.array_equal(run.dense(t), ref.sol(t))
-        last_steps = np.linspace(run.t[-12], run.t[-1], 501)
-        _assert_order_free_dense_output(run.dense, ref.sol, np.concatenate([t, last_steps]))
+        assert run.stats.accepted_steps == ref.t.size - 1
+        assert np.array_equal(run.y, ref.sol(run.t))
 
     def test_roots_on_one_step_in_time_order_up_to_the_terminal_one(self):
         # y' = 1 steps 10x longer each time, so one step holds all four roots;
@@ -219,35 +203,36 @@ class TestDopri5MatchesScipy:
                   level(5.0, 1, False)]
         ref = solve_ivp(lambda t, y: np.ones(1), (0.0, 10.0), [0.0], method="RK45", rtol=1e-7,
                         atol=1e-9, dense_output=True, events=_scipy_events(events))
-        run = _dopri5(rhs, np.zeros(1), 10.0, 1e-7, keep_from=0.0, events=events)
+        run = _dopri5(rhs, np.zeros(1), 10.0, 1e-7, events=events)
         assert ref.status == 1
         assert [te.size for te in ref.t_events] == [0, 1, 1, 0]
         _assert_roots_match_scipy(run, ref, events, lambda t, y: np.ones(1))
-        assert run.t_events[2][0] < run.t_events[1][0] == run.t[-1]
-        assert np.array_equal(run.t[:-1], ref.t[:-1])
+        assert run.t_events[2][0] < run.t_events[1][0] == run.t
+        assert run.stats.accepted_steps == ref.t.size - 1
         assert run.stats.nfev == ref.nfev
 
     def test_a_root_on_a_step_end_is_that_step_end(self, reference_kinetics):
         # a section through the state at the end of step k: the event's value
         # there is exactly 0, while the step's quartic at the step end may
-        # round to the other side of the section
+        # round to the other side of the section.  The step ends are scipy's,
+        # which the parity contract makes the run's own
         rhs = _kinetic_rhs(reference_kinetics)
-        free = _dopri5(rhs, PINNED, 50.0, 1e-7, keep_from=0.0)
+        ref = _scipy_rk45(lambda y: reaction(reference_kinetics, y), 50.0, PINNED, 1e-7)
+        free = _dopri5(rhs, PINNED, 50.0, 1e-7)
         for k in range(5, 60):
-            velocity = reaction(reference_kinetics, free.y[k])
-            events = [(velocity / np.linalg.norm(velocity), free.y[k], 1, False)]
-            run = _dopri5(rhs, PINNED, 50.0, 1e-7, keep_from=0.0, events=events)
-            assert np.array_equal(run.t, free.t), k
-            assert free.t[k] in run.t_events[0], k
+            velocity = reaction(reference_kinetics, ref.y[:, k])
+            events = [(velocity / np.linalg.norm(velocity), ref.y[:, k], 1, False)]
+            run = _dopri5(rhs, PINNED, 50.0, 1e-7, events=events)
+            assert run.stats == free.stats, k
+            assert ref.t[k] in run.t_events[0], k
 
     def test_t_eval_samples(self, reference_kinetics):
-        # the closure run of detect_limit_cycle samples its dense output where
-        # solve_ivp would evaluate t_eval step by step; both give the same bits
+        # the run samples where solve_ivp evaluates t_eval step by step
         t_eval = np.linspace(0.0, 207.7, 401)
         ref = _scipy_rk45(lambda y: reaction(reference_kinetics, y), 207.7, PINNED, 1e-7,
                           t_eval=t_eval)
-        run = _dopri5(_kinetic_rhs(reference_kinetics), PINNED, 207.7, 1e-7, keep_from=0.0)
-        assert np.array_equal(run.dense(t_eval), ref.y)
+        run = _dopri5(_kinetic_rhs(reference_kinetics), PINNED, 207.7, 1e-7, t_eval=t_eval)
+        assert np.array_equal(run.samples, ref.y)
 
     def test_variational_system(self, reference_model):
         model = reference_model
@@ -259,53 +244,68 @@ class TestDopri5MatchesScipy:
             return np.concatenate([reaction(model, U), ((jacobian(model, U) - shift) @ X).ravel()])
 
         y0 = np.concatenate([PINNED, np.eye(n).ravel()])
-        ref = _scipy_rk45(fun, 100.0, y0, 1e-7)
+        ref = _scipy_rk45(fun, 100.0, y0, 1e-7, dense_output=True)
+        t = np.linspace(0.0, 100.0, 101)
         run = _dopri5(_variational_rhs(model, np.pi**2 * model.d), y0, 100.0, 1e-7,
-                      densities=n, keep_from=0.0)
-        assert np.array_equal(run.t, ref.t)
-        assert np.array_equal(run.y, ref.y.T)
+                      t_eval=t, densities=n)
+        assert run.t == 100.0
+        assert np.array_equal(run.y, ref.y[:, -1])
+        assert np.array_equal(run.samples, ref.sol(t))
         assert run.stats.nfev == ref.nfev
+        assert run.stats.accepted_steps == ref.t.size - 1
         assert run.stats.min_state == ref.y[:n].min()
 
     def test_clipped_last_step(self, reference_kinetics):
-        rhs = _kinetic_rhs(reference_kinetics)
-        free = _dopri5(rhs, PINNED, 300.0, 1e-7, keep_from=0.0)
+        free = _scipy_rk45(lambda y: reaction(reference_kinetics, y), 300.0, PINNED, 1e-7)
         k = free.t.size // 2
         t_end = 0.5 * (free.t[k] + free.t[k + 1])  # inside a step the free run takes
-        ref = _scipy_rk45(lambda y: reaction(reference_kinetics, y), t_end, PINNED, 1e-7)
-        run = _dopri5(rhs, PINNED, t_end, 1e-7, keep_from=0.0)
-        assert run.t[-1] == t_end
-        assert run.t[-1] - run.t[-2] < free.t[k + 1] - free.t[k]
-        assert np.array_equal(run.t, ref.t)
-        assert np.array_equal(run.y, ref.y.T)
+        ref = _scipy_rk45(lambda y: reaction(reference_kinetics, y), t_end, PINNED, 1e-7,
+                          dense_output=True)
+        assert ref.t[-1] - ref.t[-2] < free.t[k + 1] - free.t[k]
+        t = np.linspace(ref.t[-3], t_end, 17)  # over the clipped step and the one before
+        run = _dopri5(_kinetic_rhs(reference_kinetics), PINNED, t_end, 1e-7, t_eval=t)
+        assert run.t == t_end
+        assert np.array_equal(run.y, ref.y[:, -1])
+        assert np.array_equal(run.samples, ref.sol(t))
         assert run.stats.nfev == ref.nfev
+        assert run.stats.accepted_steps == ref.t.size - 1
 
 
-class TestKeptSteps:
-    """``keep_from`` decides what a run keeps, and nothing else."""
+class TestSampleTimes:
+    """``t_eval`` decides what a run samples, and nothing else."""
 
-    def test_counters_and_end_do_not_depend_on_keep_from(self, reference_kinetics):
+    def test_counters_end_and_roots_do_not_depend_on_t_eval(self, reference_kinetics):
         rhs = _kinetic_rhs(reference_kinetics)
-        full = _dopri5(rhs, PINNED, 200.0, 1e-7, keep_from=0.0)
-        tail = _dopri5(rhs, PINNED, 200.0, 1e-7, keep_from=100.0)
-        none = _dopri5(rhs, PINNED, 200.0, 1e-7)
-        for run in (tail, none):
-            assert run.stats == full.stats
-            assert run.t[-1] == full.t[-1] == 200.0
-            assert np.array_equal(run.y[-1], full.y[-1])
-        # min_state covers the steps the tail and the bare run dropped (here
-        # the start)
-        assert none.stats.min_state == full.y.min() == PINNED.min() < tail.y.min()
-        # the tail is the same steps of the full run, bit for bit, from the
-        # start of the first step that ends at or after keep_from
-        m = tail.t.size
-        assert 1 < m < full.t.size and tail.t[0] < 100.0 <= tail.t[1]
-        assert np.array_equal(tail.t, full.t[-m:])
-        assert np.array_equal(tail.y, full.y[-m:])
-        t = np.linspace(tail.t[0], 200.0, 301)
-        assert np.array_equal(tail.dense(t), full.dense(t))
-        # keeping nothing leaves the final time and state alone
-        assert none.t.shape == (1,) and none.y.shape == (1, 3) and none.dense is None
+        events = [(np.array([1.0, 0.0, 0.0]), np.array([0.2, 0.0, 0.0]), 0, False)]
+        bare = _dopri5(rhs, PINNED, 200.0, 1e-7, events=events)
+        assert bare.samples.shape == (3, 0) and bare.t_events[0].size >= 10
+        # min_state covers every step, sampled or not (here the start)
+        assert bare.stats.min_state == PINNED.min()
+        for t in (np.linspace(0.0, 200.0, 2001), np.linspace(100.0, 200.0, 7), [200.0],
+                  [0.0, 0.0, 50.0, 50.0]):
+            run = _dopri5(rhs, PINNED, 200.0, 1e-7, t_eval=t, events=events)
+            assert run.stats == bare.stats
+            assert run.t == bare.t == 200.0
+            assert np.array_equal(run.y, bare.y)
+            assert np.array_equal(run.t_events[0], bare.t_events[0])
+            assert np.array_equal(run.y_events[0], bare.y_events[0])
+            assert run.samples.shape == (3, len(t))
+
+    def test_a_terminal_root_takes_the_times_left_over(self):
+        # a second run that samples up to the first run's terminal root stops
+        # at the same root, after the same steps
+        def rhs(t, y, out):
+            out[0], out[1] = y[1], -y[0] + np.sin(t)
+            return out
+
+        events = [(np.array([1.0, 0.0]), np.array([6.0, 0.0]), 1, True)]
+        first = _dopri5(rhs, np.array([0.5, 0.0]), 50.0, 1e-7, events=events)
+        t = np.linspace(0.0, first.t, 1000)
+        run = _dopri5(rhs, np.array([0.5, 0.0]), 50.0, 1e-7, t_eval=t, events=events)
+        assert run.stats == first.stats and run.t == first.t < 50.0
+        assert np.array_equal(run.y, first.y)
+        assert np.array_equal(run.t_events[0], first.t_events[0])
+        assert run.samples[0, -1] == pytest.approx(6.0, abs=1e-12)
 
 
 class TestQuarticRoot:
@@ -350,21 +350,44 @@ class TestIntegrate:
         # single species: u' = u(1 - u) solves to u0 e^t / (1 + u0 (e^t - 1))
         model = CompetitionModel(a=np.array([[1.0]]), d=np.ones(1))
         u0 = 0.07
-        traj = integrate(model, np.array([u0]), 8.0, tol=1e-11)
         t = np.linspace(0.0, 8.0, 200)
+        traj = integrate(model, np.array([u0]), t, tol=1e-11)
         exact = u0 * np.exp(t) / (1.0 + u0 * (np.exp(t) - 1.0))
-        assert np.max(np.abs(traj.at(t)[0] - exact)) < 1e-6
+        assert np.max(np.abs(traj.states[:, 0] - exact)) < 1e-6
 
     def test_equilibrium_is_stationary(self, reference_kinetics):
         P1 = condition_report(reference_kinetics).interior_point
-        traj = integrate(reference_kinetics, P1, 100.0, tol=1e-10)
+        traj = integrate(reference_kinetics, P1, np.linspace(0.0, 100.0, 101), tol=1e-10)
         drift = np.max(np.abs(traj.states - P1[None, :]))
         assert drift < 1e-9
 
-    def test_dense_output_matches_samples(self, reference_kinetics):
-        traj = integrate(reference_kinetics, np.array([0.2, 0.1, 0.3]), 10.0, tol=1e-9)
-        recon = traj.at(traj.times)
-        assert np.max(np.abs(recon.T - traj.states)) < 1e-9
+    def test_samples_agree_across_sample_grids(self, reference_kinetics):
+        # the same steps sampled on a coarse grid and on a fine one holding it
+        # differ only by the rounding of the products that evaluate them
+        U0 = np.array([0.2, 0.1, 0.3])
+        coarse = integrate(reference_kinetics, U0, np.linspace(0.0, 10.0, 11), tol=1e-9)
+        fine = integrate(reference_kinetics, U0, np.linspace(0.0, 10.0, 1001), tol=1e-9)
+        assert np.array_equal(coarse.times, np.linspace(0.0, 10.0, 11))
+        assert coarse.states.shape == (11, 3)
+        assert np.max(np.abs(fine.states[::100] - coarse.states)) < 1e-15
+        assert coarse.stats == fine.stats
+        assert coarse.stats.accepted_steps > 0
+
+    def test_memory_does_not_grow_with_t_end(self, reference_kinetics):
+        # the run samples each step as it goes and keeps none, so 8x the span
+        # at the same 2001 samples adds nothing; keeping every step cost about
+        # 3.8 MB to t_end 1000
+        def peak(t_end):
+            tracemalloc.start()
+            try:
+                integrate(reference_kinetics, PINNED, np.linspace(0.0, t_end, 2001))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(250.0)  # first-call allocations are not counted
+        short, long = peak(250.0), peak(2000.0)
+        assert long - short < 32 * 1024, (short, long)
 
     def test_negative_start_rejected(self, reference_kinetics):
         with pytest.raises(ValueError):
@@ -385,7 +408,14 @@ class TestIntegrate:
     def test_non_finite_run_inputs_rejected(self, reference_kinetics, U0, t_end, tol):
         # an infinite or NaN span or tolerance would keep solve_ivp stepping forever
         with pytest.raises(ValueError):
-            integrate(reference_kinetics, np.array(U0), t_end, tol=tol)
+            integrate(reference_kinetics, np.array(U0), [0.0, t_end], tol=tol)
+
+    @pytest.mark.parametrize("times", [[], 1.0, [[0.0, 1.0]], [0.0, 2.0, 1.0], [-1.0, 1.0],
+                                       [float("nan"), 1.0]])
+    def test_bad_sample_times_rejected(self, reference_kinetics, monkeypatch, times):
+        monkeypatch.setattr(kinetics, "_dopri5", _no_integration)
+        with pytest.raises(ValueError, match="times must be"):
+            integrate(reference_kinetics, np.array([0.2, 0.1, 0.3]), times)
 
 
 class TestLimitCycleDetection:
@@ -448,9 +478,9 @@ class TestLimitCycleDetection:
         assert transient.min_state == ref.y.min()
 
     def test_memory_does_not_grow_with_max_time(self, reference_kinetics):
-        # each leg keeps at most the last SETTLE_SAMPLES time units, so 4x
-        # the run adds only the section crossings (a few kB here); keeping
-        # every step added about 0.47 MB over the same span
+        # each leg samples only the SETTLE_SAMPLES times the settle check
+        # reads, so 4x the run adds only the section crossings (a few kB
+        # here); keeping every step added about 0.47 MB over the same span
         def peak(max_time):
             tracemalloc.start()
             try:
@@ -466,10 +496,10 @@ class TestLimitCycleDetection:
     def test_circulant_conserved_quantity(self, circulant_cycle_model):
         # V = uvw / (u+v+w)^3 is a first integral of this circulant system
         traj = integrate(
-            circulant_cycle_model, np.array([0.45, 0.3, 0.25]), 200.0, tol=1e-11
+            circulant_cycle_model, np.array([0.45, 0.3, 0.25]), np.linspace(0.0, 200.0, 400),
+            tol=1e-11
         )
-        t = np.linspace(0.0, 200.0, 400)
-        u, v, w = traj.at(t)
+        u, v, w = traj.states.T
         V = u * v * w / (u + v + w) ** 3
         assert np.max(np.abs(V - V[0])) < 1e-10
 
@@ -504,13 +534,12 @@ class TestLimitCycleDetection:
     def test_orbit_avoids_single_species_points(self, reference_kinetics):
         # the cycle passes near the boundary but keeps clear of the axis points
         traj = integrate(
-            reference_kinetics, np.array([0.1, 0.0095238, 0.0333333]), 100.0, tol=1e-10
+            reference_kinetics, np.array([0.1, 0.0095238, 0.0333333]),
+            np.linspace(20.0, 100.0, 2000), tol=1e-10
         )
-        t = np.linspace(20.0, 100.0, 2000)
-        states = traj.at(t)
         points = [e.point for e in equilibria(reference_kinetics) if e.label != "P_1"]
         dmin = min(
-            float(np.min(np.linalg.norm(states.T - p[None, :], axis=1))) for p in points
+            float(np.min(np.linalg.norm(traj.states - p[None, :], axis=1))) for p in points
         )
         assert dmin > 1e-2
 
@@ -590,12 +619,9 @@ class TestMonodromy:
         orbit = detect_limit_cycle(
             circulant_cycle_model, np.array([0.45, 0.3, 0.25]), max_time=2000.0
         )
-        traj = integrate(circulant_cycle_model, orbit.anchor, orbit.period, tol=1e-12)
         t = np.linspace(0.0, orbit.period, 4001)
-        states = traj.at(t)
-        traces = np.array(
-            [np.trace(jacobian(circulant_cycle_model, states[:, k])) for k in range(t.size)]
-        )
+        states = integrate(circulant_cycle_model, orbit.anchor, t, tol=1e-12).states
+        traces = np.array([np.trace(jacobian(circulant_cycle_model, U)) for U in states])
         liouville = np.exp(simpson(traces, x=t))
         M = _monodromy(circulant_cycle_model, orbit, tol=1e-12)
         assert abs(np.linalg.det(M) - liouville) < 1e-6

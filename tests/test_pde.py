@@ -12,7 +12,6 @@ from rdlab.pde import (
     _cn_steps,
     _laplacian_diagonals,
     _rk4_reaction_step,
-    _split_steps,
     default_dt,
     evolve,
     flatness,
@@ -134,7 +133,8 @@ class TestFieldDiagnostics:
             assert np.array_equal(norms, reference)
         else:
             # the first-written weights take r^(m-1) at the face midpoint directly,
-            # which rounds differently from the cells' areas times their rim factor
+            # which rounds differently from the cells' areas with the square root
+            # of their rim factor applied outside the sum
             assert np.allclose(norms, reference, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
@@ -157,6 +157,16 @@ class TestFieldDiagnostics:
                     for length in (1.0, 1000.0, 0.001)]
         assert np.all(np.isfinite(averages))
         assert np.allclose(averages, averages[0], rtol=1e-14, atol=0.0)
+
+    def test_radial_gradient_norm_scales_past_an_overflowing_rim_factor(self):
+        # at m = 120 the norm scales as length^(m/2 - 1) = length^59, while the
+        # rim factor r^(m-1) overflows at length 1000 and underflows at 0.001
+        values = 1.0 + np.cos(np.linspace(0.0, 3.0, 66)) ** 2
+        norms = [grad_l2_norm(Field(Domain1D(kind="radial", length=length, N=64,
+                                             bc="neumann", m=120), values))
+                 for length in (1.0, 1000.0, 0.001)]
+        assert norms[1] == pytest.approx(norms[0] * 1000.0 ** 59, rel=1e-12)
+        assert norms[2] == pytest.approx(norms[0] * 0.001 ** 59, rel=1e-12)
 
     @pytest.mark.parametrize("kind, m", [("interval", 1), ("radial", 2)])
     def test_omitted_space_dimension_follows_the_kind(self, kind, m):
@@ -421,7 +431,7 @@ class TestCrankNicolsonSolve:
         with pytest.raises(ValueError, match=f"m = {m} and N = {N} leaves the floating-point"):
             evolve(model, dom, phi, 0.01, dt=1e-3)
         dom = Domain1D(kind="radial", length=1.0, N=N, bc="neumann", m=runs)
-        half, whole = _cn_steps(dom, model.d, 1e-3)
+        half, whole, _ = _cn_steps(dom, model.d, 1e-3)
         for solve in (half, whole):
             assert np.max(np.abs(solve(phi.values) - 1.0)) <= 1e-12
 
@@ -625,8 +635,8 @@ class TestMergedHalfSteps:
         # z = 67.2 at the disk's centre row gives ln(1e-8) / ln r^2 = 77.2;
         # z = 2.1 on the reproduce-paper interval gives 7.9
         dom, _ = _disk_op(reference_model)
-        assert _split_steps(dom, reference_model.d, 1e-3) == 78
-        assert _split_steps(_interval(512), reference_model.d, 1e-3) == 8
+        assert _cn_steps(dom, reference_model.d, 1e-3)[2] == 78
+        assert _cn_steps(_interval(512), reference_model.d, 1e-3)[2] == 8
 
     def test_a_run_that_records_every_step_is_the_split_loop(self, reference_model):
         dom = Domain1D(kind="radial", length=1.0, N=64, bc="dirichlet")
@@ -640,7 +650,7 @@ class TestMergedHalfSteps:
         dom = _interval(128)
         phi = Field(dom, reference_phi_values(dom.grid()))
         dt = 0.01
-        assert _split_steps(dom, reference_model.d, dt) == 14
+        assert _cn_steps(dom, reference_model.d, dt)[2] == 14
         traj = evolve(reference_model, dom, phi, 1.0, dt=dt, snapshots=10, probe_stride=10)
         states = _split_loop(reference_model, dom, phi, dt, {10, 20})
         assert np.array_equal(traj.fields[1], states[10])
@@ -674,7 +684,8 @@ class TestMergedHalfSteps:
         # no split start: step 1 opens with a half step and merges its close,
         # so the state checked is the one after its kinetics; the box
         # undershoots there as in the split run
-        monkeypatch.setattr(pde, "_split_steps", lambda *args: 0)
+        cn_steps = pde._cn_steps
+        monkeypatch.setattr(pde, "_cn_steps", lambda *args: cn_steps(*args)[:2] + (0,))
         model = CompetitionModel(a=np.array([[1.0]]), d=np.array([1.0]))
         dom = _interval(64)
         box = (np.abs(dom.grid() - 0.5) < 0.1).astype(float)
