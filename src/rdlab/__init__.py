@@ -24,7 +24,6 @@ from .kinetics import (
     Trajectory,
     detect_limit_cycle,
     integrate,
-    modal_multipliers,
     orbital_stability,
 )
 from .model import (

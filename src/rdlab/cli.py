@@ -31,7 +31,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .analysis import CLASSIFICATION_HORIZON, chs_report, classify_omega, decay_fit
 from .emit import svg_line_chart, write_csv, write_json, write_manifest
@@ -201,7 +200,7 @@ def _phi_field(spec, domain: Domain1D, n: int, where: str = "phi") -> Field:
         spec = {"poly": REFERENCE_PHI_COEFFS}
     if "constant" in spec:
         return Field(domain, np.outer(spec["constant"], np.ones_like(x)))
-    return Field(domain, np.array([polyval(x, np.array(c)) for c in spec["poly"]]))
+    return Field(domain, np.array([np.polyval(np.array(c)[::-1], x) for c in spec["poly"]]))
 
 
 def _eig_columns(n: int) -> list[str]:

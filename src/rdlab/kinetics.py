@@ -23,10 +23,12 @@ nothing, and no run's memory grows with its span.  The counters, the
 smallest density included, cover every accepted step.
 
 Periodic orbits are detected on a Poincare section anchored at a
-post-transient state with the local velocity as its normal; monodromy and
-diffusion-shifted modal systems are integrated directly alongside the orbit
-(the diagonal diffusion matrix does not commute with the time-dependent
-Jacobian, so no factorization shortcut is taken).
+post-transient state with the local velocity as its normal.  The Floquet
+systems X' = (J(U(t)) - lam diag(d)) X, one per Laplacian eigenvalue lam,
+are integrated directly alongside the orbit (the diagonal diffusion matrix
+does not commute with the time-dependent Jacobian, so no factorization
+shortcut is taken), every requested mode in one run: the detector's run
+holds lam = 0 alone, and ``orbital_stability``'s holds every spatial mode.
 """
 
 import math
@@ -291,25 +293,27 @@ def _kinetic_rhs(model):
     return rhs
 
 
-def _variational_rhs(model, lam_d):
-    """(t, (U, X)) -> (f(U), (J(U) - diag(lam_d)) X) into ``out``.
+def _variational_rhs(model, lams):
+    """(t, (U, X_1, ..., X_m)) -> (f(U), (J(U) - lams[k] diag(d)) X_k for each k) into ``out``.
 
+    J(U) is formed once per call and the m products are one stacked matmul.
     The arithmetic is that of ``model.reaction`` and ``model.jacobian``.
     """
     n = model.n
     a = model.a
     minus_a = -a
     diag = np.diag_indices(n)
-    shift = np.diag(lam_d)
+    shifts = np.multiply.outer(np.asarray(lams, dtype=float), np.diag(model.d))
     one = np.array(1.0)
 
     def rhs(t, y, out):
         U = y[:n]
-        X = y[n:].reshape(n, n)
         growth = one - a.dot(U)
         J = minus_a * U[:, None]
         J[diag] += growth
-        return np.concatenate([U * growth, (J - shift).dot(X).ravel()], out=out)
+        np.multiply(U, growth, out=out[:n])
+        np.matmul(J - shifts, y[n:].reshape(shifts.shape), out=out[n:].reshape(shifts.shape))
+        return out
 
     return rhs
 
@@ -486,8 +490,7 @@ def detect_limit_cycle(model: CompetitionModel, U0, max_time: float = DEFAULT_MA
         one_period = _nonnegative(_dopri5(rhs, anchor, period, tol), "closure")
         solver["closure"] = one_period.stats
         if np.linalg.norm(one_period.y - anchor) < RETURN_STATE_TOL:
-            mono, solver["monodromy"] = _monodromy_matrix(model, anchor, period,
-                                                          np.zeros(model.n), tol)
+            (mono,), solver["monodromy"] = _monodromy_matrices(model, anchor, period, [0.0], tol)
             return OrbitAnalysis("periodic", period, anchor, mono, _multipliers(mono),
                                  crossing_times=crossings, solver=solver)
         reason = "closure-failed"
@@ -501,46 +504,24 @@ def detect_limit_cycle(model: CompetitionModel, U0, max_time: float = DEFAULT_MA
                          crossing_times=t_cross if t_cross.size else None, solver=solver)
 
 
-def _monodromy_matrix(model, anchor, period, lam_d, tol):
-    """Fundamental solution over one period of X' = (-diag(lam_d) + J(U(t))) X.
+def _monodromy_matrices(model, anchor, period, lams, tol):
+    """Fundamental solutions over one period of X' = (J(U(t)) - lam diag(d)) X, one per lam.
 
-    Returns the matrix and the run's counters.
+    One ``_dopri5`` run carries the orbit and all m systems, so its step
+    control sees every mode at once.  Returns the (m, n, n) matrices and
+    the run's counters.
     """
-    n = model.n
-    y0 = np.concatenate([anchor, np.eye(n).ravel()])
-    run = _nonnegative(_dopri5(_variational_rhs(model, lam_d), y0, period, tol, densities=n),
+    n, m = model.n, len(lams)
+    y0 = np.concatenate([anchor, np.tile(np.eye(n).ravel(), m)])
+    run = _nonnegative(_dopri5(_variational_rhs(model, lams), y0, period, tol, densities=n),
                        "monodromy")
-    return run.y[n:].reshape(n, n), run.stats
+    return run.y[n:].reshape(m, n, n), run.stats
 
 
 def _multipliers(mono):
     """The eigenvalues of a monodromy matrix, by decreasing modulus."""
     mult = np.linalg.eigvals(mono)
     return mult[np.argsort(-np.abs(mult))]
-
-
-def _require_periodic(orbit):
-    """Raise ValueError unless the orbit is periodic with the fields the Floquet routines read."""
-    if orbit.status != "periodic" or any(
-            x is None for x in (orbit.period, orbit.anchor, orbit.multipliers)):
-        raise ValueError("a periodic OrbitAnalysis is required")
-
-
-def modal_multipliers(model: CompetitionModel, orbit: OrbitAnalysis, lam: float,
-                      tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Floquet multipliers of the spatial-mode system g' = (-lam D + J(U(t))) g.
-
-    ``lam`` is a Laplacian eigenvalue; lam = 0 recovers the plain monodromy
-    spectrum.  The shifted system is integrated directly (the diagonal
-    diffusion matrix does not commute with the Jacobian along the orbit, so
-    multipliers are not in general e^{-lam d T} times the base ones).
-    Multipliers are sorted by decreasing modulus.
-    """
-    _require_periodic(orbit)
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise ValueError(f"Laplacian eigenvalue must be finite and nonnegative, got {lam}")
-    mono, _ = _monodromy_matrix(model, orbit.anchor, orbit.period, lam * model.d, tol)
-    return _multipliers(mono)
 
 
 @dataclass(frozen=True)
@@ -559,7 +540,12 @@ def orbital_stability(model: CompetitionModel, orbit: OrbitAnalysis, k_max: int 
     ``eigenvalues`` supplies the Laplacian eigenvalues for modes 1..k_max;
     alternatively pass an interval length ``L`` and ``k_max`` to use the
     Neumann sequence (k pi / L)^2; passing both raises ValueError.  With
-    neither, only ``orbit.multipliers`` are judged (k_max = 0).  A
+    neither, only ``orbit.multipliers`` are judged (k_max = 0).  Mode k's
+    multipliers, by decreasing modulus, are those of the shifted system
+    g' = (J(U(t)) - lam_k diag(d)) g, and one run along the orbit
+    integrates every mode (none when k_max is 0); so
+    ``orbital_stability(model, orbit, eigenvalues=[lam]).modal_multipliers[1]``
+    is the spectrum of one eigenvalue, lam = 0 giving the orbit's own.  A
     trustworthy computation must exhibit the unit multiplier: if no simple
     multiplier sits within 1e-3 of 1 the verdict is "inconclusive"
     regardless of the other moduli.  Otherwise
@@ -569,7 +555,9 @@ def orbital_stability(model: CompetitionModel, orbit: OrbitAnalysis, k_max: int 
     finite and nonnegative; otherwise ValueError is raised before any
     integration.
     """
-    _require_periodic(orbit)
+    if orbit.status != "periodic" or any(
+            x is None for x in (orbit.period, orbit.anchor, orbit.multipliers)):
+        raise ValueError("a periodic OrbitAnalysis is required")
     if L is not None:
         _require_finite_positive("interval length L", L)
         if eigenvalues is not None:
@@ -586,13 +574,16 @@ def orbital_stability(model: CompetitionModel, orbit: OrbitAnalysis, k_max: int 
         raise ValueError("k_max must be nonnegative")
     if eigenvalues.shape[0] < k_max:
         raise ValueError(f"need {k_max} Laplacian eigenvalues, got {eigenvalues.shape[0]}")
-    if not (np.isfinite(eigenvalues[:k_max]).all() and (eigenvalues[:k_max] >= 0.0).all()):
+    eigenvalues = eigenvalues[:k_max]
+    if not (np.isfinite(eigenvalues).all() and (eigenvalues >= 0.0).all()):
         raise ValueError("Laplacian eigenvalues must be finite and nonnegative")
     base = orbit.multipliers
     near_one = np.abs(base - 1.0) < TRIVIAL_MULTIPLIER_TOL
     unit_simple = int(near_one.sum()) == 1
-    modal = {k: modal_multipliers(model, orbit, float(eigenvalues[k - 1]), tol)
-             for k in range(1, k_max + 1)}
+    modal = {}
+    if k_max:
+        monos, _ = _monodromy_matrices(model, orbit.anchor, orbit.period, eigenvalues, tol)
+        modal = {k: _multipliers(mono) for k, mono in enumerate(monos, start=1)}
     if not unit_simple:
         return StabilityVerdict("inconclusive", modal)
     moduli = list(np.abs(base[~near_one])) + [abs(m) for ms in modal.values() for m in ms]

@@ -293,7 +293,9 @@ def _cn_steps(domain: Domain1D, d: np.ndarray, dt: float):
     in the V-weighted inner product with spectrum <= 0.  So M = diag(V) T / 2
     is factored by ``dpttrf`` and 2 T^-1 u = M^-1 (V u); the one row V, at
     most 1, serves every species block and both matrices.  A step so large
-    that M overflows raises ValueError.
+    that M overflows raises ValueError, and so does one whose c max|main|
+    passes 2^53: the identity part of the diagonal then falls below its
+    rounding, and a Neumann matrix is numerically singular.
 
     ``split`` is how many steps evolve keeps split before it merges half
     steps.  Two CN half steps multiply a mode of z = dt d |lambda| by r^2,
@@ -320,6 +322,9 @@ def _cn_steps(domain: Domain1D, d: np.ndarray, dt: float):
             diag = (volumes * (0.5 - 0.5 * c * main)).ravel()
         if not np.all(np.isfinite(diag)):  # then |sup| <= |main| keeps upper finite too
             raise ValueError(f"the Crank-Nicolson matrix of step {dt} leaves the float range")
+        if 0.5 * np.max(c) * np.max(np.abs(main)) > 2.0**52:  # halved as in diag: no overflow
+            raise ValueError(f"the Crank-Nicolson matrix of step {dt} (max d {np.max(d):g}, "
+                             f"h {domain.h:g}) loses its identity part to rounding")
         upper = volumes[:-1] * (-0.5 * c * sup[:-1])  # upper[:, j] couples node j to node j + 1
         upper[:, sub[1:] == 0.0] = 0.0  # node j + 1 is pinned
         factor_d, factor_e, info = dpttrf(diag, flat(upper))

@@ -20,7 +20,7 @@ from rdlab.analysis import (
     periodicity_score,
     sup_jacobian_norm,
 )
-from rdlab.kinetics import _monodromy_matrix, detect_limit_cycle, integrate, modal_multipliers
+from rdlab.kinetics import _monodromy_matrices, detect_limit_cycle, integrate, orbital_stability
 from rdlab.model import (
     condition_report,
     equilibria,
@@ -237,8 +237,8 @@ def test_criterion_09_floquet(criterion, circulant_cycle_model):
         # Liouville route: det M = exp of the trace integral over one period
         from scipy.integrate import simpson
 
-        M = _monodromy_matrix(circulant_cycle_model, orbit.anchor, orbit.period,
-                              np.zeros(3), tol=1e-12)[0]
+        M = _monodromy_matrices(circulant_cycle_model, orbit.anchor, orbit.period,
+                                [0.0], tol=1e-12)[0][0]
         t = np.linspace(0.0, orbit.period, 4001)
         states = integrate(circulant_cycle_model, orbit.anchor, t, tol=1e-12).states
         traces = np.array([np.trace(jacobian(circulant_cycle_model, U)) for U in states])
@@ -247,9 +247,8 @@ def test_criterion_09_floquet(criterion, circulant_cycle_model):
         # scalar diffusion: modal multipliers factor through the base spectrum
         d = float(circulant_cycle_model.d[0])
         lam = (2.0 * np.pi) ** 2
-        direct = np.sort_complex(
-            modal_multipliers(circulant_cycle_model, orbit, lam, tol=1e-12)
-        )
+        direct = np.sort_complex(orbital_stability(circulant_cycle_model, orbit, eigenvalues=[lam],
+                                                   tol=1e-12).modal_multipliers[1])
         factored = np.sort_complex(np.exp(-d * lam * orbit.period) * np.linalg.eigvals(M))
         factor_gap = float(np.max(np.abs(direct - factored)))
         assert factor_gap < 1e-6

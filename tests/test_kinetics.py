@@ -13,11 +13,10 @@ from rdlab.kinetics import (
     OrbitAnalysis,
     _dopri5,
     _kinetic_rhs,
-    _monodromy_matrix,
+    _monodromy_matrices,
     _variational_rhs,
     detect_limit_cycle,
     integrate,
-    modal_multipliers,
     orbital_stability,
 )
 from rdlab.model import condition_report, equilibria, jacobian, reaction
@@ -30,7 +29,7 @@ def _fake_periodic_orbit(anchor, period, multipliers=(1.0, 0.3, 0.001)):
 
 def _monodromy(model, orbit, tol):
     """The orbit's monodromy matrix recomputed at another tolerance."""
-    return _monodromy_matrix(model, orbit.anchor, orbit.period, np.zeros(model.n), tol)[0]
+    return _monodromy_matrices(model, orbit.anchor, orbit.period, [0.0], tol)[0][0]
 
 
 def _no_integration(*args, **kwargs):
@@ -44,17 +43,18 @@ def _change_leg(monkeypatch, leg, change):
     """Hand the caller ``change(run)`` in place of the run of the leg-th ``_dopri5`` call.
 
     The detector's legs are calls 0 (transient), 1 (section), 2 (closure)
-    and 3 (monodromy); a ``modal_multipliers`` run is call 0.
+    and 3 (monodromy); ``orbital_stability``'s one run of every mode is
+    call 0.  Returns the list of the calls' state sizes, one per call.
     """
-    calls = 0
+    sizes = []
 
-    def dopri5(*args, **kwargs):
-        nonlocal calls
-        run = _dopri5(*args, **kwargs)
-        calls += 1
-        return change(run) if calls == leg + 1 else run
+    def dopri5(rhs, y0, *args, **kwargs):
+        run = _dopri5(rhs, y0, *args, **kwargs)
+        sizes.append(y0.size)
+        return change(run) if len(sizes) == leg + 1 else run
 
     monkeypatch.setattr(kinetics, "_dopri5", dopri5)
+    return sizes
 
 
 def _dip(run):
@@ -246,7 +246,7 @@ class TestDopri5MatchesScipy:
         y0 = np.concatenate([PINNED, np.eye(n).ravel()])
         ref = _scipy_rk45(fun, 100.0, y0, 1e-7, dense_output=True)
         t = np.linspace(0.0, 100.0, 101)
-        run = _dopri5(_variational_rhs(model, np.pi**2 * model.d), y0, 100.0, 1e-7,
+        run = _dopri5(_variational_rhs(model, [np.pi**2]), y0, 100.0, 1e-7,
                       t_eval=t, densities=n)
         assert run.t == 100.0
         assert np.array_equal(run.y, ref.y[:, -1])
@@ -597,7 +597,7 @@ class TestNegativityGuard:
         P1 = condition_report(reference_kinetics).interior_point
         _change_leg(monkeypatch, 0, _dip)
         with pytest.raises(InvariantViolation, match="monodromy dipped"):
-            modal_multipliers(reference_kinetics, _fake_periodic_orbit(P1, 5.0), 1.0)
+            orbital_stability(reference_kinetics, _fake_periodic_orbit(P1, 5.0), eigenvalues=[1.0])
 
 
 class TestMonodromy:
@@ -605,7 +605,7 @@ class TestMonodromy:
         # the interior point is a constant orbit of any period T: M = expm(J T) exactly
         P1 = condition_report(reference_kinetics).interior_point
         T = 3.0
-        M = _monodromy_matrix(reference_kinetics, P1, T, np.zeros(3), tol=1e-12)[0]
+        M = _monodromy_matrices(reference_kinetics, P1, T, [0.0], tol=1e-12)[0][0]
         assert np.max(np.abs(M - expm(jacobian(reference_kinetics, P1) * T))) < 1e-9
 
     def test_unit_multiplier_present(self, circulant_cycle_model):
@@ -626,19 +626,40 @@ class TestMonodromy:
         M = _monodromy(circulant_cycle_model, orbit, tol=1e-12)
         assert abs(np.linalg.det(M) - liouville) < 1e-6
 
-    def test_scalar_diffusion_factorization(self, circulant_cycle_model):
-        # equal diffusion commutes with J: multipliers shift by exp(-d lam T)
+    @pytest.mark.parametrize("k_max", [None, 4, 16], ids=["alone", "k_max-4", "k_max-16"])
+    def test_scalar_diffusion_factorization(self, circulant_cycle_model, k_max):
+        # equal diffusion commutes with J: multipliers shift by exp(-d lam T),
+        # for a mode run alone and for modes 1-4 of one run of k_max modes
         orbit = detect_limit_cycle(
             circulant_cycle_model, np.array([0.45, 0.3, 0.25]), max_time=2000.0
         )
         d = float(circulant_cycle_model.d[0])
-        lam = (2.0 * np.pi) ** 2
-        direct = modal_multipliers(circulant_cycle_model, orbit, lam, tol=1e-12)
         base = np.linalg.eigvals(_monodromy(circulant_cycle_model, orbit, tol=1e-12))
-        factored = np.exp(-d * lam * orbit.period) * base
-        assert (
-            np.max(np.abs(np.sort_complex(direct) - np.sort_complex(factored))) < 1e-6
+        if k_max is None:
+            lams = [(2.0 * np.pi) ** 2]
+            modal = orbital_stability(circulant_cycle_model, orbit, eigenvalues=lams,
+                                      tol=1e-12).modal_multipliers
+        else:
+            lams = [(k * np.pi) ** 2 for k in range(1, 5)]
+            modal = orbital_stability(circulant_cycle_model, orbit, k_max=k_max, L=1.0,
+                                      tol=1e-12).modal_multipliers
+            assert sorted(modal) == list(range(1, k_max + 1))
+        for k, lam in enumerate(lams, start=1):
+            factored = np.exp(-d * lam * orbit.period) * base
+            gap = np.max(np.abs(np.sort_complex(modal[k]) - np.sort_complex(factored)))
+            assert gap < 5e-11, (k, gap)
+
+    def test_one_run_for_every_mode(self, circulant_cycle_model, monkeypatch):
+        orbit = detect_limit_cycle(
+            circulant_cycle_model, np.array([0.45, 0.3, 0.25]), max_time=2000.0
         )
+        sizes = _change_leg(monkeypatch, 0, lambda run: run)
+        verdict = orbital_stability(circulant_cycle_model, orbit, k_max=4, L=1.0)
+        assert sizes == [3 + 4 * 3 * 3]  # the orbit and the four modes' matrices
+        assert sorted(verdict.modal_multipliers) == [1, 2, 3, 4]
+        sizes.clear()
+        orbital_stability(circulant_cycle_model, orbit, k_max=0)
+        assert sizes == []
 
     @pytest.mark.parametrize("orbit", [
         OrbitAnalysis("undetermined", crossing_times=np.array([1.0, 2.0])),
@@ -648,7 +669,7 @@ class TestMonodromy:
     def test_monodromy_requires_periodic_orbit(self, reference_kinetics, monkeypatch, orbit):
         monkeypatch.setattr(kinetics, "_dopri5", _no_integration)
         with pytest.raises(ValueError, match="periodic OrbitAnalysis is required"):
-            modal_multipliers(reference_kinetics, orbit, 0.0)
+            orbital_stability(reference_kinetics, orbit, eigenvalues=[0.0])
         with pytest.raises(ValueError, match="periodic OrbitAnalysis is required"):
             orbital_stability(reference_kinetics, orbit)
 
@@ -705,7 +726,7 @@ class TestOrbitalStability:
         monkeypatch.setattr(kinetics, "_dopri5", _no_integration)
         orbit = _fake_periodic_orbit(np.ones(3) * 0.2, 5.0)
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            modal_multipliers(reference_kinetics, orbit, lam)
+            orbital_stability(reference_kinetics, orbit, eigenvalues=[lam])
         with pytest.raises(ValueError, match="finite and nonnegative"):
             orbital_stability(reference_kinetics, orbit, eigenvalues=[1.0, lam])
 

@@ -23,6 +23,7 @@ import rdlab
 loaded["import rdlab"] = scipy_modules()
 import rdlab.cli
 loaded["import rdlab.cli"] = scipy_modules()
+loaded["numpy.polynomial"] = sorted(m for m in sys.modules if m.startswith("numpy.polynomial"))
 for command, config, out in json.loads(sys.argv[1]):
     rc = rdlab.cli.main([command, "--config", config, "--out", out])
     loaded[command] = scipy_modules() if rc == 0 else f"exit {rc}"
@@ -78,6 +79,8 @@ def test_commands_load_only_the_scipy_modules_they_use(tmp_path):
     # the theory commands and the import itself stay on numpy alone
     for step in ("import rdlab", "import rdlab.cli", "equilibria", "chs"):
         assert loaded[step] == [], step
+    # nor does the CLI's import load numpy's polynomial package
+    assert loaded["numpy.polynomial"] == []
     # a pde run needs LAPACK's tridiagonal solvers, not the ODE integrators
     assert isinstance(loaded["pde"], list), loaded["pde"]
     assert "scipy.linalg.lapack" in loaded["pde"]
