@@ -3,8 +3,6 @@
 from .analysis import (
     ChsReport,
     OmegaClassification,
-    REGION_A_3SPECIES,
-    REGION_SIGMA_2SPECIES,
     chs_report,
     classify_omega,
     decay_fit,

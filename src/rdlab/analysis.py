@@ -2,9 +2,11 @@
 
 The core quantity is sigma = lambda1 * min(d) - M, where lambda1 is the
 first nonzero Neumann Laplacian eigenvalue of the interval and M bounds the
-kinetic Jacobian norm over a positively invariant region.  Positive sigma
-guarantees exponential collapse of spatial gradients, after which the
-dynamics follows the spatially averaged kinetics.
+kinetic Jacobian norm over a positively invariant region (Conway, Hoff &
+Smoller 1978).  The region is read from the rows of ``a`` alone, so one
+function decides it for every caller.  Positive sigma guarantees
+exponential collapse of spatial gradients, after which the dynamics
+follows the spatially averaged kinetics.
 """
 
 import itertools
@@ -15,34 +17,25 @@ import numpy as np
 from .model import REGION_TIE_TOL, CompetitionModel, equilibria
 from .pde import PdeTrajectory, neumann_eigenvalue, spatial_average
 
-REGION_SIGMA_2SPECIES = "sigma-region-2species"
-REGION_A_3SPECIES = "region-A-3species"
 PERIODIC_SCORE = 0.9  # periodicity scores above it are periodic
 CLASSIFICATION_HORIZON = 50.0  # classify_omega needs a run at least this long
 
 
-def _region_pieces(model: CompetitionModel, region) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Polytope pieces {U : G U <= h} whose union is a named region or an explicit box."""
+def _region_pieces(model: CompetitionModel) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Polytope pieces {U : G U <= h} whose union is the model's invariant region.
+
+    Two species: the union over rows i of U >= 0, (a U)_i <= 1.  Three
+    species: region A, the union over i != j of U >= 0, (a U)_i <= 1 <= (a U)_j,
+    bounded since a > 0.  Any other size raises ValueError.
+    """
     n, a = model.n, model.a
-    orthant = -np.eye(n)  # U >= 0, or U >= lo for a box
-    if isinstance(region, str):
-        if region == REGION_SIGMA_2SPECIES:
-            if n != 2:
-                raise ValueError(f"{region} requires a two-species model")
-            b, c = float(a[0, 1]), float(a[1, 0])
-            return [(np.vstack([orthant, row]), np.array([0.0, 0.0, 1.0]))
-                    for row in ([1.0, b], [c, 1.0])]
-        if region == REGION_A_3SPECIES:
-            if n != 3:
-                raise ValueError(f"{region} requires a three-species model")
-            # (a U)_i <= 1 <= (a U)_j; bounded since a > 0
-            return [(np.vstack([orthant, a[i], -a[j]]), np.array([0.0, 0.0, 0.0, 1.0, -1.0]))
-                    for i, j in itertools.permutations(range(3), 2)]
-        raise ValueError(f"unknown region {region!r}")
-    box = np.asarray(region, dtype=float)
-    if box.shape != (n, 2) or np.any(box[:, 1] <= box[:, 0]):
-        raise ValueError("box region must be an (n, 2) array of increasing bounds")
-    return [(np.vstack([orthant, -orthant]), np.concatenate([-box[:, 0], box[:, 1]]))]
+    orthant = -np.eye(n)  # U >= 0
+    if n == 2:
+        return [(np.vstack([orthant, row]), np.array([0.0, 0.0, 1.0])) for row in a]
+    if n == 3:
+        return [(np.vstack([orthant, a[i], -a[j]]), np.array([0.0, 0.0, 0.0, 1.0, -1.0]))
+                for i, j in itertools.permutations(range(3), 2)]
+    raise ValueError(f"no invariant region for {n} species (2 or 3 needed)")
 
 
 def _norm_batch(model: CompetitionModel, pts: np.ndarray, norm: str) -> np.ndarray:
@@ -56,14 +49,14 @@ def _norm_batch(model: CompetitionModel, pts: np.ndarray, norm: str) -> np.ndarr
     return np.linalg.norm(J, ord="fro" if norm == "frobenius" else 2, axis=(1, 2))
 
 
-def sup_jacobian_norm(model: CompetitionModel, region, *, norm: str = "frobenius") -> float:
-    """Supremum of the kinetic Jacobian norm over an invariant region.
+def sup_jacobian_norm(model: CompetitionModel, *, norm: str = "frobenius") -> float:
+    """Supremum of the kinetic Jacobian norm over the model's invariant region.
 
-    ``region`` is "sigma-region-2species" (union of the two triangles
-    U >= 0, u + b v <= 1 and U >= 0, c u + v <= 1), "region-A-3species"
-    (states with min_i (a U)_i <= 1 <= max_i (a U)_i: the union over i != j
-    of U >= 0, (a U)_i <= 1 <= (a U)_j), or an explicit (n, 2) bounds array.
-    ``norm`` is "frobenius" or "operator".
+    The region comes from the rows of ``a``.  For two species it is the
+    union of the triangles U >= 0, (a U)_i <= 1, one per row i (on a unit
+    diagonal, u + b v <= 1 and c u + v <= 1).  For three species it is
+    region A, the states with min_i (a U)_i <= 1 <= max_i (a U)_i.  Other
+    species counts raise ValueError.  ``norm`` is "frobenius" or "operator".
 
     The value is exact.  The Jacobian is affine in U, so both norms are
     convex in U, and a convex function on a polytope attains its maximum
@@ -73,7 +66,7 @@ def sup_jacobian_norm(model: CompetitionModel, region, *, norm: str = "frobenius
     planes that meet all of its planes within REGION_TIE_TOL.
     """
     corners = []
-    for G, h in _region_pieces(model, region):
+    for G, h in _region_pieces(model):
         for rows in map(list, itertools.combinations(range(h.size), model.n)):
             try:
                 p = np.linalg.solve(G[rows], h[rows])
@@ -101,19 +94,16 @@ class ChsReport:
 def chs_report(model: CompetitionModel, L: float, *, norm: str = "frobenius") -> ChsReport:
     """Certificate for diffusion-driven flattening on an interval of length L.
 
-    The Jacobian norm is maximized over the named invariant region, which
-    exists for n = 2 or 3 only; other sizes raise ValueError.  flat_guarantee
-    is sigma > 0, and threshold_d = M_sup / lambda1 is the diffusion floor at
-    which the guarantee kicks in.  threshold_d_origin is the same floor with the
-    norm of J(0) = I in place of M_sup: sqrt(n) / lambda1 for the Frobenius
-    norm and 1 / lambda1 for the operator norm.
+    The Jacobian norm is maximized over the model's invariant region, read
+    from the rows of ``a`` by ``sup_jacobian_norm``, which exists for n = 2
+    or 3 only; other sizes raise ValueError.  flat_guarantee is sigma > 0,
+    and threshold_d = M_sup / lambda1 is the diffusion floor at which the
+    guarantee kicks in.  threshold_d_origin is the same floor with the norm
+    of J(0) = I in place of M_sup: sqrt(n) / lambda1 for the Frobenius norm
+    and 1 / lambda1 for the operator norm.
     """
     lambda1 = neumann_eigenvalue(L, 1)  # raises ValueError unless L is finite and positive
-    regions = {2: REGION_SIGMA_2SPECIES, 3: REGION_A_3SPECIES}
-    if model.n not in regions:
-        raise ValueError(f"no named invariant region for {model.n} species (2 or 3 needed)")
-    region = regions[model.n]
-    M_sup = sup_jacobian_norm(model, region, norm=norm)
+    M_sup = sup_jacobian_norm(model, norm=norm)
     d_min = float(model.d.min())
     sigma = lambda1 * d_min - M_sup
     origin_norm = _norm_batch(model, np.zeros((1, model.n)), norm)[0]
@@ -146,17 +136,16 @@ def decay_fit(trajectory: PdeTrajectory, window: tuple[float, float] | None = No
     return float(-slope), float(np.exp(intercept))
 
 
-def periodicity_score(times: np.ndarray, values: np.ndarray,
-                      window: tuple[float, float] | None = None):
+def periodicity_score(times: np.ndarray, values: np.ndarray):
     """Autocorrelation periodicity score of a scalar time series.
 
-    Uses the uniformly sampled points inside ``window`` (the whole series
-    by default; at least 200 samples).  The Pearson correlation between the
-    trace and its lagged copy is scanned over lags up to half the window;
-    the score is the height of the first peak after the correlation has
-    decayed below 1/2, and the period is that lag.  Per-lag standardization
-    keeps slowly drifting amplitudes from masking an otherwise clean cycle.
-    All lags cost O(n log n) together: the window means and second moments
+    Needs at least 200 uniformly spaced samples; a caller scoring part of a
+    run passes that part.  The Pearson correlation between the trace and
+    its lagged copy is scanned over lags up to half the series; the score
+    is the height of the first peak after the correlation has decayed below
+    1/2, and the period is that lag.  Per-lag standardization keeps slowly
+    drifting amplitudes from masking an otherwise clean cycle.  All lags
+    cost O(n log n) together: the overlap means and second moments
     come from cumulative sums, the lagged products from one numpy FFT of the
     trace zero-padded to length 2n - 1, so no lag wraps around.  A (near)
     constant trace scores 0.  Returns (score, period | None).
@@ -165,11 +154,8 @@ def periodicity_score(times: np.ndarray, values: np.ndarray,
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape:
         raise ValueError("times and values must have matching shapes")
-    if window is not None:
-        keep = (times >= window[0]) & (times <= window[1])
-        times, values = times[keep], values[keep]
     if times.size < 200:
-        raise ValueError("need at least 200 samples in the window")
+        raise ValueError("need at least 200 samples")
     dt = np.diff(times)
     if dt.max() - dt.min() > 1e-9 * dt.mean():
         raise ValueError("periodicity score requires uniform sampling")

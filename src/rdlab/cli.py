@@ -56,7 +56,6 @@ from .model import (
     CompetitionModel,
     condition_report,
     equilibria,
-    has_unit_diagonal,
     load_model,
     model_to_dict,
     region_membership,
@@ -249,7 +248,7 @@ def _run_equilibria(cfg: dict, out: Path):
     if n == 3:
         report["condition"] = condition_report(model)
     if n == 2:
-        report["two_species_case"] = two_species_case(model) if has_unit_diagonal(model) else None
+        report["two_species_case"] = two_species_case(model)
 
     header = ["label"] + [f"u{i + 1}" for i in range(n)] + ["stability"] + _eig_columns(n)
     rows = []

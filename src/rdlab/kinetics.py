@@ -519,8 +519,12 @@ def _monodromy_matrices(model, anchor, period, lams, tol):
 
 
 def _multipliers(mono):
-    """The eigenvalues of a monodromy matrix, by decreasing modulus."""
-    mult = np.linalg.eigvals(mono)
+    """The eigenvalues of a monodromy matrix, by decreasing modulus, as a complex array.
+
+    ``eigvals`` returns a real array for an all-real spectrum, and a near-double
+    pair can fall either way; complex, every multiplier is one {"re", "im"} object.
+    """
+    mult = np.linalg.eigvals(mono).astype(complex)
     return mult[np.argsort(-np.abs(mult))]
 
 

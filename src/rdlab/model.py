@@ -294,24 +294,20 @@ def region_membership(model: CompetitionModel, U: np.ndarray) -> str:
     return "A"
 
 
-def has_unit_diagonal(model: CompetitionModel) -> bool:
-    """True when every self-interaction a[i, i] is within 1e-12 of 1 (growth-normalized)."""
-    return bool(np.all(np.abs(np.diag(model.a) - 1.0) <= 1e-12))
-
-
 def two_species_case(model: CompetitionModel) -> str:
-    """Outcome class of the normalized two-species model (a11 = a22 = 1).
+    """Outcome class of a two-species model, read from its normalized matrix.
 
-    With b = a[0, 1] and c = a[1, 0]: both below 1 gives "coexistence",
-    b < 1 < c gives "u-wins", c < 1 < b gives "v-wins", both above 1 gives
-    "bistable".  Values of b or c within 1e-10 of 1 are degenerate.
+    Dividing each column j of ``a`` by a[j, j] (density in units of the
+    carrying capacity) gives unit self-interaction with b = a[0, 1] / a[1, 1]
+    and c = a[1, 0] / a[0, 0], so any positive diagonal is accepted (Hofbauer
+    & Sigmund 1998, Sec. 3.3).  Both below 1 gives "coexistence", b < 1 < c
+    gives "u-wins", c < 1 < b gives "v-wins", both above 1 gives "bistable".
+    Values of b or c within 1e-10 of 1 are degenerate.
     """
     if model.n != 2:
         raise ValueError("two_species_case requires a two-species model")
-    if not has_unit_diagonal(model):
-        raise ValueError("two_species_case requires unit self-interaction (a11 = a22 = 1)")
-    b = float(model.a[0, 1])
-    c = float(model.a[1, 0])
+    (a00, a01), (a10, a11) = model.a
+    b, c = float(a01 / a11), float(a10 / a00)
     if abs(b - 1.0) < 1e-10 or abs(c - 1.0) < 1e-10:
         raise DegenerateModelError("two-species case undefined for b or c within 1e-10 of 1")
     if b < 1.0 and c < 1.0:

@@ -13,8 +13,6 @@ import pytest
 
 from rdlab import CompetitionModel
 from rdlab.analysis import (
-    REGION_A_3SPECIES,
-    REGION_SIGMA_2SPECIES,
     _norm_batch,
     decay_fit,
     periodicity_score,
@@ -143,7 +141,7 @@ def test_criterion_05_two_species_norm_formula(criterion):
         closed = 2.0 - 6.0 * u - 6.0 * v + 6.0 * u * u + 6.0 * v * v + 8.0 * u * v
         worst = float(np.max(np.abs(_norm_batch(model, pts, "frobenius") ** 2 - closed)))
         assert worst < 1e-12
-        sup = sup_jacobian_norm(model, REGION_SIGMA_2SPECIES)
+        sup = sup_jacobian_norm(model)
         assert abs(sup**2 - 2.0) < 1e-6
         origin_norm_sq = _norm_batch(model, np.zeros((1, 2)), "frobenius")[0] ** 2
         assert abs(origin_norm_sq - sup**2) < 1e-12  # attained at the origin
@@ -299,7 +297,7 @@ def test_criterion_11_heterogeneous_regime(criterion, reproduction_run):
         assert min(sups) > 0.05
         scores = []
         for trace in v_traces:
-            score, _ = periodicity_score(t, trace, window=(50.0, 100.0))
+            score, _ = periodicity_score(t[keep], trace[keep])
             scores.append(score)
             assert score > 0.9
         assert reproduction_run.elapsed_seconds < 300.0

@@ -7,8 +7,6 @@ from scipy.spatial import HalfspaceIntersection
 
 from rdlab import CompetitionModel
 from rdlab.analysis import (
-    REGION_A_3SPECIES,
-    REGION_SIGMA_2SPECIES,
     chs_report,
     classify_omega,
     decay_fit,
@@ -24,22 +22,24 @@ def _two_species(b, c):
     return CompetitionModel(a=np.array([[1.0, b], [c, 1.0]]), d=np.ones(2))
 
 
-def _region_pieces(a, region):
-    """Polytope pieces {U : A U <= b} of a region, written from its definition.
+def _region_pieces(a):
+    """Polytope pieces {U : A U <= b} of the model's invariant region, from its definition.
 
-    sigma-region-2species is the union of the triangles U >= 0, u + b v <= 1
-    and U >= 0, c u + v <= 1.  region-A-3species is the union over i != j
-    of U >= 0, (a U)_i <= 1 <= (a U)_j.  A box is one piece.
+    For two species, the union over rows i of U >= 0, (a U)_i <= 1.  For
+    three species, region A: the union over i != j of
+    U >= 0, (a U)_i <= 1 <= (a U)_j.
     """
     n = a.shape[0]
-    if isinstance(region, str):
-        orthant = (-np.eye(n), np.zeros(n))
-        if region == REGION_SIGMA_2SPECIES:
-            rows = [(a[0], 1.0), (a[1], 1.0)]
-            return [(np.vstack([orthant[0], r]), np.append(orthant[1], rhs)) for r, rhs in rows]
-        return [(np.vstack([orthant[0], a[i], -a[j]]), np.append(orthant[1], [1.0, -1.0]))
-                for i in range(n) for j in range(n) if i != j]
-    return [(np.vstack([-np.eye(n), np.eye(n)]), np.concatenate([-region[:, 0], region[:, 1]]))]
+    orthant = (-np.eye(n), np.zeros(n))
+    if n == 2:
+        return [(np.vstack([orthant[0], row]), np.append(orthant[1], 1.0)) for row in a]
+    return [(np.vstack([orthant[0], a[i], -a[j]]), np.append(orthant[1], [1.0, -1.0]))
+            for i in range(n) for j in range(n) if i != j]
+
+
+def _unit_diagonal_pieces(a):
+    """The two triangles u + b v <= 1 and c u + v <= 1 that assume a[i, i] = 1."""
+    return _region_pieces(np.array([[1.0, a[0, 1]], [a[1, 0], 1.0]]))
 
 
 def _piece_corners(A, b):
@@ -68,50 +68,63 @@ def _random_model(rng, n):
     return CompetitionModel(a=rng.uniform(0.2, 3.0, size=(n, n)), d=np.ones(n))
 
 
+def _corner_maximum(model, pieces, norm):
+    corners = [c for c in (_piece_corners(A, b) for A, b in pieces) if c is not None]
+    assert corners
+    corners = np.concatenate(corners)
+    return corners, _norms(_jacobians(model, corners), norm).max()
+
+
 class TestSupJacobianNorm:
     def test_three_species_frobenius_exact_vertex_value(self, reference_kinetics):
         # hand-derived maximizer: third axis hits the second species' plane
         # at w = 10/9; the squared entries sum to exactly 9505/324
-        sup = sup_jacobian_norm(reference_kinetics, REGION_A_3SPECIES)
+        sup = sup_jacobian_norm(reference_kinetics)
         assert sup**2 == pytest.approx(9505.0 / 324.0, rel=1e-12)
 
     def test_three_species_operator_norm(self, reference_kinetics):
-        op = sup_jacobian_norm(reference_kinetics, REGION_A_3SPECIES, norm="operator")
-        fro = sup_jacobian_norm(reference_kinetics, REGION_A_3SPECIES)
+        op = sup_jacobian_norm(reference_kinetics, norm="operator")
+        fro = sup_jacobian_norm(reference_kinetics)
         assert op <= fro + 1e-12
         assert op == pytest.approx(4.871957129315187, rel=1e-12)
 
     def test_two_species_unit_coupling_sup_at_origin(self):
-        sup = sup_jacobian_norm(_two_species(1.0, 1.0), REGION_SIGMA_2SPECIES)
+        sup = sup_jacobian_norm(_two_species(1.0, 1.0))
         assert sup**2 == pytest.approx(2.0, rel=1e-12)
 
     def test_two_species_weak_coupling_sup_at_far_corner(self):
         # b = c = 1/2: region reaches (2, 0), where the squared norm is 10
-        sup = sup_jacobian_norm(_two_species(0.5, 0.5), REGION_SIGMA_2SPECIES)
+        sup = sup_jacobian_norm(_two_species(0.5, 0.5))
         assert sup**2 == pytest.approx(10.0, rel=1e-12)
 
     @pytest.mark.parametrize("norm", ["frobenius", "operator"])
-    @pytest.mark.parametrize("n, kind", [(2, "named"), (2, "box"), (3, "named"), (3, "box")])
-    def test_equals_brute_force_corner_maximum(self, n, kind, norm):
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_equals_brute_force_corner_maximum(self, n, norm):
         # The corners are recomputed by Qhull from the region's definition,
-        # and a dense sample checks that no member point beats them.
-        rng = np.random.default_rng(1978 + 10 * n + (kind == "box"))
-        for _ in range(4):
-            model = _random_model(rng, n)
-            if kind == "box":
-                lo = rng.uniform(0.0, 1.0, size=n)
-                region = np.column_stack([lo, lo + rng.uniform(0.1, 2.0, size=n)])
+        # and a dense sample checks that no member point beats them.  The
+        # last four two-species draws have every a[i, i] below 1/2 and every
+        # a[i, j] above it, so their triangles reach past the unit-diagonal
+        # u + b v <= 1, c u + v <= 1, and on each of the four the maximum
+        # over those would be wrong.
+        rng = np.random.default_rng(1978 + 10 * n)
+        moved = 0
+        for draw in range(8 if n == 2 else 4):
+            if draw < 4:
+                model = _random_model(rng, n)
             else:
-                region = REGION_SIGMA_2SPECIES if n == 2 else REGION_A_3SPECIES
-            sup = sup_jacobian_norm(model, region, norm=norm)
+                a = rng.uniform(0.5, 3.0, size=(n, n))
+                a[np.diag_indices(n)] = rng.uniform(0.2, 0.5, size=n)
+                model = CompetitionModel(a=a, d=np.ones(n))
+            sup = sup_jacobian_norm(model, norm=norm)
 
-            pieces = _region_pieces(model.a, region)
-            corners = [c for c in (_piece_corners(A, b) for A, b in pieces) if c is not None]
-            assert corners
-            corners = np.concatenate(corners)
+            pieces = _region_pieces(model.a)
+            corners, expected = _corner_maximum(model, pieces, norm)
             mats = _jacobians(model, corners)
             assert np.allclose(mats, [jacobian(model, c) for c in corners], rtol=0.0, atol=1e-13)
-            assert sup == pytest.approx(_norms(mats, norm).max(), rel=1e-12)
+            assert sup == pytest.approx(expected, rel=1e-12)
+            if n == 2:
+                _, assumed = _corner_maximum(model, _unit_diagonal_pieces(model.a), norm)
+                moved += abs(assumed - expected) > 1e-6 * expected
 
             hi = corners.max(axis=0)
             pts = rng.uniform(0.0, 1.0, size=(60_000, n)) * hi
@@ -120,14 +133,27 @@ class TestSupJacobianNorm:
                 inside |= np.all(pts @ A.T <= b, axis=1)
             assert inside.sum() > 1000
             assert _norms(_jacobians(model, pts[inside]), norm).max() <= sup * (1.0 + 1e-12)
+        if n == 2:
+            assert moved == 4
 
-    def test_region_validation(self, reference_kinetics):
-        with pytest.raises(ValueError):
-            sup_jacobian_norm(reference_kinetics, "no-such-region")
-        with pytest.raises(ValueError):
-            sup_jacobian_norm(reference_kinetics, REGION_SIGMA_2SPECIES)
-        with pytest.raises(ValueError):
-            sup_jacobian_norm(reference_kinetics, np.array([[0.0, 1.0], [1.0, 0.5]]))
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_region_validation(self, n):
+        # the invariant region exists for two and three species only
+        with pytest.raises(ValueError, match="2 or 3 needed"):
+            sup_jacobian_norm(CompetitionModel(a=np.ones((n, n)), d=np.ones(n)))
+
+    def test_rows_of_a_set_the_two_species_region(self):
+        # a = [[1/2, 1], [1, 1/2]]: the triangles reach (2, 0) and (0, 2), not
+        # the unit-diagonal u + v <= 1, and J(2, 0) = [[-1, -2], [0, -1]]
+        model = CompetitionModel(a=np.array([[0.5, 1.0], [1.0, 0.5]]), d=np.full(2, 0.2))
+        assert np.array_equal(jacobian(model, np.array([2.0, 0.0])), [[-1.0, -2.0], [0.0, -1.0]])
+        assert sup_jacobian_norm(model) == pytest.approx(np.sqrt(6.0), rel=0.0, abs=1e-12)
+        assert sup_jacobian_norm(model, norm="operator") == pytest.approx(
+            1.0 + np.sqrt(2.0), rel=0.0, abs=1e-12)
+        rep = chs_report(model, 1.0)
+        assert rep.M_sup == pytest.approx(np.sqrt(6.0), rel=0.0, abs=1e-12)
+        assert rep.sigma == pytest.approx(0.2 * np.pi**2 - np.sqrt(6.0), rel=0.0, abs=1e-12)
+        assert not rep.flat_guarantee
 
 
 class TestChsReport:

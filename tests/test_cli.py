@@ -354,13 +354,26 @@ class TestFloquet:
         want.update({(int(k), "modal"): m for k, m in report["modal_multipliers"].items()})
         assert list(groups) == [(0, "base"), (1, "modal"), (2, "modal")]
         for key, mults in want.items():
-            # a spectrum with no complex member is written as plain numbers
-            parts = [(m["re"], m["im"]) if isinstance(m, dict) else (m, 0.0) for m in mults]
-            assert groups[key] == [(i, format(re, ".15g"), format(im, ".15g"))
-                                   for i, (re, im) in enumerate(parts)]
+            assert groups[key] == [(i, format(m["re"], ".15g"), format(m["im"], ".15g"))
+                                   for i, m in enumerate(mults)]
 
 
 class TestChs:
+    @pytest.mark.parametrize("norm, m_sup", [("frobenius", np.sqrt(6.0)),
+                                             ("operator", 1.0 + np.sqrt(2.0))],
+                             ids=["frobenius", "operator"])
+    def test_region_from_the_rows_of_a(self, tmp_path, norm, m_sup):
+        # the triangles (a U)_i <= 1 reach (2, 0), where J = [[-1, -2], [0, -1]];
+        # read as if a[i, i] = 1 they would stop at u + v <= 1, with M_sup = sqrt 2
+        payload = {"model": {"a": [[0.5, 1.0], [1.0, 0.5]], "d": [0.2, 0.2]}, "L": 1.0,
+                   "norm": norm}
+        rc, out = _run(tmp_path, "chs", payload)
+        assert rc == 0
+        report = json.loads((out / "chs.json").read_text())
+        assert report["M_sup"] == pytest.approx(m_sup, rel=0.0, abs=1e-12)
+        assert report["sigma"] == pytest.approx(0.2 * np.pi**2 - m_sup, rel=0.0, abs=1e-12)
+        assert report["flat_guarantee"] is False
+
     def test_certificate_values(self, tmp_path):
         payload = {
             "model": {"a": [[2.0, 1.1, 3.1], [3.1, 2.0, 0.9], [0.95, 2.9, 2.0]],
@@ -446,6 +459,9 @@ class TestReproducePaper:
         gaps = np.diff(cycle["crossing_times"])
         assert (gaps > 0.0).all()
         assert gaps[-3:].mean() == cycle["period"]
+        # every multiplier is an {"re", "im"} object, real ones included
+        assert len(cycle["multipliers"]) == 3
+        assert all(set(m) == {"re", "im"} and m["im"] == 0.0 for m in cycle["multipliers"])
         solver = json.loads((out / "classification.json").read_text())["solver"]
         assert solver["steps"] == 100_000 and solver["dt"] == 1e-3
         assert solver["min_value"] == 0.0
@@ -872,13 +888,20 @@ class TestConfigBoundary:
         assert set(cycle) == ORBIT_KEYS
         assert "transient" in cycle["solver"]
 
-    def test_two_species_case_is_null_without_unit_diagonal(self, tmp_path):
+    def test_two_species_case_without_unit_diagonal(self, tmp_path):
+        # read from b = a01 / a11 = 0.5 and c = a10 / a00 = 0.25
         payload = {"model": {"a": [[2.0, 0.5], [0.5, 1.0]], "d": [1.0, 1.0]}}
         rc, out = _run(tmp_path, "equilibria", payload)
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["two_species_case"] is None
+        assert report["two_species_case"] == "coexistence"
         assert report["equilibrium_count"] == 4
+
+    def test_two_species_case_degenerate_without_unit_diagonal(self, tmp_path):
+        # b = a01 / a11 = 1: the same exit 3 as a unit-diagonal b = 1
+        payload = {"model": {"a": [[2.0, 1.0], [1.0, 1.0]], "d": [1.0, 1.0]}}
+        rc, _ = _run(tmp_path, "equilibria", payload)
+        assert rc == 3
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -1,5 +1,6 @@
 """Kinetic model layer: reaction terms, Jacobians, equilibria, case analysis."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -274,16 +275,20 @@ class TestRegions:
 
 class TestTwoSpecies:
     @pytest.mark.parametrize(
-        "b,c,expected",
+        "a,expected",
         [
-            (0.3, 0.3, "coexistence"),
-            (0.3, 1.5, "u-wins"),
-            (1.5, 0.3, "v-wins"),
-            (1.5, 1.5, "bistable"),
+            ([[1.0, 0.3], [0.3, 1.0]], "coexistence"),
+            ([[1.0, 0.3], [1.5, 1.0]], "u-wins"),
+            ([[1.0, 1.5], [0.3, 1.0]], "v-wins"),
+            ([[1.0, 1.5], [1.5, 1.0]], "bistable"),
+            # any positive diagonal: b = a01 / a11 and c = a10 / a00
+            ([[2.0, 0.5], [0.5, 1.0]], "coexistence"),  # b = 0.5, c = 0.25
+            ([[0.5, 1.0], [1.0, 0.5]], "bistable"),  # b = c = 2
+            ([[4.0, 1.0], [2.0, 0.5]], "v-wins"),  # b = 2, c = 0.5
         ],
     )
-    def test_case_table(self, b, c, expected):
-        model = CompetitionModel(a=np.array([[1.0, b], [c, 1.0]]), d=np.ones(2))
+    def test_case_table(self, a, expected):
+        model = CompetitionModel(a=np.array(a), d=np.ones(2))
         assert two_species_case(model) == expected
 
     def test_unit_coupling_degenerate(self):
@@ -291,10 +296,60 @@ class TestTwoSpecies:
         with pytest.raises(DegenerateModelError):
             two_species_case(model)
 
-    def test_requires_unit_diagonal(self):
-        model = CompetitionModel(a=np.array([[2.0, 0.5], [0.5, 1.0]]), d=np.ones(2))
+    def test_requires_two_species(self, reference_kinetics):
         with pytest.raises(ValueError):
-            two_species_case(model)
+            two_species_case(reference_kinetics)
+
+
+class TestColumnScaling:
+    """Densities in other units, U = S W with S = diag(2^k), map a to a S.
+
+    Powers of two make the change of units exact in binary, so the
+    two-species case, the equilibrium labels and stabilities and the
+    three-species cone case must not move.
+    """
+
+    TWO = [[[1.0, 0.3], [0.3, 1.0]], [[1.0, 0.3], [1.5, 1.0]], [[1.0, 1.5], [0.3, 1.0]],
+           [[1.0, 1.5], [1.5, 1.0]], [[2.0, 0.7], [1.9, 0.5]]]
+    THREE = [[[2.0, 1.1, 3.1], [3.1, 2.0, 0.9], [0.95, 2.9, 2.0]],
+             [[1.0, 1.2, 0.8], [0.8, 1.0, 1.2], [1.2, 0.8, 1.0]],
+             [[1.0, 0.5, 0.4], [0.3, 1.0, 0.6], [0.5, 0.2, 1.0]]]
+
+    @staticmethod
+    def _scalings(n):
+        for k in itertools.product(range(-3, 4), repeat=n):
+            yield np.exp2(np.array(k, dtype=float))
+
+    @staticmethod
+    def _equilibrium_summary(model):
+        return [(eq.label, eq.support, eq.stability) for eq in equilibria(model)]
+
+    @pytest.mark.parametrize("a", TWO + THREE)
+    def test_equilibria_invariant(self, a):
+        a = np.array(a)
+        n = a.shape[0]
+        model = CompetitionModel(a=a, d=np.ones(n))
+        summary = self._equilibrium_summary(model)
+        points = [eq.point for eq in equilibria(model)]
+        for s in self._scalings(n):
+            scaled = CompetitionModel(a=a * s, d=np.ones(n))
+            assert self._equilibrium_summary(scaled) == summary
+            for eq, point in zip(equilibria(scaled), points):
+                assert np.array_equal(eq.point * s, point)  # W = S^-1 U, bit for bit
+
+    @pytest.mark.parametrize("a", TWO)
+    def test_two_species_case_invariant(self, a):
+        a = np.array(a)
+        case = two_species_case(CompetitionModel(a=a, d=np.ones(2)))
+        for s in self._scalings(2):
+            assert two_species_case(CompetitionModel(a=a * s, d=np.ones(2))) == case
+
+    @pytest.mark.parametrize("a", THREE)
+    def test_three_species_condition_case_invariant(self, a):
+        a = np.array(a)
+        case = condition_report(CompetitionModel(a=a, d=np.ones(3))).case
+        for s in self._scalings(3):
+            assert condition_report(CompetitionModel(a=a * s, d=np.ones(3))).case == case
 
 
 class TestLoadModel:
